@@ -9,9 +9,14 @@ cylinders are pairwise disjoint, so their probabilities sum to at most 1 at
 every admissible valuation, and summing full-depth extensions reproduces the
 same polynomials.
 
+Witnesses are not listed one by one: a forward pass over cells (state,
+compatibility tag) at each depth sums their probabilities, counts them and,
+for rewards, weighs them, merging the histories that share a cell.
+`_witnesses` keeps the history-by-history enumeration as the reference.
+
 Degrees follow the two enumeration algorithms: the satisfying (violating)
 witness sets are filtered by plan-compatibility classes, the kappa guard is
-decided by exact enumeration, and the result is the ratio of the two
+decided exactly (a count-only pass), and the result is the ratio of the two
 probability polynomials as a rational function.  Queries either stay
 symbolic (answers in the strategy parameters) or are evaluated at a bound
 valuation; coalition quantifiers in evaluated mode are resolved by a grid
@@ -21,7 +26,7 @@ search with local refinement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -32,8 +37,8 @@ from .logic import (And, Atom, CoalitionDegree, CoalitionProb,
                     PathFormula, StateFormula, TrueFormula, Until, horizon)
 from .model import Psmas, RewardStructure
 from .polyarith import ParamId, Polynomial, RationalFunction
-from .trace import (History, Plan, compatible_plans,
-                    guard_enumeration_volume, plan_from_model)
+from .trace import (CompatTags, History, Plan, guard_enumeration_volume,
+                    plan_from_model)
 
 SYMBOLIC = "symbolic"
 EVALUATED = "evaluated"
@@ -225,6 +230,101 @@ def _mass(witnesses: Iterable[History]) -> Polynomial:
     return total
 
 
+@dataclass
+class _Sum:
+    """Summed probability, history count and reward-weighted probability
+    (the probability times the reward accumulated so far) of histories."""
+
+    mass: Polynomial = field(default_factory=Polynomial.zero)
+    paths: int = 0
+    reward: Polynomial = field(default_factory=Polynomial.zero)
+
+    def add(self, other: "_Sum") -> None:
+        self.mass = self.mass + other.mass
+        self.paths += other.paths
+        self.reward = self.reward + other.reward
+
+
+_Sums = dict[tuple[bool, bool], _Sum]
+
+
+def _witness_pass(m: Psmas, state: str, psi: PathFormula, ctx: QueryContext,
+                  tags: CompatTags | None = None, weigh: bool = True,
+                  r: RewardStructure | None = None) -> _Sums:
+    """Sums over the minimal witnesses of psi from state, in one forward pass.
+
+    A cell is (state, tag) at one depth, where the tag is the `tags`
+    compatibility tag of the action prefix (None without tags).  It holds
+    the `_Sum` of the open histories that reach it; histories sharing a cell
+    continue alike, so they merge by addition.  Returns the witness sums
+    keyed (satisfied, compatible); without tags every witness is
+    compatible.  `weigh=False` counts histories only, and `r` adds the
+    reward-weighted mass.  Equal to summing `_witnesses` one by one.
+    """
+    guard_enumeration_volume(m, horizon(psi))
+    classify, k = _classifier(m, psi, ctx)
+    out = {key: _Sum() for key in itertools.product((True, False),
+                                                    repeat=2)}
+    start_tag = tags.start if tags is not None else None
+    cells = {(state, start_tag): _Sum(Polynomial.one(), 1)}
+    for depth in range(k + 1):
+        nxt: dict[tuple[str, frozenset[str] | None], _Sum] = {}
+        for (here, tag), cell in cells.items():
+            verdict = classify(depth, here)
+            if verdict is not None:
+                compatible = tags is None or tags.live(tag, depth)
+                out[verdict, compatible].add(cell)
+                continue
+            for joint in m.base.joint_actions(here):
+                nxt_tag = (tags.step(tag, depth, joint) if tags is not None
+                           else None)
+                gain = r.step_reward(here, joint) if r is not None else 0
+                for target, poly in m.successors(here, joint):
+                    into = nxt.setdefault((target, nxt_tag), _Sum())
+                    into.paths += cell.paths
+                    if not weigh:
+                        continue
+                    step = cell.mass * poly
+                    into.mass = into.mass + step
+                    if r is not None:
+                        into.reward = into.reward + cell.reward * poly
+                        if gain != 0:
+                            into.reward = into.reward + step * gain
+        cells = nxt
+    return out
+
+
+def _classifier(m: Psmas, psi: PathFormula, ctx: QueryContext
+                ) -> tuple[Callable[[int, str], bool | None], int]:
+    """Where a prefix of psi becomes a witness: (depth, last state) ->
+    True (satisfying), False (violating) or None (still open), and the
+    deepest depth at which prefixes are classified."""
+    if isinstance(psi, Next):
+        good = _sat_cache(m, psi.body, ctx)
+        return (lambda depth, here: None if depth == 0 else good(here)), 1
+    if isinstance(psi, Until):
+        hold = _sat_cache(m, psi.left, ctx)
+        goal = _sat_cache(m, psi.right, ctx)
+
+        def classify(depth: int, here: str) -> bool | None:
+            if goal(here):
+                return True
+            if not hold(here) or depth == psi.k:
+                return False
+            return None
+
+        return classify, psi.k
+    raise TypeError(f"not a path formula: {psi!r}")
+
+
+def _either(sums: _Sums, sat: bool) -> _Sum:
+    """All witnesses of one outcome, compatible or not."""
+    total = _Sum()
+    total.add(sums[sat, True])
+    total.add(sums[sat, False])
+    return total
+
+
 # -- probability operator --------------------------------------------------
 
 
@@ -236,7 +336,7 @@ def path_sat_prob(m: Psmas, state: str, psi: PathFormula,
     evaluated recursively at the states they label.
     """
     ctx = ctx or QueryContext.symbolic()
-    return RationalFunction(_mass(sat_witnesses(m, state, psi, ctx)))
+    return RationalFunction(_witness_pass(m, state, psi, ctx)[True, True].mass)
 
 
 def check_prob(m: Psmas, state: str, f: CoalitionProb,
@@ -270,22 +370,23 @@ def reward_value(m: Psmas, state: str, target: StateFormula, k: int,
     times the reward accumulated strictly before the target is hit.
     """
     ctx = ctx or QueryContext.symbolic()
-    psi = Until(TrueFormula(), k, target)
-    sats, viols = _witnesses(m, state, psi, ctx)
-    noreach = _mass(viols)
+    noreach, reach_reward = _reward_parts(m, state, target, k, r, ctx)
     if ctx.is_evaluated:
         if noreach.evaluate(ctx.valuation) > 0:
             return ExtendedValue.infinite()
     elif not noreach.is_zero:
         return ExtendedValue.infinite()
-    total = Polynomial.zero()
-    for w in sats:
-        accum = Fraction(0)
-        for j, joint in enumerate(w.actions):
-            accum += r.step_reward(w.states[j], joint)
-        if accum != 0:
-            total = total + w.probability * accum
-    return ExtendedValue.of(RationalFunction(total))
+    return ExtendedValue.of(RationalFunction(reach_reward))
+
+
+def _reward_parts(m: Psmas, state: str, target: StateFormula, k: int,
+                  r: RewardStructure,
+                  ctx: QueryContext) -> tuple[Polynomial, Polynomial]:
+    """The probability of missing the target within k steps, and the
+    reward-weighted probability of the reaching prefixes."""
+    sums = _witness_pass(m, state, Until(TrueFormula(), k, target), ctx,
+                         r=r)
+    return sums[False, True].mass, sums[True, True].reward
 
 
 def check_reward(m: Psmas, state: str, f: CoalitionReward,
@@ -299,16 +400,7 @@ def check_reward(m: Psmas, state: str, f: CoalitionReward,
         value = reward_value(m, state, f.target, f.k, r, ctx)
         return CheckResult(holds=None, region=Region(value, f.cmp, f.bound))
 
-    psi = Until(TrueFormula(), f.k, f.target)
-    sats, viols = _witnesses(m, state, psi, ctx)
-    noreach = _mass(viols)
-    reach_reward = Polynomial.zero()
-    for w in sats:
-        accum = Fraction(0)
-        for j, joint in enumerate(w.actions):
-            accum += r.step_reward(w.states[j], joint)
-        if accum != 0:
-            reach_reward = reach_reward + w.probability * accum
+    noreach, reach_reward = _reward_parts(m, state, f.target, f.k, r, ctx)
 
     def finite_rx(v: Mapping[ParamId, Fraction]) -> Fraction | None:
         if noreach.evaluate(v) > 0:
@@ -337,13 +429,12 @@ def car_degree(m: Psmas, state: str, agent: str, plan: Plan,
     _require_member(agent, coalition)
     depth = horizon(psi)
     plan = _fit_plan(plan, depth)
-    sats, viols = _witnesses(m, state, psi, ctx)
-    own_class = compatible_plans(m, plan, {agent})
-    numerator = [w for w in sats
-                 if own_class.contains_action_prefix(w.actions)]
-    kappa = bool(viols)
-    return _degree_result(_mass(numerator), _mass(sats), kappa,
-                          len(numerator), len(sats))
+    guard_enumeration_volume(m, depth)  # before the plan's checks
+    sums = _witness_pass(m, state, psi, ctx, CompatTags(m, plan, {agent}))
+    numerator, sats = sums[True, True], _either(sums, True)
+    kappa = _either(sums, False).paths > 0
+    return _degree_result(numerator.mass, sats.mass, kappa,
+                          numerator.paths, sats.paths)
 
 
 def cpr_degree(m: Psmas, state: str, agent: str, plan: Plan,
@@ -362,14 +453,40 @@ def cpr_degree(m: Psmas, state: str, agent: str, plan: Plan,
     _require_member(agent, coalition)
     depth = horizon(psi)
     plan = _fit_plan(plan, depth)
-    sats, viols = _witnesses(m, state, psi, ctx)
-    others_class = compatible_plans(m, plan, coalition - {agent})
-    numerator = [w for w in viols
-                 if others_class.contains_action_prefix(w.actions)]
-    full_class = compatible_plans(m, plan, coalition)
-    kappa = any(full_class.contains_action_prefix(w.actions) for w in sats)
-    return _degree_result(_mass(numerator), _mass(viols), kappa,
-                          len(numerator), len(viols))
+    guard_enumeration_volume(m, depth)  # before the plan's checks
+    others = CompatTags(m, plan, coalition - {agent})
+    full = CompatTags(m, plan, coalition)
+    sums = _witness_pass(m, state, psi, ctx, others)
+    numerator, viols = sums[False, True], _either(sums, False)
+    kappa = _achievable(m, state, psi, ctx, full)
+    return _degree_result(numerator.mass, viols.mass, kappa,
+                          numerator.paths, viols.paths)
+
+
+def _achievable(m: Psmas, state: str, psi: PathFormula, ctx: QueryContext,
+                full: CompatTags) -> bool:
+    """CPR's kappa: does some satisfying witness agree with the plans of
+    the whole coalition's class?  Counts only."""
+    return _witness_pass(m, state, psi, ctx, full, weigh=False)[
+        True, True].paths > 0
+
+
+def degree_guard(m: Psmas, state: str, plan: Plan, psi: PathFormula,
+                 kind: DegreeKind,
+                 coalition: Iterable[str] | None = None,
+                 ctx: QueryContext | None = None) -> bool:
+    """The kappa flag of a CAR or CPR degree alone, from counts only.
+
+    Rejects plans shorter than the outcome's horizon like the degrees do.
+    """
+    ctx = ctx or QueryContext.symbolic()
+    coalition = frozenset(coalition) if coalition is not None else frozenset(
+        m.base.agents)
+    plan = _fit_plan(plan, horizon(psi))
+    if kind is DegreeKind.CAR:
+        sums = _witness_pass(m, state, psi, ctx, weigh=False)
+        return _either(sums, False).paths > 0
+    return _achievable(m, state, psi, ctx, CompatTags(m, plan, coalition))
 
 
 def _require_member(agent: str, coalition: frozenset[str]) -> None:

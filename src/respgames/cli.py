@@ -1,7 +1,8 @@
 """Command-line front end: check, degree, ne, simulate, eval.
 
 Machine interface is JSON on stdout (`--output json`): a stable envelope
-with the subcommand, a content digest of model + formula, the result
+with the subcommand, a digest of the whole query (model bytes, formula text
+and every other argument except `--output`), the result
 payload, warnings, and timing (timing is the only field allowed to differ
 between identical runs).  Human mode prints the same facts as short lines.
 Diagnostics go to stderr.
@@ -343,7 +344,7 @@ def _cmd_simulate(args, warnings) -> tuple[int, dict]:
     from .logic import horizon as horizon_of
     depth = args.horizon if args.horizon is not None else horizon_of(psi)
     cfg = SimConfig(samples=args.samples, seed=_seed(args), horizon=depth,
-                    valuation=binds)
+                    valuation=binds, start=_state(args, m))
     if args.kind:
         if not (args.agent and args.plan):
             raise FormulaError("degree estimation needs --agent and --plan")
@@ -402,7 +403,14 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# Arguments whose content the digest hashes in their place, or that only
+# change how the result is printed.
+_NOT_QUERY = ("model", "formula", "formula_file", "output")
+
+
 def _digest(args) -> str:
+    """Hash of the canonical query: model bytes, formula text and every
+    other parsed argument, with the seed as it will be used."""
     sha = hashlib.sha256()
     try:
         with open(args.model, "rb") as handle:
@@ -413,10 +421,16 @@ def _digest(args) -> str:
     text = None
     try:
         text = _formula_text(args)
-    except RespgamesError:
+    except (RespgamesError, OSError):
         pass
     if text:
         sha.update(text.encode("utf-8"))
+    sha.update(b"\x00")
+    query = {key: value for key, value in sorted(vars(args).items())
+             if key not in _NOT_QUERY}
+    if query.get("seed") is None:
+        query["seed"] = os.environ.get("RESPGAMES_SEED")
+    sha.update(json.dumps(query, sort_keys=True).encode("utf-8"))
     return f"sha256:{sha.hexdigest()}"
 
 

@@ -19,27 +19,28 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .checker import (QueryContext, sat_state, sat_witnesses,
-                      violation_witnesses)
+from .checker import QueryContext, _fit_plan, degree_guard, sat_state
 from .errors import (InadmissibleError, MissingParameterError,
                      UndefinedEstimateError, UnsupportedQueryError)
 from .logic import DegreeKind, Next, PathFormula, horizon
 from .model import JointAction, Psmas, check_admissible
 from .polyarith import ParamId
 from .synth import ResponsibilitySpec, UtilityConfig, utility_parts
-from .trace import Plan, compatible_plans
+from .trace import CompatTags, Plan
 
 BLOCK = 10_000
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Sampling setup: count, seed, depth and the admissible valuation."""
+    """Sampling setup: count, seed, depth, the admissible valuation and the
+    start state (None: the model's initial state)."""
 
     samples: int
     seed: int
     horizon: int
     valuation: Mapping[ParamId, Fraction]
+    start: str | None = None
 
     def __post_init__(self):
         if self.samples < 1:
@@ -121,7 +122,7 @@ def simulate_paths(m: Psmas, cfg: SimConfig
                                        tuple[JointAction, ...]]]:
     """Stream sampled histories as (states, joint actions) tuples."""
     sampler = _Sampler(m, cfg.valuation)
-    start = sampler.index[m.base.initial]
+    start = sampler.index[_start(m, cfg)]
     for _, count, rng in _blocks(cfg):
         states, picks = sampler.sample_block(start, count, cfg.horizon, rng)
         for row in range(count):
@@ -129,6 +130,10 @@ def simulate_paths(m: Psmas, cfg: SimConfig
             acts = tuple(sampler.outcomes[states[row, j]][picks[row, j]][0]
                          for j in range(cfg.horizon))
             yield st, acts
+
+
+def _start(m: Psmas, cfg: SimConfig) -> str:
+    return cfg.start if cfg.start is not None else m.base.initial
 
 
 def _sat_tables(m: Psmas, sampler: _Sampler, psi: PathFormula,
@@ -186,7 +191,7 @@ def estimate_path_prob(m: Psmas, cfg: SimConfig, psi: PathFormula) -> Estimate:
     sampler = _Sampler(m, cfg.valuation)
     depth = max(cfg.horizon, horizon(psi))
     hold, goal = _sat_tables(m, sampler, psi, cfg.valuation)
-    start = sampler.index[m.base.initial]
+    start = sampler.index[_start(m, cfg)]
     hits = 0
     for _, count, rng in _blocks(cfg):
         states, _ = sampler.sample_block(start, count, depth, rng)
@@ -204,29 +209,25 @@ def estimate_degree(m: Psmas, cfg: SimConfig, agent: str, plan: Plan,
 
     Each sampled history is classified exactly: its minimal witness step and
     whether the witness prefix is compatible with the relevant plan class.
-    kappa is decided by exact enumeration; when false the estimate is
+    kappa is decided exactly by the checker; when false the estimate is
     exactly 0.  The mean is the ratio of numerator to denominator counts and
-    stderr treats the ratio as Bernoulli over denominator samples.
+    stderr treats the ratio as Bernoulli over denominator samples.  Plans
+    shorter than the outcome's horizon are rejected like the exact degrees.
     """
     coalition = frozenset(coalition) if coalition is not None else frozenset(
         m.base.agents)
     depth = horizon(psi)
-    plan = plan.truncated(depth)
+    plan = _fit_plan(plan, depth)
     sampler = _Sampler(m, cfg.valuation)
     hold, goal = _sat_tables(m, sampler, psi, cfg.valuation)
-    start = sampler.index[plan.start]
+    state = _start(m, cfg)
+    start = sampler.index[state]
 
     ctx = QueryContext.evaluated(cfg.valuation)
-    if kind is DegreeKind.CAR:
-        kappa = bool(violation_witnesses(m, plan.start, psi, ctx))
-        compat = compatible_plans(m, plan, {agent})
-        pick_sat = True
-    else:
-        full_class = compatible_plans(m, plan, coalition)
-        kappa = any(full_class.contains_action_prefix(w.actions)
-                    for w in sat_witnesses(m, plan.start, psi, ctx))
-        compat = compatible_plans(m, plan, coalition - {agent})
-        pick_sat = False
+    kappa = degree_guard(m, state, plan, psi, kind, coalition, ctx)
+    pick_sat = kind is DegreeKind.CAR
+    compat = CompatTags(m, plan, {agent} if pick_sat
+                        else coalition - {agent})
     if not kappa:
         return Estimate(mean=0.0, stderr=0.0, samples=cfg.samples)
 
@@ -242,7 +243,7 @@ def estimate_degree(m: Psmas, cfg: SimConfig, agent: str, plan: Plan,
             actions = tuple(
                 sampler.outcomes[states[row, t]][picks[row, t]][0]
                 for t in range(j))
-            if compat.contains_action_prefix(actions):
+            if compat.admits(actions):
                 num += 1
     if den == 0:
         raise UndefinedEstimateError(

@@ -25,7 +25,7 @@ from .errors import NoSolutionError, UnsupportedQueryError
 from .logic import PathFormula
 from .model import Psmas, RewardStructure, Scope, check_admissible
 from .polyarith import ParamId, Polynomial, RationalFunction
-from .trace import Plan, enumerate_histories, payoff, plan_histories
+from .trace import Plan, total_payoff
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,9 @@ def payoff_valuation(m: Psmas, plan_or_horizon: Plan | int, agent: str,
 
     For a plan, sums the per-step expected payoffs of its consistent
     histories; for an integer horizon, sums over all histories of that depth
-    (the strategy parameters carry the mixing).
+    (the strategy parameters carry the mixing).  Every history adds each of
+    its steps' transition entry times that step's reward, so a step is
+    counted once per history through it (see `trace.total_payoff`).
     """
     if r is None:
         r = m.base.rewards.get(agent)
@@ -60,16 +62,13 @@ def payoff_valuation(m: Psmas, plan_or_horizon: Plan | int, agent: str,
             r = RewardStructure(agent=agent,
                                 agent_index=m.base.agent_index(agent))
     if isinstance(plan_or_horizon, Plan):
-        histories = plan_histories(m, plan_or_horizon)
-        if state is not None and state != plan_or_horizon.start:
+        plan = plan_or_horizon
+        total = total_payoff(m, r, plan.start, len(plan), plan)
+        if state is not None and state != plan.start:
             raise ValueError("state disagrees with the plan's start")
-    else:
-        start = state if state is not None else m.base.initial
-        histories = enumerate_histories(m, start, plan_or_horizon)
-    total = Polynomial.zero()
-    for h in histories:
-        total = total + payoff(h, r)
-    return total
+        return total
+    start = state if state is not None else m.base.initial
+    return total_payoff(m, r, start, plan_or_horizon)
 
 
 def resp_valuation(m: Psmas, state: str, agent: str, plan: Plan,
@@ -180,14 +179,17 @@ def full_support(m: Psmas) -> dict[Scope, tuple[str, ...]]:
 def build_ne_system(m: Psmas, horizon: int, cfg: UtilityConfig,
                     resp_spec: ResponsibilitySpec | None = None,
                     support: Mapping[Scope, tuple[str, ...]] | None = None,
-                    state: str | None = None) -> NeSystem:
+                    state: str | None = None,
+                    parts: Mapping[str, UtilityParts] | None = None
+                    ) -> NeSystem:
     """Equal-utility equations for every pair of supported actions.
 
     "Plays a at scope" substitutes that scope's parameters with the pure
     vertex for a; differences of the resulting rational functions are
     cross-multiplied to polynomials.  Unsupported free parameters are pinned
     to 0; an unsupported dependent action adds the simplex residual equation
-    1 - (sum of supported free parameters) = 0.
+    1 - (sum of supported free parameters) = 0.  `parts` are the agents'
+    utilities when the caller already holds them (computed otherwise).
     """
     support = dict(support) if support is not None else full_support(m)
     for scope in m.scopes():
@@ -219,8 +221,10 @@ def build_ne_system(m: Psmas, horizon: int, cfg: UtilityConfig,
             extra_equations.append(residual)
 
     pin_bindings = {p: Polynomial.constant(v) for p, v in pinned.items()}
-    parts = {agent: utility_parts(m, agent, cfg, horizon, resp_spec, state)
-             for agent in m.base.agents}
+    if parts is None:
+        parts = {agent: utility_parts(m, agent, cfg, horizon, resp_spec,
+                                      state)
+                 for agent in m.base.agents}
 
     equations: list[Polynomial] = list(extra_equations)
     for agent in m.base.agents:
@@ -452,7 +456,8 @@ def find_equilibria(m: Psmas, horizon: int, cfg: UtilityConfig,
     solutions: list[NeSolution] = []
     for combo in itertools.product(*per_scope):
         support = dict(zip(scopes, combo))
-        sys = build_ne_system(m, horizon, cfg, resp_spec, support, state)
+        sys = build_ne_system(m, horizon, cfg, resp_spec, support, state,
+                              parts)
         try:
             found = solve_ne(sys, seeds=seeds, seed=seed,
                              residual_tol=residual_tol, verifier=verifier)

@@ -6,12 +6,18 @@ entry is not identically zero).  A plan is a pure joint-action sequence from
 a start state; two plans are coalition-compatible when they agree on every
 coalition agent's action at every step.  Enumeration is a pure function of
 immutable inputs and honours a configurable branching-volume guard.
+
+Queries do not enumerate: `CompatTags` decides class membership one joint
+action at a time, so the checker's forward pass can carry it as a tag, and
+`total_payoff` sums payoffs from per-state history counts.  History
+enumeration, `compatible_plans` and `payoff` remain as their reference.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ModelError, ResourceLimitError
@@ -170,6 +176,98 @@ def plan_histories(m: Psmas, plan: Plan) -> list[History]:
     return frontier
 
 
+def _successor_set(game, reachable: frozenset[str],
+                   joint: JointAction) -> frozenset[str]:
+    return frozenset(target
+                     for state in reachable
+                     for target, prob in game.delta[(state, joint)].items()
+                     if prob > 0)
+
+
+class CompatTags:
+    """Coalition-compatibility of action prefixes, decided step by step.
+
+    The tag of an action prefix is the set of states the prefix can reach
+    from the anchor's start, or the empty set once the prefix has left every
+    member of `compatible_plans(m, plan, coalition)`.  The tag evolves
+    deterministically with each joint action, so a forward pass can carry it
+    beside the current state.  A prefix belongs to the class exactly when
+    its tag is live: some full-length member extends it.
+    """
+
+    def __init__(self, m: Psmas, plan: Plan, coalition: Iterable[str]):
+        coalition = frozenset(coalition)
+        unknown = coalition - set(m.base.agents)
+        if unknown:
+            raise ModelError(f"unknown coalition agent {sorted(unknown)[0]}")
+        validate_plan(m, plan)
+        self.game = m.base
+        self.plan = plan
+        self.coalition = coalition
+        self.start = frozenset({plan.start})
+        self._pools: dict[tuple[frozenset[str], int],
+                          tuple[tuple[str, ...], ...]] = {}
+        self._live: dict[tuple[frozenset[str], int], bool] = {}
+        self._admits: dict[tuple[JointAction, ...], bool] = {}
+
+    def pools(self, tag: frozenset[str],
+              depth: int) -> tuple[tuple[str, ...], ...]:
+        """Each agent's allowed actions at step `depth` from the tag.
+
+        Availability is intersected over the tag's states; coalition agents
+        must play the anchor's action (an empty pool when they cannot).
+        """
+        key = (tag, depth)
+        if key not in self._pools:
+            anchor_joint = self.plan.steps[depth]
+            pools = []
+            for idx, agent in enumerate(self.game.agents):
+                allowed = set(self.game.available[(agent, next(iter(tag)))])
+                for state in tag:
+                    allowed &= set(self.game.available[(agent, state)])
+                if agent in self.coalition:
+                    choice = anchor_joint[idx]
+                    pools.append((choice,) if choice in allowed else ())
+                else:
+                    pools.append(tuple(sorted(allowed)))
+            self._pools[key] = tuple(pools)
+        return self._pools[key]
+
+    def step(self, tag: frozenset[str], depth: int,
+             joint: JointAction) -> frozenset[str]:
+        """The tag after playing `joint` as step `depth` of the prefix."""
+        if not tag or depth >= len(self.plan.steps):
+            return frozenset()
+        pools = self.pools(tag, depth)
+        if all(action in pool for action, pool in zip(joint, pools)):
+            return _successor_set(self.game, tag, joint)
+        return frozenset()
+
+    def live(self, tag: frozenset[str], depth: int) -> bool:
+        """Does some full-length member extend a `depth`-step prefix with
+        this tag?"""
+        if not tag:
+            return False
+        if depth == len(self.plan.steps):
+            return True
+        key = (tag, depth)
+        if key not in self._live:
+            self._live[key] = any(
+                self.live(_successor_set(self.game, tag, joint), depth + 1)
+                for joint in itertools.product(*self.pools(tag, depth)))
+        return self._live[key]
+
+    def admits(self, actions: Sequence[JointAction]) -> bool:
+        """Is this action prefix consistent with some member plan?"""
+        actions = tuple(actions)
+        if actions not in self._admits:
+            tag = self.start
+            for depth, joint in enumerate(actions):
+                tag = self.step(tag, depth, joint)
+            self._admits[actions] = self.live(tag, len(actions))
+        return self._admits[actions]
+
+
 def compatible_plans(m: Psmas, plan: Plan,
                      coalition: Iterable[str]) -> CompatClass:
     """The coalition-compatibility equivalence class of a plan.
@@ -232,4 +330,58 @@ def payoff(h: History, r: RewardStructure) -> Polynomial:
         reward = r.step_reward(h.states[j], joint)
         if reward != 0:
             total = total + h.step_probs[j] * reward
+    return total
+
+
+def total_payoff(m: Psmas, r: RewardStructure, start: str, depth: int,
+                 plan: Plan | None = None) -> Polynomial:
+    """The sum of `payoff` over every history of `depth` steps from `start`
+    (only those consistent with `plan`, when given), without listing them.
+
+    A step from s under joint action a to t taken at position j lies in
+    N_j(s) * C_{j+1}(t) histories, where N_j(s) counts the j-step prefixes
+    from `start` that end in s and C_{j+1}(t) the continuations from t to
+    the full depth.  The sum is therefore each transition entry times its
+    step reward times an integer count: linear in the entries.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if plan is None:
+        guard_enumeration_volume(m, depth)
+    else:
+        validate_plan(m, plan)
+
+    def joints(j: int, state: str) -> list[JointAction]:
+        if plan is not None:
+            return [plan.steps[j]]
+        return m.base.joint_actions(state)
+
+    prefixes: list[dict[str, int]] = [{start: 1}]
+    for j in range(depth):
+        nxt: dict[str, int] = {}
+        for state, count in prefixes[j].items():
+            for joint in joints(j, state):
+                for target, _ in m.successors(state, joint):
+                    nxt[target] = nxt.get(target, 0) + count
+        prefixes.append(nxt)
+
+    suffixes = dict.fromkeys(prefixes[depth], 1)
+    weights: dict[tuple[str, JointAction, str], Fraction] = {}
+    for j in reversed(range(depth)):
+        here: dict[str, int] = {}
+        for state, count in prefixes[j].items():
+            here[state] = 0
+            for joint in joints(j, state):
+                reward = r.step_reward(state, joint)
+                for target, _ in m.successors(state, joint):
+                    here[state] += suffixes[target]
+                    if reward != 0:
+                        key = (state, joint, target)
+                        weights[key] = (weights.get(key, 0)
+                                        + reward * count * suffixes[target])
+        suffixes = here
+
+    total = Polynomial.zero()
+    for (state, joint, target), weight in weights.items():
+        total = total + m.transition_poly(state, joint, target) * weight
     return total

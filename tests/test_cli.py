@@ -151,12 +151,37 @@ def test_digest_tracks_inputs(capsys):
     assert a["digest"] == c["digest"]
 
 
+def test_digest_covers_every_argument(capsys):
+    # Same model and formula, different bindings and seed: different
+    # queries.  Repeating one keeps its digest; --output is not part of it.
+    common = ["simulate", "--model", BALL, "--formula",
+              "X (dropped | score2)", "--samples", "2000"]
+    first = common + ["--bind", "x1=3/10", "--bind", "x2=7/10", "--seed", "1"]
+    second = common + ["--bind", "x1=1/2", "--bind", "x2=1/10", "--seed", "2"]
+    _, a = run_json(capsys, *first)
+    _, b = run_json(capsys, *second)
+    _, c = run_json(capsys, *first)
+    assert a["digest"] != b["digest"]
+    assert a["digest"] == c["digest"]
+    from respgames.cli import _digest, build_parser
+    human = build_parser().parse_args(first + ["--output", "human"])
+    assert _digest(human) == a["digest"]
+
+
 def test_formula_file(tmp_path, capsys):
     path = tmp_path / "query.rpatl"
     path.write_text("<A1,A2> P>=1 [ X true ]\n")
     code, env = run_json(capsys, "check", "--model", BALL,
                          "--formula-file", str(path))
     assert code == 0 and env["result"]["verdict"] is True
+
+
+def test_unreadable_formula_file(tmp_path, capsys):
+    # the JSON error envelope is still written (its digest reads the file)
+    code, env = run_json(capsys, "check", "--model", BALL,
+                         "--formula-file", str(tmp_path / "missing.rpatl"))
+    assert code == 2
+    assert env["result"]["error"].startswith("cannot read input")
 
 
 def test_env_seed_fallback(capsys, monkeypatch):
@@ -181,6 +206,30 @@ def test_simulate_degree_estimate(capsys):
     assert code == 0
     result = env["result"]
     assert abs(result["estimate"] - 1 / 3) <= 4 * result["stderr"]
+
+
+def test_simulate_starts_at_state(capsys):
+    # From mid the runner's pass is forced, so X finished holds surely
+    # (eval gives 1), while from start it needs the pass (3/4 here).
+    argv = ["--model", RELAY, "--formula", "X finished", "--state", "mid",
+            "--bind", "x_R_start_hold=1/4"]
+    _, exact = run_json(capsys, "eval", *argv)
+    code, env = run_json(capsys, "simulate", *argv, "--samples", "20000",
+                         "--seed", "3")
+    assert code == 0 and exact["result"]["value"] == "1"
+    result = env["result"]
+    assert abs(result["estimate"] - 1) <= 4 * result["stderr"]
+
+
+def test_simulate_degree_rejects_short_plan(capsys):
+    # pi_mix has 2 steps; the outcome needs 4, as `degree` also says
+    argv = ["--model", ROUNDS, "--formula", "F<=4 score1", "--kind", "CAR",
+            "--agent", "A1", "--plan", "pi_mix"]
+    assert main(["degree"] + argv) == 3
+    capsys.readouterr()
+    assert main(["simulate"] + argv + ["--bind", "x1=1/2", "--bind",
+                                       "x2=1/2", "--samples", "1000"]) == 3
+    assert "plan has 2 steps" in capsys.readouterr().err
 
 
 def test_missing_model_file(capsys):

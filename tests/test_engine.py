@@ -1,0 +1,211 @@
+"""Differential tests: the checker's forward witness pass against history
+enumeration on random small games.
+
+The reference side lists every witness history (`_witnesses`), filters it
+with `compatible_plans(...).contains_action_prefix` and sums payoffs over
+`enumerate_histories` / `plan_histories` — the definitions the pass must
+reproduce exactly, counts and errors included.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from respgames.checker import (QueryContext, _fit_plan, _mass,
+                               _reward_parts, _witnesses, car_degree,
+                               cpr_degree, degree_guard, path_sat_prob)
+from respgames.errors import DegenerateQueryError, ModelError
+from respgames.logic import (And, Atom, DegreeKind, Next, Not, TrueFormula,
+                             Until, horizon)
+from respgames.model import build_psmas, parse_model
+from respgames.polyarith import Polynomial, RationalFunction
+from respgames.synth import payoff_valuation
+from respgames.trace import (Plan, compatible_plans, enumerate_histories,
+                             payoff, plan_histories)
+
+AGENTS = ("A", "B")
+ACTIONS = ("a", "b")
+# Two actions twice as often as one, and single actions of either name, so
+# availability differs between states and its intersections matter.
+POOLS = (("a", "b"), ("a", "b"), ("a",), ("b",))
+# Hypothesis favours the first choice of a `sampled_from`: first come
+# labels and horizons that leave both outcomes possible.
+LABELS = ("p", "g", "", "p g")
+HORIZONS = (2, 3, 4, 1, 0)
+VOLUME = 512
+HOLDS = (TrueFormula(), Atom("p"), Not(Atom("g")))
+GOALS = (Atom("g"), Not(Atom("p")), And(Atom("p"), Not(Atom("g"))))
+
+
+@st.composite
+def games(draw):
+    """Model text of a random game: 2-4 states, 2 agents, 1-2 actions per
+    (agent, state), rows over 1-2 successors with random weights, labels
+    from {p, g} and small integer rewards."""
+    states = [f"q{i}" for i in range(draw(st.integers(2, 4)))]
+    lines = ["agents: A B", "states: " + " ".join(states), "init: q0"]
+    labels = []
+    for s in states:
+        labels.append(f"{s} {{ {draw(st.sampled_from(LABELS))} }}")
+    lines.append("labels: " + " ".join(labels))
+    available = {}
+    for agent in AGENTS:
+        for s in states:
+            available[agent, s] = draw(st.sampled_from(POOLS))
+            lines.append(f"actions {agent} @ {s}: "
+                         + " ".join(available[agent, s]))
+    for s in states:
+        for joint in itertools.product(available["A", s],
+                                       available["B", s]):
+            targets = draw(st.permutations(states))[:draw(st.integers(1, 2))]
+            weights = [draw(st.integers(1, 3)) for _ in targets]
+            row = ", ".join(f"{t}: {Fraction(w, sum(weights))}"
+                            for t, w in zip(targets, weights))
+            lines.append(f"trans {s} ({', '.join(joint)}) -> {{ {row} }}")
+    for agent in AGENTS:
+        for action in ACTIONS:
+            lines.append(f"reward {agent} action {action}: "
+                         f"{draw(st.integers(0, 3))}")
+        s = draw(st.sampled_from(states))
+        lines.append(f"reward {agent} state {s}: {draw(st.integers(0, 2))}")
+    return "\n".join(lines) + "\n"
+
+
+def plans(m, draw, length):
+    """Mostly valid plans: each step picks actions available at every state
+    the prefix can reach; one step in eight is any joint action, which can
+    make the plan invalid."""
+    game = m.base
+    start = draw(st.sampled_from(game.states))
+    reachable, steps = {start}, []
+    for _ in range(length):
+        pools = [sorted(set.intersection(*(set(game.available[agent, s])
+                                           for s in reachable)))
+                 for agent in AGENTS]
+        if all(pools) and draw(st.integers(0, 7)):
+            joint = tuple(draw(st.sampled_from(pool)) for pool in pools)
+            reachable = {t for s in reachable
+                         for t, prob in game.delta[s, joint].items()
+                         if prob > 0}
+        else:
+            joint = (draw(st.sampled_from(ACTIONS)),
+                     draw(st.sampled_from(ACTIONS)))
+        steps.append(joint)
+    return Plan(start, tuple(steps))
+
+
+@st.composite
+def queries(draw):
+    """A game, a start state, a path formula of horizon <= 4 and a plan at
+    least as long.
+
+    The horizon is cut to keep the reference's enumeration to at most
+    VOLUME histories (branches per step to the horizon's power).
+    """
+    m = build_psmas(parse_model(draw(games())))
+    state = draw(st.sampled_from(m.base.states))
+    goal = draw(st.sampled_from(GOALS))
+    branches = max(sum(len(m.successors(s, joint))
+                       for joint in m.base.joint_actions(s))
+                   for s in m.base.states)
+    if draw(st.booleans()):
+        psi = Next(goal)
+    else:
+        k = draw(st.sampled_from(HORIZONS))
+        while branches ** k > VOLUME:
+            k -= 1
+        psi = Until(draw(st.sampled_from(HOLDS)), k, goal)
+    plan = plans(m, draw, horizon(psi) + draw(st.integers(0, 1)))
+    return m, state, psi, plan
+
+
+def reference_degree(m, state, agent, plan, psi, kind, coalition):
+    """CAR/CPR by witness enumeration and plan-class membership."""
+    ctx = QueryContext.symbolic()
+    plan = _fit_plan(plan, horizon(psi))
+    sats, viols = _witnesses(m, state, psi, ctx)
+    if kind is DegreeKind.CAR:
+        own = compatible_plans(m, plan, {agent})
+        num = [w for w in sats if own.contains_action_prefix(w.actions)]
+        return _mass(num), _mass(sats), bool(viols), len(num), len(sats)
+    others = compatible_plans(m, plan, coalition - {agent})
+    num = [w for w in viols if others.contains_action_prefix(w.actions)]
+    full = compatible_plans(m, plan, coalition)
+    kappa = any(full.contains_action_prefix(w.actions) for w in sats)
+    return _mass(num), _mass(viols), kappa, len(num), len(viols)
+
+
+def outcome(fn, *args):
+    """A call's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ModelError, DegenerateQueryError) as exc:
+        return type(exc), str(exc)
+
+
+def check_degree(m, state, agent, plan, psi, kind, coalition):
+    ours = outcome(car_degree if kind is DegreeKind.CAR else cpr_degree,
+                   m, state, agent, plan, psi, coalition)
+    ref = outcome(reference_degree, m, state, agent, plan, psi, kind,
+                  coalition)
+    guard = outcome(degree_guard, m, state, plan, psi, kind, coalition)
+    if isinstance(ref, tuple) and isinstance(ref[0], type):
+        assert ours == ref  # the same ModelError
+        if kind is DegreeKind.CPR:  # CAR's guard does not read the plan
+            assert guard == ref
+        return
+    num, den, kappa, num_paths, den_paths = ref
+    assert guard == kappa
+    if kappa and den.is_zero:
+        assert ours[0] is DegenerateQueryError
+        return
+    value = RationalFunction(num, den) if kappa else RationalFunction(
+        Polynomial.zero())
+    assert (ours.value, ours.kappa) == (value, kappa)
+    assert (ours.numerator_paths, ours.denominator_paths) == (num_paths,
+                                                              den_paths)
+
+
+def reference_payoff(histories, r):
+    total = Polynomial.zero()
+    for h in histories:
+        total = total + payoff(h, r)
+    return total
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(queries())
+def test_forward_pass_equals_enumeration(query):
+    m, state, psi, plan = query
+    ctx = QueryContext.symbolic()
+    sats, viols = _witnesses(m, state, psi, ctx)
+    assert path_sat_prob(m, state, psi) == RationalFunction(_mass(sats))
+
+    for agent in AGENTS:
+        for coalition in ({agent}, set(AGENTS)):
+            for kind in DegreeKind:
+                check_degree(m, state, agent, plan, psi, kind,
+                             frozenset(coalition))
+
+    k = horizon(psi)
+    for agent in AGENTS:
+        r = m.base.rewards[agent]
+        target = psi.right if isinstance(psi, Until) else psi.body
+        reach, miss = _witnesses(m, state, Until(TrueFormula(), k, target),
+                                 ctx)
+        weighted = Polynomial.zero()
+        for w in reach:
+            accum = sum(r.step_reward(w.states[j], joint)
+                        for j, joint in enumerate(w.actions))
+            weighted = weighted + w.probability * accum
+        assert _reward_parts(m, state, target, k, r, ctx) == (_mass(miss),
+                                                              weighted)
+
+        assert payoff_valuation(m, k, agent, state=state) == \
+            reference_payoff(enumerate_histories(m, state, k), r)
+        ours = outcome(payoff_valuation, m, plan, agent)
+        ref = outcome(lambda: reference_payoff(plan_histories(m, plan), r))
+        assert ours == ref

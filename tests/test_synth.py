@@ -245,6 +245,22 @@ def test_payoff_equilibrium(ball):
     assert sol.residual <= 1e-9 and sol.epsilon <= 1e-6
 
 
+def test_find_equilibria_builds_utilities_once(ball, monkeypatch):
+    # one utility per agent, shared by every support's system and verifier
+    import respgames.synth as synth
+    calls = []
+    original = synth.utility_parts
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "utility_parts", counted)
+    find_equilibria(ball, 2, UtilityConfig(Fraction(1), Fraction(0)),
+                    seeds=4)
+    assert sorted(calls) == ["A1", "A2"]
+
+
 def test_responsibility_equilibrium_recovers_pure_profile(rounds):
     psi = parse_path_formula("F<=2 (collision | dropped)", rounds)
     plan = plan_from_model(rounds, "pi_mix")
