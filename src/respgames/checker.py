@@ -26,16 +26,17 @@ search with local refinement.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (DegenerateQueryError, MissingParameterError,
                      UnsupportedQueryError)
 from .logic import (And, Atom, CoalitionDegree, CoalitionProb,
                     CoalitionReward, CompareOp, DegreeKind, Next, Not,
                     PathFormula, StateFormula, TrueFormula, Until, horizon)
-from .model import Psmas, RewardStructure
+from .model import Psmas, RewardStructure, Scope
 from .polyarith import ParamId, Polynomial, RationalFunction
 from .trace import (CompatTags, History, Plan, guard_enumeration_volume,
                     plan_from_model)
@@ -51,7 +52,6 @@ class QueryContext:
     mode: str = SYMBOLIC
     valuation: Mapping[ParamId, Fraction] | None = None
     grid_denominator: int = 50
-    coalition_dim_limit: int = 6
 
     @staticmethod
     def symbolic() -> "QueryContext":
@@ -570,6 +570,41 @@ def check_formula(m: Psmas, state: str, phi: StateFormula,
 
 # -- existential coalition search ---------------------------------------------
 
+MAX_GRID_POINTS = 2_000_000
+
+
+def simplex_grid(m: Psmas, scopes: Sequence[Scope], denominator: int
+                 ) -> Iterator[dict[ParamId, Fraction]]:
+    """The grid points of the scopes' free parameters at step 1/denominator.
+
+    Per scope the free parameters sum to at most 1; points come in
+    lexicographic order, scope by scope.  The points are counted before any
+    is made: over MAX_GRID_POINTS raises UnsupportedQueryError.
+    """
+    free = [m.free_params(scope) for scope in scopes]
+    total = math.prod(math.comb(denominator + len(params), len(params))
+                      for params in free)
+    if total > MAX_GRID_POINTS:
+        raise UnsupportedQueryError(
+            f"grid has {total} points, over the {MAX_GRID_POINTS} cap")
+    grids = [[tuple(Fraction(i, denominator) for i in combo)
+              for combo in _bounded_tuples(len(params), denominator)]
+             for params in free]
+    flat = [p for params in free for p in params]
+    return (dict(zip(flat, itertools.chain.from_iterable(combo)))
+            for combo in itertools.product(*grids))
+
+
+def _bounded_tuples(length: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of `length` naturals summing to at most `budget`, in
+    lexicographic order."""
+    if length == 0:
+        yield ()
+        return
+    for first in range(budget + 1):
+        for rest in _bounded_tuples(length - 1, budget - first):
+            yield (first, *rest)
+
 
 def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
                    quantity: Callable[[Mapping[ParamId, Fraction]],
@@ -588,20 +623,6 @@ def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
     for p in m.params:
         if p not in search_params and p not in fixed:
             raise MissingParameterError(p)
-    if len(search_params) > ctx.coalition_dim_limit:
-        raise UnsupportedQueryError(
-            f"{len(search_params)} coalition parameters exceed the "
-            f"search limit of {ctx.coalition_dim_limit}")
-
-    def admissible_points(scope) -> list[tuple[Fraction, ...]]:
-        params = m.free_params(scope)
-        steps = [Fraction(i, ctx.grid_denominator)
-                 for i in range(ctx.grid_denominator + 1)]
-        out = []
-        for combo in itertools.product(steps, repeat=len(params)):
-            if sum(combo) <= 1:
-                out.append(combo)
-        return out
 
     def test(value: Fraction | None) -> bool:
         if value is None:
@@ -611,12 +632,9 @@ def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
     best_point: dict[ParamId, Fraction] | None = None
     best_value: Fraction | None = None
     maximize = cmp in (CompareOp.GE, CompareOp.GT)
-    grids = [admissible_points(s) for s in scopes]
-    for combo in itertools.product(*grids):
+    for own in simplex_grid(m, scopes, ctx.grid_denominator):
         point = dict(fixed)
-        for scope, values in zip(scopes, combo):
-            for p, v in zip(m.free_params(scope), values):
-                point[p] = v
+        point.update(own)
         value = quantity(point)
         if test(value):
             return CheckResult(holds=True, witness=point)

@@ -155,6 +155,8 @@ def _apply_limits(args) -> None:
         trace.set_path_limit(args.limit_paths)
     if getattr(args, "threads", 1) < 1:
         raise UnsupportedQueryError("--threads must be at least 1")
+    if getattr(args, "grid", None) is not None and args.grid < 1:
+        raise UnsupportedQueryError("--grid must be at least 1")
 
 
 def _seed(args) -> int:
@@ -249,7 +251,7 @@ def _cmd_check(args, warnings) -> tuple[int, dict]:
         if result.region is not None:
             return 0, {"verdict": None, "region": result.region.render()}
         return (0 if result.holds else 1), {"verdict": result.holds}
-    grid = args.grid or 50
+    grid = args.grid if args.grid is not None else 50
     ctx = QueryContext.evaluated(binds, grid_denominator=grid)
     result = check_formula(m, state, phi, ctx)
     warnings.extend(result.warnings)

@@ -11,7 +11,6 @@ parameter simplex exhaustively with exact rational utility evaluation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -19,9 +18,10 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .checker import QueryContext, _fit_plan, degree_guard, sat_state
+from .checker import (QueryContext, _fit_plan, degree_guard, sat_state,
+                      simplex_grid)
 from .errors import (InadmissibleError, MissingParameterError,
-                     UndefinedEstimateError, UnsupportedQueryError)
+                     UndefinedEstimateError)
 from .logic import DegreeKind, Next, PathFormula, horizon
 from .model import JointAction, Psmas, check_admissible
 from .polyarith import ParamId
@@ -266,8 +266,7 @@ def grid_best_response(m: Psmas, horizon: int, cfg: UtilityConfig,
                        agent: str, others: Mapping[ParamId, Fraction],
                        resolution: Fraction = Fraction(1, 1000),
                        resp_spec: ResponsibilitySpec | None = None,
-                       state: str | None = None,
-                       max_points: int = 2_000_000) -> BestResponse:
+                       state: str | None = None) -> BestResponse:
     """Exhaustively scan the agent's parameter grid for utility maximizers.
 
     Exact rational evaluation at every grid point; returns all maximizers
@@ -275,22 +274,7 @@ def grid_best_response(m: Psmas, horizon: int, cfg: UtilityConfig,
     """
     scopes = m.agent_scopes(agent)
     own_params = [p for scope in scopes for p in m.free_params(scope)]
-    steps = int(1 / resolution)
-    grids: list[list[tuple[Fraction, ...]]] = []
-    for scope in scopes:
-        params = m.free_params(scope)
-        pts = []
-        values = [Fraction(i, steps) for i in range(steps + 1)]
-        for combo in itertools.product(values, repeat=len(params)):
-            if sum(combo) <= 1:
-                pts.append(combo)
-        grids.append(pts)
-    total = 1
-    for g in grids:
-        total *= len(g)
-    if total > max_points:
-        raise UnsupportedQueryError(
-            f"grid has {total} points, over the {max_points} cap")
+    grid = simplex_grid(m, scopes, int(1 / resolution))
 
     for p in m.params:
         if p not in own_params and p not in others:
@@ -300,13 +284,9 @@ def grid_best_response(m: Psmas, horizon: int, cfg: UtilityConfig,
     best: Fraction | None = None
     argmax: list[dict[ParamId, Fraction]] = []
     slack = Fraction(1, 10 ** 12)
-    for combo in itertools.product(*grids):
+    for own in grid:
         point = {p: Fraction(v) for p, v in others.items()}
-        own: dict[ParamId, Fraction] = {}
-        for scope, values in zip(scopes, combo):
-            for p, v in zip(m.free_params(scope), values):
-                point[p] = v
-                own[p] = v
+        point.update(own)
         value = parts.evaluate(point)
         if best is None or value > best + slack:
             best = value

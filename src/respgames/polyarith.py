@@ -117,7 +117,7 @@ UNIT_MONOMIAL = Monomial(())
 class Polynomial:
     """Canonical sparse multivariate polynomial with Fraction coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_plan")
 
     def __init__(self, terms: Mapping[Monomial, Fraction]):
         clean = {m: c for m, c in terms.items() if c != 0}
@@ -127,6 +127,7 @@ class Polynomial:
                 f"(limit {_term_limit})")
         self._terms = clean
         self._hash = None
+        self._plan = None
 
     # -- constructors -------------------------------------------------
 
@@ -252,16 +253,34 @@ class Polynomial:
     # -- evaluation and substitution -----------------------------------
 
     def evaluate(self, valuation: Mapping[ParamId, Fraction]) -> Fraction:
-        """Evaluate exactly; raises MissingParameterError for unassigned ids."""
-        total = Fraction(0)
-        for m, c in self._terms.items():
-            term = c
-            for p, e in m.exps:
-                if p not in valuation:
-                    raise MissingParameterError(p)
-                term *= Fraction(valuation[p]) ** e
-            total += term
-        return total
+        """Evaluate exactly; raises MissingParameterError for unassigned ids.
+
+        Works in integers over the cached `_EvalPlan`: with each value
+        written n/d, parameter i contributes the table
+        t[e] = n**e * d**(top - e), so every term is an integer row
+        coefficient times one table entry per parameter over the common
+        denominator L * prod(d**top), and a single reduction ends the call.
+        """
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _EvalPlan(self._terms)
+        den = plan.lcm
+        tables = []
+        for p, top in zip(plan.params, plan.tops):
+            if p not in valuation:
+                raise MissingParameterError(p)
+            value = valuation[p]
+            if not isinstance(value, Fraction):
+                value = Fraction(value)
+            n, d = value.numerator, value.denominator
+            tables.append([n ** e * d ** (top - e) for e in range(top + 1)])
+            den *= d ** top
+        total = 0
+        for coeff, exps in plan.rows:
+            for table, e in zip(tables, exps):
+                coeff *= table[e]
+            total += coeff
+        return Fraction(total, den)
 
     def evaluate_float(self, valuation: Mapping[ParamId, float]) -> float:
         total = 0.0
@@ -327,6 +346,40 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<Polynomial {self.render()}>"
+
+
+class _EvalPlan:
+    """A polynomial compiled for exact evaluation in integers.
+
+    `params` are the parameters in order of first appearance over the terms
+    (so the first missing one is reported, as a term-by-term loop would),
+    `tops` their highest exponents, `lcm` the least common multiple of the
+    coefficient denominators, and `rows` one (coefficient * lcm, dense
+    exponent tuple over `params`) pair per term.
+    """
+
+    __slots__ = ("params", "tops", "lcm", "rows")
+
+    def __init__(self, terms: Mapping[Monomial, Fraction]):
+        index: dict[ParamId, int] = {}
+        lcm = 1
+        for m, c in terms.items():
+            lcm = math.lcm(lcm, c.denominator)
+            for p, _ in m.exps:
+                index.setdefault(p, len(index))
+        tops = [0] * len(index)
+        rows = []
+        for m, c in terms.items():
+            exps = [0] * len(index)
+            for p, e in m.exps:
+                i = index[p]
+                exps[i] = e
+                tops[i] = max(tops[i], e)
+            rows.append((c.numerator * (lcm // c.denominator), tuple(exps)))
+        self.params = tuple(index)
+        self.tops = tuple(tops)
+        self.lcm = lcm
+        self.rows = tuple(rows)
 
 
 def _render_fraction(q: Fraction) -> str:

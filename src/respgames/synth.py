@@ -93,8 +93,16 @@ class UtilityParts:
     car: DegreeResult | None
     cpr: DegreeResult | None
     cfg: UtilityConfig
+    _symbolic: RationalFunction | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def symbolic(self) -> RationalFunction:
+        """The utility as one rational function, built on the first call."""
+        if self._symbolic is None:
+            object.__setattr__(self, "_symbolic", self._build_symbolic())
+        return self._symbolic
+
+    def _build_symbolic(self) -> RationalFunction:
         total = RationalFunction(self.payoff * self.cfg.lambda1)
         if self.cfg.lambda2 != 0:
             resp = RationalFunction(Polynomial.zero())

@@ -389,3 +389,42 @@ def test_monte_carlo_agreement_spot(ball):
     v = ball_valuation(ball, Fraction(1, 3), Fraction(1, 4))
     est = estimate_path_prob(ball, SimConfig(40_000, 17, 1, v), psi)
     assert abs(est.mean - float(exact.evaluate(v))) <= 4 * est.stderr
+
+
+def test_simplex_grid_order_and_cap(monkeypatch):
+    # two scopes: A has three actions (two free parameters), B has two
+    from respgames import checker
+    from respgames.checker import simplex_grid
+    from respgames.model import build_psmas, parse_model
+    m = build_psmas(parse_model("""
+agents: A B
+states: s
+init: s
+actions A @ s: a b c
+actions B @ s: a b
+trans s (a, a) -> { s: 1 }
+trans s (a, b) -> { s: 1 }
+trans s (b, a) -> { s: 1 }
+trans s (b, b) -> { s: 1 }
+trans s (c, a) -> { s: 1 }
+trans s (c, b) -> { s: 1 }
+"""))
+    scopes = m.scopes()
+    free = [m.free_params(scope) for scope in scopes]
+    assert [len(params) for params in free] == [2, 1]
+    n = 4
+    steps = [Fraction(i, n) for i in range(n + 1)]
+    per_scope = [[combo for combo in itertools.product(steps,
+                                                       repeat=len(params))
+                  if sum(combo) <= 1] for params in free]
+    flat = [p for params in free for p in params]
+    expected = [dict(zip(flat, itertools.chain(*combo)))
+                for combo in itertools.product(*per_scope)]
+    points = list(simplex_grid(m, scopes, n))
+    assert points == expected and len(points) == 15 * 5
+    assert [list(p) for p in points] == [flat] * len(points)
+    monkeypatch.setattr(checker, "MAX_GRID_POINTS", 75)
+    assert len(list(simplex_grid(m, scopes, n))) == 75
+    monkeypatch.setattr(checker, "MAX_GRID_POINTS", 74)
+    with pytest.raises(UnsupportedQueryError, match="75 points"):
+        simplex_grid(m, scopes, n)

@@ -1,4 +1,5 @@
 import json
+import time
 
 from conftest import MODELS
 
@@ -270,6 +271,60 @@ def test_grid_flag_controls_search_resolution(capsys):
                          "--bind", "x2=1", "--grid", "4")
     assert code == 0
     assert env["result"]["witness"]["x1"] == "0"
+
+
+def test_grid_below_one_rejected(capsys):
+    # -3 used to scan no point and answer false; 0 used to mean 50
+    for grid in ("-3", "0"):
+        code = main(["check", "--model", ROUNDS, "--grid", grid,
+                     "--formula", "<A1,A2> P>1 [ F<=2 score1 ]"])
+        assert code == 3
+        assert "--grid must be at least 1" in capsys.readouterr().err
+
+
+def test_grid_point_cap(capsys):
+    # 2001^2 points: refused before the scan starts
+    started = time.perf_counter()
+    code = main(["check", "--model", ROUNDS, "--grid", "2000",
+                 "--formula", "<A1,A2> P>1 [ F<=2 score1 ]"])
+    assert code == 3
+    assert "4004001 points, over the 2000000 cap" in capsys.readouterr().err
+    assert time.perf_counter() - started < 5
+
+
+FOUR_SCOPES = """
+agents: A B
+states: s t
+init: s
+labels: t { done }
+actions A @ s: a b
+actions A @ t: a b
+actions B @ s: a b
+actions B @ t: a b
+trans s (a, a) -> { s: 1 }
+trans s (a, b) -> { s: 1 }
+trans s (b, a) -> { t: 1 }
+trans s (b, b) -> { t: 1 }
+trans t (a, a) -> { t: 1 }
+trans t (a, b) -> { t: 1 }
+trans t (b, a) -> { t: 1 }
+trans t (b, b) -> { t: 1 }
+"""
+
+
+def test_grid_point_cap_four_coalition_parameters(tmp_path, capsys):
+    # four single-parameter scopes: 51^4 points at the default grid are
+    # refused; 37^4 at --grid 36 are under the cap, and the scan stops at
+    # its first point, where A plays b at s for sure
+    model = tmp_path / "four.game"
+    model.write_text(FOUR_SCOPES)
+    formula = "<A,B> P>=1 [ X done ]"
+    code = main(["check", "--model", str(model), "--formula", formula])
+    assert code == 3
+    assert "6765201 points, over the 2000000 cap" in capsys.readouterr().err
+    code, env = run_json(capsys, "check", "--model", str(model),
+                         "--formula", formula, "--grid", "36")
+    assert code == 0 and env["result"]["verdict"] is True
 
 
 def test_limit_terms_flag(capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from respgames.errors import (MissingParameterError, ResourceLimitError,
                               ZeroDenominatorError)
@@ -191,3 +193,129 @@ def test_derivative():
     assert p.derivative(X1) == 2 * x1 * x2 + 3
     assert p.derivative(X2) == x1 * x1
     assert p.derivative(X3) == zero
+
+
+# -- differential test of exact evaluation -------------------------------
+#
+# The reference is the term-by-term Fraction loop that `evaluate` replaced:
+# a power, a product and a sum per term, checking parameters in term order.
+
+X4 = ParamId("B1", "s", "hold", label="x4")
+PARAMS = (X1, X2, X3, X4)
+
+
+def term_loop_evaluate(poly, valuation):
+    total = Fraction(0)
+    for m, c in poly.terms().items():
+        term = c
+        for p, e in m.exps:
+            if p not in valuation:
+                raise MissingParameterError(p)
+            term *= Fraction(valuation[p]) ** e
+        total += term
+    return total
+
+
+def outcome(evaluate, poly, valuation):
+    """The value, or the parameter a MissingParameterError names."""
+    try:
+        value = evaluate(poly, valuation)
+    except MissingParameterError as err:
+        return "missing", err.param
+    assert isinstance(value, Fraction)
+    return "value", value
+
+
+coefficients = st.builds(Fraction, st.integers(-60, 60).filter(bool),
+                         st.integers(1, 24))
+values = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)),
+    st.floats(-2, 2, allow_nan=False, allow_infinity=False))
+
+
+def polynomials(params):
+    """0-30 terms over the given parameters, exponents 0-6, signed rational
+    coefficients.  Terms come in random order, so the parameters' order of
+    first appearance differs from the monomial order."""
+    term = st.tuples(st.tuples(*[st.integers(0, 6)] * len(params)),
+                     coefficients)
+    return st.lists(term, max_size=30).map(lambda terms: sum(
+        (Polynomial({Monomial.make(dict(zip(params, exps))): c})
+         for exps, c in terms), Polynomial.zero()))
+
+
+@st.composite
+def points(draw, params, missing=True):
+    """A valuation of int, Fraction and float values; one in four drops
+    some parameters."""
+    point = {p: draw(values) for p in params}
+    if missing and draw(st.integers(0, 3)) == 0:
+        for p in draw(st.lists(st.sampled_from(params), min_size=1)):
+            point.pop(p, None)
+    return point
+
+
+@st.composite
+def evaluation_cases(draw):
+    params = PARAMS[:draw(st.integers(1, 4))]
+    return (draw(polynomials(params)),
+            draw(st.lists(points(params), min_size=1, max_size=8)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(evaluation_cases())
+def test_evaluate_matches_term_loop(case):
+    # the same polynomial at many points: the compiled plan is reused
+    poly, valuations = case
+    for valuation in valuations:
+        assert (outcome(Polynomial.evaluate, poly, valuation)
+                == outcome(term_loop_evaluate, poly, valuation))
+
+
+@st.composite
+def rational_cases(draw):
+    """A rational function and points; when `vanish` is drawn the
+    denominator carries the factor (x - v) for the first point's value v
+    of its first parameter, so it is zero there."""
+    params = PARAMS[:draw(st.integers(1, 4))]
+    num = draw(polynomials(params))
+    den = draw(polynomials(params).filter(lambda p: not p.is_zero))
+    valuations = draw(st.lists(points(params, missing=False), min_size=1,
+                               max_size=6))
+    if draw(st.booleans()):
+        first = params[0]
+        root = Fraction(valuations[0][first])
+        den = den * (Polynomial.variable(first) - root)
+    return RationalFunction(num, den), valuations
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(rational_cases())
+def test_rational_evaluate_matches_term_loop(case):
+    rf, valuations = case
+    for valuation in valuations:
+        den = term_loop_evaluate(rf.den, valuation)
+        if den == 0:
+            with pytest.raises(ZeroDenominatorError):
+                rf.evaluate(valuation)
+        else:
+            assert rf.evaluate(valuation) == (
+                term_loop_evaluate(rf.num, valuation) / den)
+
+
+def test_evaluate_reports_first_missing_in_term_order():
+    # x2 appears before x1 in the terms, so it is reported first
+    p = Polynomial({Monomial.make({X2: 1}): Fraction(1),
+                    Monomial.make({X1: 2, X3: 1}): Fraction(1)})
+    with pytest.raises(MissingParameterError) as err:
+        p.evaluate({X3: 1})
+    assert err.value.param == X2
+    assert p.evaluate({X1: Fraction(1, 2), X2: 0.5, X3: 2}) == 1
+
+
+def test_rational_evaluate_zero_denominator():
+    rf = RationalFunction(x1, x1 - x2)
+    with pytest.raises(ZeroDenominatorError):
+        rf.evaluate({X1: Fraction(1, 3), X2: Fraction(1, 3)})
+    assert rf.evaluate({X1: 1, X2: Fraction(1, 2)}) == 2

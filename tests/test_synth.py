@@ -261,6 +261,25 @@ def test_find_equilibria_builds_utilities_once(ball, monkeypatch):
     assert sorted(calls) == ["A1", "A2"]
 
 
+def test_find_equilibria_builds_symbolic_utilities_once(rounds,
+                                                       monkeypatch):
+    # one rational function per agent, shared by every support's system
+    import respgames.synth as synth
+    calls = []
+    original = synth.UtilityParts._build_symbolic
+
+    def counted(self):
+        calls.append(self.agent)
+        return original(self)
+
+    monkeypatch.setattr(synth.UtilityParts, "_build_symbolic", counted)
+    psi = parse_path_formula("F<=2 (collision | dropped)", rounds)
+    spec = ResponsibilitySpec(plan_from_model(rounds, "pi_mix"), psi)
+    find_equilibria(rounds, 2, UtilityConfig(Fraction(1), Fraction(1)),
+                    spec, seeds=2)
+    assert sorted(calls) == ["A1", "A2"]
+
+
 def test_responsibility_equilibrium_recovers_pure_profile(rounds):
     psi = parse_path_formula("F<=2 (collision | dropped)", rounds)
     plan = plan_from_model(rounds, "pi_mix")
