@@ -62,12 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--state", help="query state (default: initial)")
         p.add_argument("--seed", type=int, default=None,
                        help="PRNG seed (falls back to RESPGAMES_SEED, then 0)")
-        p.add_argument("--grid", type=int, default=None,
-                       help="grid denominator for searches")
         p.add_argument("--limit-terms", type=int, default=None)
         p.add_argument("--limit-paths", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (results are worker-count independent)")
         p.add_argument("--output", choices=("human", "json"),
                        default="human")
 
@@ -75,6 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_check)
     p_check.add_argument("--symbolic", action="store_true",
                          help="report the symbolic region instead of deciding")
+    p_check.add_argument("--grid", type=int, default=None,
+                         help="grid denominator for coalition searches")
 
     p_degree = sub.add_parser("degree", help="responsibility degree")
     common(p_degree)
@@ -149,14 +147,16 @@ def run(argv=None) -> int:  # console entry point
 
 
 def _apply_limits(args) -> None:
-    if getattr(args, "limit_terms", None):
+    # a size flag below 1 exits 3 before any work
+    for name in ("grid", "limit_terms", "limit_paths", "samples"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise UnsupportedQueryError(f"{flag} must be at least 1")
+    if getattr(args, "limit_terms", None) is not None:
         polyarith.set_term_limit(args.limit_terms)
-    if getattr(args, "limit_paths", None):
+    if getattr(args, "limit_paths", None) is not None:
         trace.set_path_limit(args.limit_paths)
-    if getattr(args, "threads", 1) < 1:
-        raise UnsupportedQueryError("--threads must be at least 1")
-    if getattr(args, "grid", None) is not None and args.grid < 1:
-        raise UnsupportedQueryError("--grid must be at least 1")
 
 
 def _seed(args) -> int:

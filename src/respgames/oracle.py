@@ -1,12 +1,16 @@
 """Independent validation backends: simulation and exhaustive grid search.
 
 Sampling draws i.i.d. bounded histories from the instantiated model.  The
-generator family is numpy's PCG64 seeded through SeedSequence(seed,
-spawn_key=(block,)) per 10k-sample block, so streams are reproducible and
-independent of how blocks are distributed over workers.  Satisfaction and
-witness steps are classified exactly per sample; kappa guards come from
-exact enumeration, never from sampling.  The grid oracle scans an agent's
-parameter simplex exhaustively with exact rational utility evaluation.
+generator family is numpy's PCG64; block b of 10k samples draws from
+SeedSequence(seed, spawn_key=(b,)), so the stream is fixed by the seed and
+the sample count.  Each step of a block draws one uniform per sample and
+picks every sample's outcome with one lookup in per-state tables padded to
+the widest row.  Satisfaction and witness steps are classified exactly per
+sample; plan-class membership moves compatibility tags (`CompatTags`) step
+by step, once per distinct (tag, joint action), not once per sample.  kappa
+guards come from the checker's forward pass (`checker.degree_guard`), never
+from sampling.  The grid oracle scans an agent's parameter simplex
+exhaustively with exact rational utility evaluation.
 """
 
 from __future__ import annotations
@@ -18,15 +22,15 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .checker import (QueryContext, _fit_plan, degree_guard, sat_state,
-                      simplex_grid)
+from .checker import (QueryContext, _fit_plan, _require_member, degree_guard,
+                      sat_state, simplex_grid)
 from .errors import (InadmissibleError, MissingParameterError,
                      UndefinedEstimateError)
 from .logic import DegreeKind, Next, PathFormula, horizon
 from .model import JointAction, Psmas, check_admissible
 from .polyarith import ParamId
 from .synth import ResponsibilitySpec, UtilityConfig, utility_parts
-from .trace import CompatTags, Plan
+from .trace import CompatTags, Plan, validate_plan
 
 BLOCK = 10_000
 
@@ -57,53 +61,75 @@ class Estimate:
 
 
 class _Sampler:
-    """Vectorized step sampler over the instantiated model."""
+    """Vectorized step sampler over the instantiated model.
+
+    Column s of the padded tables lists state s's outcomes (joint action,
+    successor) with nonzero probability, one row per outcome slot: `cum`
+    holds their cumulative probabilities (padded with 2.0, which no draw in
+    [0, 1) reaches), `succ` the successor index and `joint` the joint
+    action's index in `joints`; `last[s]` is the last valid slot.
+    """
 
     def __init__(self, m: Psmas, valuation: Mapping[ParamId, Fraction]):
         report = check_admissible(m, valuation)
         if not report.ok:
             raise InadmissibleError(report)
-        self.m = m
         self.states = list(m.base.states)
         self.index = {s: i for i, s in enumerate(self.states)}
-        self.outcomes: list[list[tuple[JointAction, int]]] = []
-        self.cum: list[np.ndarray] = []
+        self.joints: list[JointAction] = []
+        joint_index: dict[JointAction, int] = {}
+        rows: list[list[tuple[int, int, float]]] = []
         free = {p: Fraction(valuation[p]) for p in m.params}
         for s in self.states:
-            outs: list[tuple[JointAction, int]] = []
-            probs: list[float] = []
+            row = []
             for joint in m.base.joint_actions(s):
+                if joint not in joint_index:
+                    joint_index[joint] = len(self.joints)
+                    self.joints.append(joint)
                 for target, poly in m.successors(s, joint):
                     p = poly.evaluate(free)
-                    if p == 0:
-                        continue
-                    outs.append((joint, self.index[target]))
-                    probs.append(float(p))
+                    if p != 0:
+                        row.append((joint_index[joint], self.index[target],
+                                    float(p)))
+            rows.append(row)
+        shape = (max(len(row) for row in rows), len(rows))
+        self.cum = np.full(shape, 2.0)
+        self.succ = np.zeros(shape, dtype=np.int64)
+        self.joint = np.zeros(shape, dtype=np.int64)
+        self.last = np.array([len(row) - 1 for row in rows], dtype=np.int64)
+        for s, row in enumerate(rows):
+            joint, succ, probs = zip(*row)
             cum = np.cumsum(np.array(probs))
             cum[-1] = 1.0  # rows sum to 1 exactly; absorb float dust
-            self.outcomes.append(outs)
-            self.cum.append(cum)
+            self.cum[:len(row), s] = cum
+            self.succ[:len(row), s] = succ
+            self.joint[:len(row), s] = joint
 
     def sample_block(self, start: int, count: int, depth: int,
                      rng: np.random.Generator
                      ) -> tuple[np.ndarray, np.ndarray]:
         """Sample `count` paths of `depth` steps; returns state and outcome
-        index matrices (outcome index selects (joint action, successor))."""
-        states = np.full((count, depth + 1), start, dtype=np.int64)
-        picks = np.zeros((count, depth), dtype=np.int64)
+        matrices, one row per path (an outcome is a slot of the padded
+        tables).
+
+        A pick counts the state's cumulative entries at or below the draw,
+        which on a nondecreasing row is `searchsorted(side="right")`.
+        """
+        states = np.empty((depth + 1, count), dtype=np.int64)
+        states[0] = start
+        picks = np.empty((depth, count), dtype=np.int64)
         for step in range(depth):
-            here = states[:, step]
+            here = states[step]
             u = rng.random(count)
-            nxt = np.empty(count, dtype=np.int64)
-            for s in np.unique(here):
-                mask = here == s
-                k = np.searchsorted(self.cum[s], u[mask], side="right")
-                k = np.minimum(k, len(self.outcomes[s]) - 1)
-                picks[mask, step] = k
-                nxt[mask] = np.array(
-                    [self.outcomes[s][i][1] for i in k], dtype=np.int64)
-            states[:, step + 1] = nxt
-        return states, picks
+            k = (self.cum.take(here, axis=1) <= u).sum(axis=0)
+            np.minimum(k, self.last.take(here), out=picks[step])
+            states[step + 1] = self.succ.take(picks[step] * len(self.states)
+                                              + here)
+        return states.T, picks.T
+
+    def joint_ids(self, states: np.ndarray, picks: np.ndarray) -> np.ndarray:
+        """Joint-action indices of sampled steps, one row per path."""
+        return self.joint.take(picks * len(self.states) + states[:, :-1])
 
 
 def _blocks(cfg: SimConfig) -> Iterator[tuple[int, int, np.random.Generator]]:
@@ -125,11 +151,10 @@ def simulate_paths(m: Psmas, cfg: SimConfig
     start = sampler.index[_start(m, cfg)]
     for _, count, rng in _blocks(cfg):
         states, picks = sampler.sample_block(start, count, cfg.horizon, rng)
-        for row in range(count):
-            st = tuple(sampler.states[i] for i in states[row])
-            acts = tuple(sampler.outcomes[states[row, j]][picks[row, j]][0]
-                         for j in range(cfg.horizon))
-            yield st, acts
+        joints = sampler.joint_ids(states, picks)
+        for st, acts in zip(states.tolist(), joints.tolist()):
+            yield (tuple(sampler.states[i] for i in st),
+                   tuple(sampler.joints[j] for j in acts))
 
 
 def _start(m: Psmas, cfg: SimConfig) -> str:
@@ -211,13 +236,16 @@ def estimate_degree(m: Psmas, cfg: SimConfig, agent: str, plan: Plan,
     whether the witness prefix is compatible with the relevant plan class.
     kappa is decided exactly by the checker; when false the estimate is
     exactly 0.  The mean is the ratio of numerator to denominator counts and
-    stderr treats the ratio as Bernoulli over denominator samples.  Plans
-    shorter than the outcome's horizon are rejected like the exact degrees.
+    stderr treats the ratio as Bernoulli over denominator samples.  The
+    agent and the plan are checked like the exact degrees do, also when
+    kappa is false.
     """
     coalition = frozenset(coalition) if coalition is not None else frozenset(
         m.base.agents)
+    _require_member(agent, coalition)
     depth = horizon(psi)
     plan = _fit_plan(plan, depth)
+    validate_plan(m, plan)
     sampler = _Sampler(m, cfg.valuation)
     hold, goal = _sat_tables(m, sampler, psi, cfg.valuation)
     state = _start(m, cfg)
@@ -225,11 +253,11 @@ def estimate_degree(m: Psmas, cfg: SimConfig, agent: str, plan: Plan,
 
     ctx = QueryContext.evaluated(cfg.valuation)
     kappa = degree_guard(m, state, plan, psi, kind, coalition, ctx)
+    if not kappa:
+        return Estimate(mean=0.0, stderr=0.0, samples=cfg.samples)
     pick_sat = kind is DegreeKind.CAR
     compat = CompatTags(m, plan, {agent} if pick_sat
                         else coalition - {agent})
-    if not kappa:
-        return Estimate(mean=0.0, stderr=0.0, samples=cfg.samples)
 
     num = den = 0
     for _, count, rng in _blocks(cfg):
@@ -238,19 +266,47 @@ def estimate_degree(m: Psmas, cfg: SimConfig, agent: str, plan: Plan,
         steps = sat_step if pick_sat else viol_step
         chosen = steps >= 0
         den += int(chosen.sum())
-        for row in np.nonzero(chosen)[0]:
-            j = int(steps[row])
-            actions = tuple(
-                sampler.outcomes[states[row, t]][picks[row, t]][0]
-                for t in range(j))
-            if compat.admits(actions):
-                num += 1
+        num += _admitted(compat, sampler.joints, steps[chosen],
+                         sampler.joint_ids(states[chosen], picks[chosen]))
     if den == 0:
         raise UndefinedEstimateError(
             "no sampled path fell in the denominator event")
     mean = num / den
     return Estimate(mean=mean, stderr=sqrt(mean * (1 - mean) / den),
                     samples=cfg.samples)
+
+
+def _admitted(compat: CompatTags, joints: list[JointAction],
+              steps: np.ndarray, prefixes: np.ndarray) -> int:
+    """How many rows' action prefixes lie in the plan class: row i's prefix
+    is its first `steps[i]` joint-action indices (into `joints`).
+
+    Every row carries a tag id, tags numbered as they appear.  Each depth
+    moves every distinct (tag, joint action) pair once through
+    `CompatTags.step`, and membership asks `CompatTags.live` once per
+    distinct (tag, prefix length), so the work grows with the number of
+    distinct tags, not of rows.
+    """
+    tags, ids = [compat.start], {compat.start: 0}
+    tag = np.zeros(len(steps), dtype=np.int64)
+    width, longest = len(joints), int(steps.max(initial=0))
+    for depth in range(longest):
+        rows = np.nonzero(steps > depth)[0]
+        pairs, inverse = np.unique(tag[rows] * width + prefixes[rows, depth],
+                                   return_inverse=True)
+        moved = []
+        for pair in pairs.tolist():
+            after = compat.step(tags[pair // width], depth,
+                                joints[pair % width])
+            if after not in ids:
+                ids[after] = len(tags)
+                tags.append(after)
+            moved.append(ids[after])
+        tag[rows] = np.array(moved, dtype=np.int64)[inverse]
+    span = longest + 1
+    ends, counts = np.unique(tag * span + steps, return_counts=True)
+    return sum(n for end, n in zip(ends.tolist(), counts.tolist())
+               if compat.live(tags[end // span], end % span))
 
 
 @dataclass(frozen=True)

@@ -247,10 +247,14 @@ def test_human_output(capsys):
     assert "value" in out and "1" in out
 
 
-def test_threads_flag_validated(capsys):
-    code = main(["check", "--model", BALL, "--formula", "true",
-                 "--threads", "0"])
-    assert code == 3
+def test_flags_that_do_nothing_are_gone(capsys):
+    # --threads was never used; --grid is read by check alone
+    assert main(["check", "--model", BALL, "--formula", "true",
+                 "--threads", "1"]) == 2
+    assert main(["degree", "--model", BALL, "--kind", "CAR",
+                 "--agent", "A1", "--plan", "pi_skip",
+                 "--formula", "X (dropped | score2)", "--grid", "4"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_limit_paths_flag(capsys):
@@ -325,6 +329,38 @@ def test_grid_point_cap_four_coalition_parameters(tmp_path, capsys):
     code, env = run_json(capsys, "check", "--model", str(model),
                          "--formula", formula, "--grid", "36")
     assert code == 0 and env["result"]["verdict"] is True
+
+
+def test_limit_terms_below_one_rejected(capsys):
+    # 0 used to mean the default, -1 ended in a ValueError traceback
+    for value in ("0", "-1"):
+        code = main(["degree", "--model", BALL, "--kind", "CAR",
+                     "--agent", "A1", "--plan", "pi1",
+                     "--formula", "F<=2 score1", "--limit-terms", value])
+        assert code == 3
+        assert "--limit-terms must be at least 1" in capsys.readouterr().err
+    from respgames import polyarith
+    assert polyarith.get_term_limit() == polyarith.DEFAULT_TERM_LIMIT
+
+
+def test_limit_paths_below_one_rejected(capsys):
+    for value in ("0", "-1"):
+        code = main(["degree", "--model", BALL, "--kind", "CAR",
+                     "--agent", "A1", "--plan", "pi1",
+                     "--formula", "F<=2 score1", "--limit-paths", value])
+        assert code == 3
+        assert "--limit-paths must be at least 1" in capsys.readouterr().err
+    from respgames import trace
+    assert trace.get_path_limit() == trace.DEFAULT_PATH_LIMIT
+
+
+def test_samples_below_one_rejected(capsys):
+    for value in ("0", "-1"):
+        code, env = run_json(capsys, "simulate", "--model", BALL,
+                             "--formula", "X collision", "--bind", "x1=1/2",
+                             "--bind", "x2=1/2", "--samples", value)
+        assert code == 3
+        assert env["result"] == {"error": "--samples must be at least 1"}
 
 
 def test_limit_terms_flag(capsys):

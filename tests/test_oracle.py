@@ -1,17 +1,27 @@
 from fractions import Fraction
+from math import sqrt
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import ball_valuation
+from test_engine import AGENTS, queries
 
-from respgames.checker import degree_value_at, cpr_degree, path_sat_prob
-from respgames.errors import InadmissibleError, UndefinedEstimateError
-from respgames.logic import DegreeKind, parse_path_formula
-from respgames.oracle import (SimConfig, estimate_degree,
+from respgames.checker import (QueryContext, _fit_plan, car_degree,
+                               cpr_degree, degree_guard, degree_value_at,
+                               path_sat_prob)
+from respgames.errors import (InadmissibleError, ModelError,
+                              RespgamesError, UndefinedEstimateError)
+from respgames.logic import DegreeKind, horizon, parse_path_formula
+from respgames.model import build_psmas, parse_model
+from respgames.oracle import (BLOCK, Estimate, SimConfig, _sat_tables,
+                              _witness_steps, estimate_degree,
                               estimate_path_prob, grid_best_response,
                               simulate_paths)
 from respgames.synth import ResponsibilitySpec, UtilityConfig
-from respgames.trace import plan_from_model
+from respgames.trace import CompatTags, Plan, plan_from_model
 
 
 def test_stream_determinism(ball):
@@ -74,6 +84,20 @@ def test_estimate_degree_kappa_zero_is_exact(ball):
                           plan_from_model(ball, "pi_skip"), psi,
                           DegreeKind.CAR)
     assert est.mean == 0.0 and est.stderr == 0.0
+
+
+def test_estimate_degree_checks_like_exact_degree(ball):
+    # X true is unavoidable, so kappa is 0: an agent outside the coalition
+    # and an invalid plan are still errors, with the exact degree's message
+    psi = parse_path_formula("X true", ball)
+    v = ball_valuation(ball, Fraction(1, 2), Fraction(1, 2))
+    skip = plan_from_model(ball, "pi_skip")
+    for agent, plan in (("B9", skip), ("A1", Plan("s0", (("jump", "skip"),)))):
+        with pytest.raises(RespgamesError) as exact:
+            car_degree(ball, "s0", agent, plan, psi)
+        with pytest.raises(type(exact.value), match=str(exact.value)):
+            estimate_degree(ball, SimConfig(500, 5, 1, v), agent, plan, psi,
+                            DegreeKind.CAR)
 
 
 def test_estimate_degree_example_six_cpr(ball):
@@ -156,3 +180,216 @@ def test_block_boundary_consistency(ball):
     small = list(simulate_paths(ball, SimConfig(9_999, 13, 1, v)))
     large = list(simulate_paths(ball, SimConfig(10_050, 13, 1, v)))
     assert large[:9_999] == small
+
+
+# -- the vectorised sampler and classifier against the per-sample loops ------
+
+
+class ReferenceSampler:
+    """The per-state sampler the padded one must reproduce draw for draw:
+    one `searchsorted` per state present at a step, outcomes listed per
+    state as (joint action, successor)."""
+
+    def __init__(self, m, valuation):
+        self.states = list(m.base.states)
+        self.index = {s: i for i, s in enumerate(self.states)}
+        self.outcomes, self.cum = [], []
+        for s in self.states:
+            outs, probs = [], []
+            for joint in m.base.joint_actions(s):
+                for target, poly in m.successors(s, joint):
+                    p = poly.evaluate(valuation)
+                    if p != 0:
+                        outs.append((joint, self.index[target]))
+                        probs.append(float(p))
+            cum = np.cumsum(np.array(probs))
+            cum[-1] = 1.0
+            self.outcomes.append(outs)
+            self.cum.append(cum)
+
+    def sample_block(self, start, count, depth, rng):
+        states = np.full((count, depth + 1), start, dtype=np.int64)
+        picks = np.zeros((count, depth), dtype=np.int64)
+        for step in range(depth):
+            here = states[:, step]
+            u = rng.random(count)
+            nxt = np.empty(count, dtype=np.int64)
+            for s in np.unique(here):
+                mask = here == s
+                k = np.searchsorted(self.cum[s], u[mask], side="right")
+                k = np.minimum(k, len(self.outcomes[s]) - 1)
+                picks[mask, step] = k
+                nxt[mask] = [self.outcomes[s][i][1] for i in k]
+            states[:, step + 1] = nxt
+        return states, picks
+
+    def actions(self, states, picks, steps):
+        """Each row's first `steps[row]` joint actions (lists of lists)."""
+        for here, outs, n in zip(states, picks, steps):
+            yield tuple(self.outcomes[s][k][0]
+                        for s, k in zip(here[:n], outs[:n]))
+
+
+def reference_blocks(cfg):
+    """Block b of 10k samples draws from SeedSequence(seed, spawn_key=(b,))."""
+    for b, offset in enumerate(range(0, cfg.samples, BLOCK)):
+        seq = np.random.SeedSequence(cfg.seed, spawn_key=(b,))
+        yield min(BLOCK, cfg.samples - offset), np.random.default_rng(seq)
+
+
+def reference_paths(m, cfg):
+    sampler = ReferenceSampler(m, cfg.valuation)
+    start = sampler.index[cfg.start]
+    for count, rng in reference_blocks(cfg):
+        states, picks = sampler.sample_block(start, count, cfg.horizon, rng)
+        states, picks = states.tolist(), picks.tolist()
+        for here, acts in zip(states, sampler.actions(
+                states, picks, [cfg.horizon] * count)):
+            yield tuple(sampler.states[i] for i in here), acts
+
+
+def reference_path_prob(m, cfg, psi):
+    sampler = ReferenceSampler(m, cfg.valuation)
+    hold, goal = _sat_tables(m, sampler, psi, cfg.valuation)
+    hits = 0
+    for count, rng in reference_blocks(cfg):
+        states, _ = sampler.sample_block(sampler.index[cfg.start], count,
+                                         max(cfg.horizon, horizon(psi)), rng)
+        hits += int((_witness_steps(psi, states, hold, goal)[0] >= 0).sum())
+    mean = hits / cfg.samples
+    return Estimate(mean, sqrt(mean * (1 - mean) / cfg.samples), cfg.samples)
+
+
+def reference_degree(m, cfg, agent, plan, psi, kind, coalition):
+    """Classify each chosen row by `CompatTags.admits` of its witness
+    prefix."""
+    depth = horizon(psi)
+    plan = _fit_plan(plan, depth)
+    sampler = ReferenceSampler(m, cfg.valuation)
+    hold, goal = _sat_tables(m, sampler, psi, cfg.valuation)
+    ctx = QueryContext.evaluated(cfg.valuation)
+    pick_sat = kind is DegreeKind.CAR
+    compat = CompatTags(m, plan, {agent} if pick_sat
+                        else coalition - {agent})
+    if not degree_guard(m, cfg.start, plan, psi, kind, coalition, ctx):
+        return Estimate(0.0, 0.0, cfg.samples)
+    num = den = 0
+    for count, rng in reference_blocks(cfg):
+        states, picks = sampler.sample_block(sampler.index[cfg.start], count,
+                                             depth, rng)
+        sat_step, viol_step = _witness_steps(psi, states, hold, goal)
+        steps = sat_step if pick_sat else viol_step
+        rows = steps >= 0
+        den += int(rows.sum())
+        num += sum(map(compat.admits, sampler.actions(
+            states[rows].tolist(), picks[rows].tolist(),
+            steps[rows].tolist())))
+    if den == 0:
+        raise UndefinedEstimateError("no sampled path fell in the "
+                                     "denominator event")
+    mean = num / den
+    return Estimate(mean, sqrt(mean * (1 - mean) / den), cfg.samples)
+
+
+MIXES = (Fraction(1, 3), Fraction(1, 2), Fraction(0), Fraction(1),
+         Fraction(7, 10))
+
+
+def result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (ModelError, UndefinedEstimateError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(queries(), st.sampled_from((10_050, 700, 9_999)), st.integers(0, 1),
+       st.integers(0, 2 ** 32), st.sampled_from(AGENTS), st.data())
+def test_vectorised_sampler_equals_per_sample_loops(query, samples, extra,
+                                                    seed, agent, data):
+    # Parameters at 0 or 1 drop outcomes, so rows differ in width.  Both
+    # sides of the outcome are kept possible, so the degrees have samples
+    # to classify.
+    m, state, psi, plan = query
+    valuation = {p: data.draw(st.sampled_from(MIXES)) for p in m.params}
+    assume(0 < path_sat_prob(m, state, psi).evaluate(valuation) < 1)
+    cfg = SimConfig(samples, seed, horizon(psi) + extra, valuation,
+                    start=state)
+    assert list(simulate_paths(m, cfg)) == list(reference_paths(m, cfg))
+    assert estimate_path_prob(m, cfg, psi) == reference_path_prob(m, cfg,
+                                                                  psi)
+    for coalition in ({agent}, AGENTS):
+        for kind in DegreeKind:
+            args = (m, cfg, agent, plan, psi, kind, frozenset(coalition))
+            assert result_or_error(estimate_degree, *args) == \
+                result_or_error(reference_degree, *args)
+
+
+
+# The 1-step witness s -(a,b)-> u keeps A's plan so far, but A cannot play
+# the plan's `a` at u: no full-length member extends it, so it stays out of
+# CAR's numerator while 2-step witnesses share its block.
+DEAD_END = """
+agents: A B
+states: s t u v w
+init: s
+labels: u { g } v { g }
+actions A @ s: a
+actions A @ t: a
+actions A @ u: b
+actions A @ v: a
+actions A @ w: a
+actions B @ s: a b
+actions B @ t: a b
+actions B @ u: a
+actions B @ v: a
+actions B @ w: a
+trans s (a, a) -> { t: 1 }
+trans s (a, b) -> { u: 1 }
+trans t (a, a) -> { v: 1 }
+trans t (a, b) -> { w: 1 }
+trans u (b, a) -> { u: 1 }
+trans v (a, a) -> { v: 1 }
+trans w (a, a) -> { w: 1 }
+plan pi @ s: (a, a) (a, a)
+"""
+
+# The tag {s} meets the joint action (b, a) at both steps: it leaves A's
+# plan at step 1 and keeps it at step 2.
+LOOP = """
+agents: A B
+states: s g x
+init: s
+labels: g { g }
+actions A @ s: a b
+actions A @ g: a
+actions A @ x: a
+actions B @ s: a b
+actions B @ g: a
+actions B @ x: a
+trans s (a, a) -> { s: 1 }
+trans s (a, b) -> { s: 1 }
+trans s (b, a) -> { g: 1 }
+trans s (b, b) -> { x: 1 }
+trans g (a, a) -> { g: 1 }
+trans x (a, a) -> { x: 1 }
+plan pi @ s: (a, a) (b, a)
+"""
+
+
+@pytest.mark.parametrize("text", (DEAD_END, LOOP))
+def test_degree_classifier_on_hand_made_prefixes(text):
+    m = build_psmas(parse_model(text))
+    psi = parse_path_formula("F<=2 g", m)
+    plan = plan_from_model(m, "pi")
+    v = {p: Fraction(1, 2) for p in m.params}
+    exact = degree_value_at(car_degree(m, "s", "A", plan, psi), v)
+    assert exact == Fraction(1, 3)
+    for samples in (9_999, 10_050):
+        cfg = SimConfig(samples, 3, 2, v, start="s")
+        args = (m, cfg, "A", plan, psi, DegreeKind.CAR, None)
+        est = estimate_degree(*args)
+        assert est == reference_degree(*args)
+        assert abs(est.mean - float(exact)) <= 4 * est.stderr
