@@ -7,9 +7,7 @@ from .errors import (DegenerateQueryError, FormulaError, InadmissibleError,
                      UndefinedEstimateError, UnsupportedQueryError,
                      ZeroDenominatorError)
 from .polyarith import (Monomial, ParamId, Polynomial, RationalFunction,
-                        parse_polynomial, poly_add, poly_eval, poly_mul,
-                        poly_neg, poly_sub, poly_substitute, rf_equal_on_box,
-                        rf_simplify)
+                        parse_polynomial, rf_equal_on_box)
 from .model import (AdmissibilityReport, Csg, Psmas, RewardStructure,
                     build_psmas, check_admissible, load_model, parse_model)
 from .logic import (CompareOp, DegreeKind, PathFormula, StateFormula,

@@ -146,13 +146,17 @@ def run(argv=None) -> int:  # console entry point
     return main(argv)
 
 
+# the least value of each size flag; a smaller one exits 3 before any work
+_SIZE_FLAGS = {"grid": 1, "limit_terms": 1, "limit_paths": 1, "samples": 1,
+               "seeds": 1, "horizon": 0}
+
+
 def _apply_limits(args) -> None:
-    # a size flag below 1 exits 3 before any work
-    for name in ("grid", "limit_terms", "limit_paths", "samples"):
+    for name, least in _SIZE_FLAGS.items():
         value = getattr(args, name, None)
-        if value is not None and value < 1:
+        if value is not None and value < least:
             flag = "--" + name.replace("_", "-")
-            raise UnsupportedQueryError(f"{flag} must be at least 1")
+            raise UnsupportedQueryError(f"{flag} must be at least {least}")
     if getattr(args, "limit_terms", None) is not None:
         polyarith.set_term_limit(args.limit_terms)
     if getattr(args, "limit_paths", None) is not None:

@@ -1,11 +1,25 @@
 """Exact arithmetic for multivariate polynomials over strategy parameters.
 
 A parameter names one agent-state-action probability (state is None when an
-agent's strategy is shared across states).  Polynomials map monomials to
-Fraction coefficients; no zero coefficient and no zero exponent is ever
-stored, so two polynomials are equal iff their term maps are equal.  The
-monomial order is graded lexicographic over the parameters' (agent, state,
-action) triples, which fixes a canonical rendering order and a leading term.
+agent's strategy is shared across states).
+
+A polynomial maps packed monomials to integer numerators over one positive
+common denominator.  Each parameter owns a fixed 16-bit field, assigned the
+first time the parameter is seen, and a monomial is the int whose field i
+holds the exponent of parameter i, so multiplying two monomials is one
+integer addition.  The top bit of every field is a guard: exponents stay at
+most MAX_EXPONENT, and a product that would set a guard bit raises
+ResourceLimitError instead of carrying into the next field.  A product of
+polynomials costs one integer multiply-add per pair of terms and one gcd;
+a sum brings both operands to the lcm of their denominators.
+
+The canonical form stores no zero numerator and keeps the gcd of the
+denominator and all numerators at 1, so two polynomials are equal iff their
+term maps and denominators are equal.  Field positions never reach an
+answer: rendering and leading terms follow the graded lexicographic order
+over the parameters' (agent, state, action) triples, unpacked from the
+keys, and terms keep insertion order, so results do not depend on which
+parameters were seen first.
 
 Rational functions are ratios of polynomials normalized so that the joint
 integer content is 1 and the denominator's trailing coefficient (its minimal
@@ -21,11 +35,12 @@ allocate fresh results.
 
 from __future__ import annotations
 
+import functools
 import math
-import random
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import (MissingParameterError, ResourceLimitError,
                      ZeroDenominatorError)
@@ -59,6 +74,15 @@ class ParamId:
     state: str | None
     action: str
     label: str | None = field(default=None, compare=False)
+    # computed once: parameters are dictionary keys on every hot path
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.agent, self.state, self.action)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def name(self) -> str:
@@ -78,7 +102,11 @@ class ParamId:
 
 @dataclass(frozen=True)
 class Monomial:
-    """A product of parameter powers, stored sorted with positive exponents."""
+    """A product of parameter powers, stored sorted with positive exponents.
+
+    The unpacked form of a term's key, for building and reading terms;
+    arithmetic runs on the packed keys.
+    """
 
     exps: tuple[tuple[ParamId, int], ...]
 
@@ -91,41 +119,116 @@ class Monomial:
         items.sort(key=lambda pe: pe[0].order_key)
         return Monomial(tuple(items))
 
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
 
-    def mul(self, other: "Monomial") -> "Monomial":
-        powers: dict[ParamId, int] = dict(self.exps)
-        for p, e in other.exps:
-            powers[p] = powers.get(p, 0) + e
-        return Monomial.make(powers)
+# -- packed monomials ----------------------------------------------------
 
-    def sort_key(self):
-        # Ascending sort under this key lists monomials in descending
-        # graded-lexicographic order (leading term first).
-        return (-self.degree, tuple((p.order_key, -e) for p, e in self.exps))
+_BITS = 16
+_FIELD = (1 << _BITS) - 1
+MAX_EXPONENT = (1 << (_BITS - 1)) - 1
 
-    def render(self) -> str:
-        return "*".join(p.name if e == 1 else f"{p.name}^{e}"
-                        for p, e in self.exps)
+# Field numbers, assigned on first sight and never reused or moved; only
+# the speed of an operation, never its result, depends on them.  Equal
+# parameters with different labels get fields of their own, so a key
+# unpacks to the parameter, and the name, it was built from.
+_field_of: dict[tuple[ParamId, str | None], int] = {}
+_param_at: list[ParamId] = []
 
 
-UNIT_MONOMIAL = Monomial(())
+def _shift(p: ParamId) -> int:
+    """The bit offset of p's exponent field."""
+    i = _field_of.get((p, p.label))
+    if i is None:
+        i = _field_of[p, p.label] = len(_param_at)
+        _param_at.append(p)
+    return i * _BITS
+
+
+def _pack(m: Monomial) -> int:
+    key = 0
+    for p, e in m.exps:
+        if e > MAX_EXPONENT:
+            raise ResourceLimitError(
+                f"exponent {e} of {p.name} exceeds {MAX_EXPONENT}")
+        key += e << _shift(p)
+    return key
+
+
+def _fields(keys: Iterable[int]) -> list[tuple[int, ParamId]]:
+    """(bit offset, parameter) of every field the keys use, in parameter
+    order."""
+    present = functools.reduce(operator.or_, keys, 0)
+    fields = []
+    while present:
+        i = ((present & -present).bit_length() - 1) // _BITS
+        fields.append((i * _BITS, _param_at[i]))
+        present &= ~(_FIELD << i * _BITS)
+    fields.sort(key=lambda f: f[1].order_key)
+    return fields
+
+
+def _monomial(key: int, fields=None) -> Monomial:
+    return Monomial(tuple((p, e) for s, p in fields or _fields((key,))
+                          if (e := key >> s & _FIELD)))
+
+
+def _ranks(keys: list[int], fields) -> list[int]:
+    """Ints ordered as the keys' monomials are: the degree, then the
+    exponents in parameter order, first parameter most significant; so the
+    greatest rank is the leading monomial."""
+    width = len(fields) * _BITS
+    out = []
+    for k in keys:
+        degree = rank = 0
+        for s, _ in fields:
+            e = k >> s & _FIELD
+            degree += e
+            rank = rank << _BITS | e
+        out.append(degree << width | rank)
+    return out
+
+
+def _check_exponents(keys: Iterable[int]) -> None:
+    """Raise if a sum of in-range keys set the guard bit of a field."""
+    seen = functools.reduce(operator.or_, keys, 0)
+    fields = -(-seen.bit_length() // _BITS)
+    guards = ((1 << fields * _BITS) - 1) // _FIELD << (_BITS - 1)
+    if seen & guards:
+        raise ResourceLimitError(
+            f"a product would raise an exponent past {MAX_EXPONENT}")
+
+
+def _new(terms: dict[int, int], den: int) -> "Polynomial":
+    poly = object.__new__(Polynomial)
+    poly._assign(terms, den)
+    return poly
 
 
 class Polynomial:
-    """Canonical sparse multivariate polynomial with Fraction coefficients."""
+    """Canonical sparse multivariate polynomial with rational coefficients,
+    held as integer numerators over one common denominator."""
 
-    __slots__ = ("_terms", "_hash", "_plan")
+    __slots__ = ("_terms", "_den", "_hash", "_plan")
 
     def __init__(self, terms: Mapping[Monomial, Fraction]):
-        clean = {m: c for m, c in terms.items() if c != 0}
-        if len(clean) > _term_limit:
+        coeffs = {_pack(m): Fraction(c) for m, c in terms.items() if c != 0}
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self._assign({k: c.numerator * (den // c.denominator)
+                      for k, c in coeffs.items()}, den)
+
+    def _assign(self, terms: dict[int, int], den: int) -> None:
+        """Hold `terms` over `den` > 0 in canonical form (takes the dict)."""
+        if 0 in terms.values():
+            terms = {k: c for k, c in terms.items() if c}
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            terms = {k: c // g for k, c in terms.items()}
+            den //= g
+        if len(terms) > _term_limit:
             raise ResourceLimitError(
-                f"polynomial would have {len(clean)} terms "
+                f"polynomial would have {len(terms)} terms "
                 f"(limit {_term_limit})")
-        self._terms = clean
+        self._terms = terms
+        self._den = den
         self._hash = None
         self._plan = None
 
@@ -133,11 +236,12 @@ class Polynomial:
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial({})
+        return _new({}, 1)
 
     @staticmethod
     def constant(value) -> "Polynomial":
-        return Polynomial({UNIT_MONOMIAL: Fraction(value)})
+        q = Fraction(value)
+        return _new({0: q.numerator}, q.denominator)
 
     @staticmethod
     def one() -> "Polynomial":
@@ -145,12 +249,12 @@ class Polynomial:
 
     @staticmethod
     def variable(param: ParamId) -> "Polynomial":
-        return Polynomial({Monomial.make({param: 1}): Fraction(1)})
+        return _new({1 << _shift(param): 1}, 1)
 
     # -- structure ----------------------------------------------------
 
-    def terms(self) -> dict[Monomial, Fraction]:
-        return dict(self._terms)
+    def terms(self) -> Mapping[Monomial, Fraction]:
+        return _TermView(self)
 
     @property
     def is_zero(self) -> bool:
@@ -159,45 +263,53 @@ class Polynomial:
     @property
     def is_constant(self) -> bool:
         return not self._terms or (len(self._terms) == 1
-                                   and UNIT_MONOMIAL in self._terms)
+                                   and 0 in self._terms)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
-        return self._terms.get(UNIT_MONOMIAL, Fraction(0))
-
-    @property
-    def degree(self) -> int:
-        return max((m.degree for m in self._terms), default=0)
-
-    def variables(self) -> set[ParamId]:
-        out: set[ParamId] = set()
-        for m in self._terms:
-            out.update(p for p, _ in m.exps)
-        return out
+        return Fraction(self._terms.get(0, 0), self._den)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self._terms.items(), key=lambda mc: mc[0].sort_key())
+        """Terms in monomial order, leading term first."""
+        keys = list(self._terms)
+        fields = _fields(keys)
+        return [(_monomial(k, fields), Fraction(self._terms[k], self._den))
+                for _, k in sorted(zip(_ranks(keys, fields), keys),
+                                   reverse=True)]
+
+    def _extreme(self, pick) -> Fraction:
+        keys = list(self._terms)
+        _, key = pick(zip(_ranks(keys, _fields(keys)), keys))
+        return Fraction(self._terms[key], self._den)
 
     def leading_coefficient(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
-        return self.sorted_terms()[0][1]
+        return self._extreme(max)
 
     def trailing_coefficient(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
-        return self.sorted_terms()[-1][1]
+        if 0 in self._terms:  # a constant term is the least monomial
+            return Fraction(self._terms[0], self._den)
+        return self._extreme(min)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self._terms == other._terms
+        return (isinstance(other, Polynomial) and self._den == other._den
+                and self._terms == other._terms)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((frozenset(self._terms.items()), self._den))
         return self._hash
 
     # -- arithmetic ---------------------------------------------------
+    #
+    # Result terms appear in the order a {Monomial: Fraction} loop would
+    # insert them, with a cancelled term dropped at the end of its call;
+    # `evaluate` reports the first missing parameter, and `evaluate_float`
+    # sums, in that order.
 
     def __add__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -206,15 +318,20 @@ class Polynomial:
             return other
         if other.is_zero:
             return self
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(out)
+        den = math.lcm(self._den, other._den)
+        scale = den // self._den
+        out = (dict(self._terms) if scale == 1 else
+               {k: c * scale for k, c in self._terms.items()})
+        scale = den // other._den
+        get = out.get
+        for k, c in other._terms.items():
+            out[k] = get(k, 0) + c * scale
+        return _new(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self._terms.items()})
+        return _new({k: -c for k, c in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -226,15 +343,20 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
+            q = Fraction(other)
+            return _new({k: c * q.numerator for k, c in self._terms.items()},
+                        self._den * q.denominator)
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                m = ma.mul(mb)
-                out[m] = out.get(m, Fraction(0)) + ca * cb
-        return Polynomial(out)
+        out: dict[int, int] = {}
+        get = out.get
+        right = list(other._terms.items())
+        for ka, ca in self._terms.items():
+            for kb, cb in right:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        _check_exponents(out)
+        return _new(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -252,19 +374,23 @@ class Polynomial:
 
     # -- evaluation and substitution -----------------------------------
 
+    def _compiled(self) -> "_EvalPlan":
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _EvalPlan(self)
+        return plan
+
     def evaluate(self, valuation: Mapping[ParamId, Fraction]) -> Fraction:
         """Evaluate exactly; raises MissingParameterError for unassigned ids.
 
         Works in integers over the cached `_EvalPlan`: with each value
         written n/d, parameter i contributes the table
-        t[e] = n**e * d**(top - e), so every term is an integer row
-        coefficient times one table entry per parameter over the common
-        denominator L * prod(d**top), and a single reduction ends the call.
+        t[e] = n**e * d**(top - e), so every term is an integer numerator
+        times one table entry per parameter over the denominator
+        den * prod(d**top), and a single reduction ends the call.
         """
-        plan = self._plan
-        if plan is None:
-            plan = self._plan = _EvalPlan(self._terms)
-        den = plan.lcm
+        plan = self._compiled()
+        den = plan.den
         tables = []
         for p, top in zip(plan.params, plan.tops):
             if p not in valuation:
@@ -283,11 +409,21 @@ class Polynomial:
         return Fraction(total, den)
 
     def evaluate_float(self, valuation: Mapping[ParamId, float]) -> float:
+        """Evaluate in floating point over the cached `_EvalPlan`.
+
+        Each term is its coefficient times value**e per parameter, in
+        parameter order, summed in term order: the same operations as a
+        term-by-term loop over Fraction coefficients, so the same float.
+        """
+        plan = self._compiled()
+        powers = []
+        for p, top in zip(plan.params, plan.tops):
+            value = valuation[p]
+            powers.append([value ** e for e in range(top + 1)])
         total = 0.0
-        for m, c in self._terms.items():
-            term = float(c)
-            for p, e in m.exps:
-                term *= valuation[p] ** e
+        for term, factors in plan.float_rows:
+            for i, e in factors:
+                term *= powers[i][e]
             total += term
         return total
 
@@ -295,10 +431,11 @@ class Polynomial:
         """Simultaneously replace parameters by polynomials."""
         if not bindings:
             return self
+        fields = _fields(self._terms)
         out = Polynomial.zero()
-        for m, c in self._terms.items():
-            term = Polynomial.constant(c)
-            for p, e in m.exps:
+        for key, c in self._terms.items():
+            term = Polynomial.constant(Fraction(c, self._den))
+            for p, e in _monomial(key, fields).exps:
                 factor = bindings.get(p)
                 if factor is None:
                     factor = Polynomial.variable(p)
@@ -307,19 +444,17 @@ class Polynomial:
         return out
 
     def derivative(self, param: ParamId) -> "Polynomial":
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self._terms.items():
-            powers = dict(m.exps)
-            e = powers.get(param, 0)
-            if e == 0:
-                continue
-            if e == 1:
-                del powers[param]
-            else:
-                powers[param] = e - 1
-            dm = Monomial.make(powers)
-            out[dm] = out.get(dm, Fraction(0)) + c * e
-        return Polynomial(out)
+        i = _field_of.get((param, param.label))
+        if i is None:  # never seen, so in no polynomial
+            return Polynomial.zero()
+        shift = i * _BITS
+        unit = 1 << shift
+        out = {}
+        for k, c in self._terms.items():
+            e = (k >> shift) & _FIELD
+            if e:
+                out[k - unit] = c * e
+        return _new(out, self._den)
 
     # -- rendering ----------------------------------------------------
 
@@ -327,93 +462,85 @@ class Polynomial:
         """Canonical text form: terms in monomial order, num/den coefficients."""
         if self.is_zero:
             return "0"
+        keys = list(self._terms)
+        fields = _fields(keys)
+        names = [(s, p.name) for s, p in fields]
         parts: list[str] = []
-        for i, (m, c) in enumerate(self.sorted_terms()):
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            body = m.render()
-            if not body:
-                chunk = _render_fraction(mag)
-            elif mag == 1:
-                chunk = body
+        for _, key in sorted(zip(_ranks(keys, fields), keys), reverse=True):
+            c = self._terms[key]
+            g = math.gcd(c, self._den)
+            num, den = abs(c) // g, self._den // g
+            mag = str(num) if den == 1 else f"{num}/{den}"
+            body = "*".join(n if e == 1 else f"{n}^{e}" for s, n in names
+                            if (e := key >> s & _FIELD))
+            chunk = (mag if not body else body if mag == "1"
+                     else f"{mag}*{body}")
+            if not parts:
+                parts.append(f"-{chunk}" if c < 0 else chunk)
             else:
-                chunk = f"{_render_fraction(mag)}*{body}"
-            if i == 0:
-                parts.append(chunk if sign == "+" else f"-{chunk}")
-            else:
-                parts.append(f" {sign} {chunk}")
+                parts.append(f" {'-' if c < 0 else '+'} {chunk}")
         return "".join(parts)
 
     def __repr__(self) -> str:
         return f"<Polynomial {self.render()}>"
 
 
+class _TermView(Mapping):
+    """A polynomial's terms as {Monomial: Fraction}, in term order.
+
+    `len` is free; monomials are unpacked as they are read.
+    """
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: Polynomial):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._terms)
+
+    def __iter__(self):
+        return map(_monomial, self._poly._terms)
+
+    def __getitem__(self, m: Monomial) -> Fraction:
+        return Fraction(self._poly._terms[_pack(m)], self._poly._den)
+
+
 class _EvalPlan:
-    """A polynomial compiled for exact evaluation in integers.
+    """A polynomial compiled for evaluation.
 
     `params` are the parameters in order of first appearance over the terms
     (so the first missing one is reported, as a term-by-term loop would),
-    `tops` their highest exponents, `lcm` the least common multiple of the
-    coefficient denominators, and `rows` one (coefficient * lcm, dense
-    exponent tuple over `params`) pair per term.
+    `tops` their highest exponents, `den` the polynomial's denominator,
+    `rows` one (numerator, dense exponent tuple over `params`) pair per
+    term, and `float_rows` one (coefficient as float, ((param position,
+    exponent), ...) in parameter order) pair per term.
     """
 
-    __slots__ = ("params", "tops", "lcm", "rows")
+    __slots__ = ("params", "tops", "den", "rows", "float_rows")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction]):
+    def __init__(self, poly: Polynomial):
         index: dict[ParamId, int] = {}
-        lcm = 1
-        for m, c in terms.items():
-            lcm = math.lcm(lcm, c.denominator)
-            for p, _ in m.exps:
-                index.setdefault(p, len(index))
+        fields = _fields(poly._terms)
+        sparse = []
+        for key, c in poly._terms.items():
+            sparse.append((c, tuple((index.setdefault(p, len(index)), e)
+                                    for p, e in _monomial(key, fields).exps)))
         tops = [0] * len(index)
         rows = []
-        for m, c in terms.items():
+        for c, factors in sparse:
             exps = [0] * len(index)
-            for p, e in m.exps:
-                i = index[p]
+            for i, e in factors:
                 exps[i] = e
                 tops[i] = max(tops[i], e)
-            rows.append((c.numerator * (lcm // c.denominator), tuple(exps)))
+            rows.append((c, tuple(exps)))
         self.params = tuple(index)
         self.tops = tuple(tops)
-        self.lcm = lcm
+        self.den = poly._den
         self.rows = tuple(rows)
-
-
-def _render_fraction(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-# -- function-style operation surface ----------------------------------
-
-
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    return a + b
-
-
-def poly_neg(a: Polynomial) -> Polynomial:
-    return -a
-
-
-def poly_sub(a: Polynomial, b: Polynomial) -> Polynomial:
-    return a - b
-
-
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    return a * b
-
-
-def poly_eval(p: Polynomial, valuation: Mapping[ParamId, Fraction]) -> Fraction:
-    return p.evaluate(valuation)
-
-
-def poly_substitute(p: Polynomial,
-                    bindings: Mapping[ParamId, Polynomial]) -> Polynomial:
-    return p.substitute(bindings)
+        # int / int rounds correctly, as float(Fraction) does
+        self.float_rows = tuple((c / poly._den, factors)
+                                for c, factors in sparse)
 
 
 class RationalFunction:
@@ -499,9 +626,9 @@ class RationalFunction:
             return self.num.render()
         num = self.num.render()
         den = self.den.render()
-        if len(self.num.terms()) > 1:
+        if len(self.num._terms) > 1:
             num = f"({num})"
-        if len(self.den.terms()) > 1:
+        if len(self.den._terms) > 1:
             den = f"({den})"
         return f"{num} / {den}"
 
@@ -510,23 +637,17 @@ class RationalFunction:
 
 
 def _remove_content(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Divide both polynomials by the joint rational content."""
-    coeffs = list(a.terms().values()) + list(b.terms().values())
-    g = 0
-    lcm = 1
-    for c in coeffs:
-        g = math.gcd(g, abs(c.numerator))
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    content = Fraction(g, lcm)
+    """Divide both (nonzero) polynomials by their joint rational content.
+
+    Canonical numerators are coprime to their denominator, so the content
+    is the gcd of all numerators over the lcm of the two denominators.
+    """
+    content = Fraction(math.gcd(*a._terms.values(), *b._terms.values()),
+                       math.lcm(a._den, b._den))
     if content == 1:
         return a, b
     inv = 1 / content
     return a * inv, b * inv
-
-
-def rf_simplify(r: RationalFunction) -> RationalFunction:
-    """Re-normalize a ratio (idempotent; construction already normalizes)."""
-    return RationalFunction(r.num, r.den)
 
 
 def parse_polynomial(text: str, params: Mapping[str, ParamId]) -> Polynomial:
@@ -649,27 +770,10 @@ def _tokenize_poly(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
-def rf_equal_on_box(a: RationalFunction, b: RationalFunction,
-                    samples: int = 16, seed: int = 0) -> bool:
-    """Decide a == b via the cross-multiplied canonical-form difference.
+def rf_equal_on_box(a: RationalFunction, b: RationalFunction) -> bool:
+    """Decide a == b as functions via the cross-multiplied difference.
 
-    The canonical test is sound and complete for identity on the box (the box
-    has interior).  The sampled spot check is a deterministic belt-and-braces
-    pass over `samples` rational points and never overrides the exact answer.
+    The difference is in canonical form, so the test is exact; it is sound
+    and complete for identity on the parameter box (the box has interior).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    diff = a.num * b.den - b.num * a.den
-    identical = diff.is_zero
-    rng = random.Random(seed)
-    params = sorted(a.num.variables() | a.den.variables()
-                    | b.num.variables() | b.den.variables(),
-                    key=lambda p: p.order_key)
-    for _ in range(samples):
-        point = {p: Fraction(rng.randint(0, 64), 64) for p in params}
-        if a.den.evaluate(point) == 0 or b.den.evaluate(point) == 0:
-            continue
-        agree = a.evaluate(point) == b.evaluate(point)
-        if agree != identical:  # pragma: no cover - would signal a defect
-            raise AssertionError("canonical test contradicts sampled point")
-    return identical
+    return (a.num * b.den - b.num * a.den).is_zero

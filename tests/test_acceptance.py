@@ -22,7 +22,7 @@ from respgames.model import check_admissible
 from respgames.oracle import (SimConfig, estimate_degree, estimate_path_prob,
                               grid_best_response)
 from respgames.polyarith import (Monomial, ParamId, Polynomial,
-                                 RationalFunction, poly_eval, poly_substitute)
+                                 RationalFunction)
 from respgames.synth import (NeSystem, ResponsibilitySpec, UtilityConfig,
                              find_equilibria, solve_ne, utility_parts)
 from respgames.trace import enumerate_histories, plan_from_model
@@ -67,8 +67,8 @@ def test_criterion_03_cpr_numerator_and_monte_carlo(ball):
     psi = parse_path_formula("X collision", ball)
     plan = plan_from_model(ball, "pi_catch")
     result = cpr_degree(ball, "s0", "A1", plan, psi)
-    sym_num = poly_substitute(result.value.num, {x2: X1})
-    sym_den = poly_substitute(result.value.den, {x2: X1})
+    sym_num = result.value.num.substitute({x2: X1})
+    sym_den = result.value.den.substitute({x2: X1})
     half = {x1: Fraction(1, 2), x2: Fraction(1, 2)}
     exact = degree_value_at(result, half)
     est = estimate_degree(ball, SimConfig(MC_SAMPLES, SEED, 1, half),
@@ -128,12 +128,12 @@ def test_criterion_05_ring_property_suite():
         ok = ok and (a * b) * c == a * (b * c)
         ok = ok and a + b == b + a and a * b == b * a
         ok = ok and a * (b + c) == a * b + a * c
-        ok = ok and poly_eval(a + b, v) == poly_eval(a, v) + poly_eval(b, v)
-        ok = ok and poly_eval(a * b, v) == poly_eval(a, v) * poly_eval(b, v)
+        ok = ok and (a + b).evaluate(v) == a.evaluate(v) + b.evaluate(v)
+        ok = ok and (a * b).evaluate(v) == a.evaluate(v) * b.evaluate(v)
         bindings = {a1: b, a2: c}
-        composed = {a1: poly_eval(b, v), a2: poly_eval(c, v), a3: v[a3]}
-        ok = ok and poly_eval(poly_substitute(a, bindings), v) \
-            == poly_eval(a, composed)
+        composed = {a1: b.evaluate(v), a2: c.evaluate(v), a3: v[a3]}
+        ok = ok and a.substitute(bindings).evaluate(v) \
+            == a.evaluate(composed)
         if not ok:
             break
     record(5, f"{cases} randomized cases per ring/evaluation/substitution "

@@ -1,6 +1,7 @@
 import json
 import time
 
+import pytest
 from conftest import MODELS
 
 from respgames.cli import main
@@ -370,3 +371,22 @@ def test_limit_terms_flag(capsys):
     assert code == 3
     from respgames import polyarith
     polyarith.set_term_limit(polyarith.DEFAULT_TERM_LIMIT)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["ne", "--model", BALL, "--horizon", "-1"],
+     "--horizon must be at least 0"),
+    (["ne", "--model", BALL, "--horizon", "2", "--seeds", "0"],
+     "--seeds must be at least 1"),
+    (["ne", "--model", BALL, "--horizon", "2", "--seeds", "-1"],
+     "--seeds must be at least 1"),
+    (["simulate", "--model", BALL, "--formula", "X collision",
+      "--bind", "x1=1/2", "--bind", "x2=1/2", "--horizon", "-2"],
+     "--horizon must be at least 0"),
+], ids=["ne-horizon-minus-1", "ne-seeds-0", "ne-seeds-minus-1",
+        "simulate-horizon-minus-2"])
+def test_size_flag_below_least_rejected(capsys, argv, flag):
+    # ne --horizon -1 ended in a ValueError traceback, the others ran
+    code, env = run_json(capsys, *argv)
+    assert code == 3
+    assert env["result"] == {"error": flag}
