@@ -13,15 +13,13 @@ from .model import (AdmissibilityReport, Csg, Psmas, RewardStructure,
 from .logic import (CompareOp, DegreeKind, PathFormula, StateFormula,
                     horizon, parse_formula, parse_path_formula,
                     render_formula)
-from .trace import (CompatClass, History, Plan, compatible_plans,
-                    enumerate_histories, payoff, plan_from_model,
-                    plan_histories)
+from .trace import Plan, plan_from_model
 from .checker import (CheckResult, DegreeResult, ExtendedValue, QueryContext,
                       Region, car_degree, check_formula, cpr_degree,
                       degree_value_at, path_sat_prob, reward_value)
 from .synth import (NeSolution, NeSystem, ResponsibilitySpec, UtilityConfig,
                     build_ne_system, find_equilibria, payoff_valuation,
-                    resp_valuation, solve_ne, utility, verify_ne)
+                    solve_ne, utility, verify_ne)
 from .oracle import (BestResponse, Estimate, SimConfig, estimate_degree,
                      estimate_path_prob, grid_best_response, simulate_paths)
 

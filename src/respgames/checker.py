@@ -11,8 +11,9 @@ same polynomials.
 
 Witnesses are not listed one by one: a forward pass over cells (state,
 compatibility tag) at each depth sums their probabilities, counts them and,
-for rewards, weighs them, merging the histories that share a cell.
-`_witnesses` keeps the history-by-history enumeration as the reference.
+for rewards, weighs them, merging the histories that share a cell.  The
+pass counts its work and stops past `trace.MAX_PASS_WORK`.  `_witnesses`
+keeps the history-by-history enumeration as the unguarded test reference.
 
 Degrees follow the two enumeration algorithms: the satisfying (violating)
 witness sets are filtered by plan-compatibility classes, the kappa guard is
@@ -38,8 +39,7 @@ from .logic import (And, Atom, CoalitionDegree, CoalitionProb,
                     PathFormula, StateFormula, TrueFormula, Until, horizon)
 from .model import Psmas, RewardStructure, Scope
 from .polyarith import ParamId, Polynomial, RationalFunction
-from .trace import (CompatTags, History, Plan, guard_enumeration_volume,
-                    plan_from_model)
+from .trace import CompatTags, History, Plan, check_work, plan_from_model
 
 SYMBOLIC = "symbolic"
 EVALUATED = "evaluated"
@@ -154,31 +154,13 @@ def sat_state(m: Psmas, state: str, phi: StateFormula,
     raise TypeError(f"not a state formula: {phi!r}")
 
 
-def sat_set(m: Psmas, phi: StateFormula, ctx: QueryContext) -> frozenset[str]:
-    """The states of the model satisfying a formula."""
-    return frozenset(s for s in m.base.states if sat_state(m, s, phi, ctx))
-
-
 # -- minimal witnesses ----------------------------------------------------
-
-
-def sat_witnesses(m: Psmas, state: str, psi: PathFormula,
-                  ctx: QueryContext) -> list[History]:
-    """Minimal satisfying witness prefixes of a path formula from a state."""
-    sats, _ = _witnesses(m, state, psi, ctx)
-    return sats
-
-
-def violation_witnesses(m: Psmas, state: str, psi: PathFormula,
-                        ctx: QueryContext) -> list[History]:
-    """Minimal violating witness prefixes (every extension violates)."""
-    _, viols = _witnesses(m, state, psi, ctx)
-    return viols
 
 
 def _witnesses(m: Psmas, state: str, psi: PathFormula,
                ctx: QueryContext) -> tuple[list[History], list[History]]:
-    guard_enumeration_volume(m, horizon(psi))
+    """The satisfying and the violating minimal witnesses, listed one by
+    one: the unguarded test reference of `_witness_pass`."""
     if isinstance(psi, Next):
         good = _sat_cache(m, psi.body, ctx)
         sats: list[History] = []
@@ -223,13 +205,6 @@ def _sat_cache(m: Psmas, phi: StateFormula,
     return check
 
 
-def _mass(witnesses: Iterable[History]) -> Polynomial:
-    total = Polynomial.zero()
-    for w in witnesses:
-        total = total + w.probability
-    return total
-
-
 @dataclass
 class _Sum:
     """Summed probability, history count and reward-weighted probability
@@ -260,9 +235,13 @@ def _witness_pass(m: Psmas, state: str, psi: PathFormula, ctx: QueryContext,
     keyed (satisfied, compatible); without tags every witness is
     compatible.  `weigh=False` counts histories only, and `r` adds the
     reward-weighted mass.  Equal to summing `_witnesses` one by one.
+
+    The work is the term pairs the products multiply, or the expansions
+    (cell, joint action, successor) of a count-only pass; past
+    `trace.MAX_PASS_WORK` the pass raises ResourceLimitError.
     """
-    guard_enumeration_volume(m, horizon(psi))
     classify, k = _classifier(m, psi, ctx)
+    work, unit = 0, "term pairs" if weigh else "expansions"
     out = {key: _Sum() for key in itertools.product((True, False),
                                                     repeat=2)}
     start_tag = tags.start if tags is not None else None
@@ -275,6 +254,9 @@ def _witness_pass(m: Psmas, state: str, psi: PathFormula, ctx: QueryContext,
                 compatible = tags is None or tags.live(tag, depth)
                 out[verdict, compatible].add(cell)
                 continue
+            # terms that multiply each successor entry
+            width = len(cell.mass.terms()) + (
+                len(cell.reward.terms()) if r is not None else 0)
             for joint in m.base.joint_actions(here):
                 nxt_tag = (tags.step(tag, depth, joint) if tags is not None
                            else None)
@@ -283,13 +265,17 @@ def _witness_pass(m: Psmas, state: str, psi: PathFormula, ctx: QueryContext,
                     into = nxt.setdefault((target, nxt_tag), _Sum())
                     into.paths += cell.paths
                     if not weigh:
+                        work += 1
                         continue
+                    work += width * len(poly.terms())
                     step = cell.mass * poly
                     into.mass = into.mass + step
                     if r is not None:
                         into.reward = into.reward + cell.reward * poly
                         if gain != 0:
+                            work += len(step.terms())
                             into.reward = into.reward + step * gain
+            check_work(work, unit)
         cells = nxt
     return out
 
@@ -427,9 +413,7 @@ def car_degree(m: Psmas, state: str, agent: str, plan: Plan,
     coalition = frozenset(coalition) if coalition is not None else frozenset(
         m.base.agents)
     _require_member(agent, coalition)
-    depth = horizon(psi)
-    plan = _fit_plan(plan, depth)
-    guard_enumeration_volume(m, depth)  # before the plan's checks
+    plan = _fit_plan(plan, horizon(psi))
     sums = _witness_pass(m, state, psi, ctx, CompatTags(m, plan, {agent}))
     numerator, sats = sums[True, True], _either(sums, True)
     kappa = _either(sums, False).paths > 0
@@ -451,9 +435,7 @@ def cpr_degree(m: Psmas, state: str, agent: str, plan: Plan,
     coalition = frozenset(coalition) if coalition is not None else frozenset(
         m.base.agents)
     _require_member(agent, coalition)
-    depth = horizon(psi)
-    plan = _fit_plan(plan, depth)
-    guard_enumeration_volume(m, depth)  # before the plan's checks
+    plan = _fit_plan(plan, horizon(psi))
     others = CompatTags(m, plan, coalition - {agent})
     full = CompatTags(m, plan, coalition)
     sums = _witness_pass(m, state, psi, ctx, others)

@@ -22,7 +22,6 @@ import sys
 import time
 from fractions import Fraction
 
-from . import polyarith, trace
 from .checker import (QueryContext, car_degree, check_formula, cpr_degree,
                       degree_value_at, path_sat_prob)
 from .errors import (DegenerateQueryError, FormulaError, InadmissibleError,
@@ -62,8 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--state", help="query state (default: initial)")
         p.add_argument("--seed", type=int, default=None,
                        help="PRNG seed (falls back to RESPGAMES_SEED, then 0)")
-        p.add_argument("--limit-terms", type=int, default=None)
-        p.add_argument("--limit-paths", type=int, default=None)
         p.add_argument("--output", choices=("human", "json"),
                        default="human")
 
@@ -142,13 +139,8 @@ def main(argv=None) -> int:
     return code
 
 
-def run(argv=None) -> int:  # console entry point
-    return main(argv)
-
-
 # the least value of each size flag; a smaller one exits 3 before any work
-_SIZE_FLAGS = {"grid": 1, "limit_terms": 1, "limit_paths": 1, "samples": 1,
-               "seeds": 1, "horizon": 0}
+_SIZE_FLAGS = {"grid": 1, "samples": 1, "seeds": 1, "horizon": 0}
 
 
 def _apply_limits(args) -> None:
@@ -157,10 +149,6 @@ def _apply_limits(args) -> None:
         if value is not None and value < least:
             flag = "--" + name.replace("_", "-")
             raise UnsupportedQueryError(f"{flag} must be at least {least}")
-    if getattr(args, "limit_terms", None) is not None:
-        polyarith.set_term_limit(args.limit_terms)
-    if getattr(args, "limit_paths", None) is not None:
-        trace.set_path_limit(args.limit_paths)
 
 
 def _seed(args) -> int:

@@ -44,7 +44,7 @@ class MissingParameterError(RespgamesError):
 
 
 class ResourceLimitError(RespgamesError):
-    """A configured size guard (term count, path count) was exceeded."""
+    """A size cap (polynomial terms, pass work, sample block) was exceeded."""
 
 
 class DegenerateQueryError(RespgamesError):

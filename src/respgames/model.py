@@ -33,7 +33,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import MissingParameterError, ModelError
 from .polyarith import ParamId, Polynomial
@@ -126,6 +126,23 @@ class Csg:
 
     def agent_index(self, agent: str) -> int:
         return self.agents.index(agent)
+
+    def unavailable_step(self, start: str, steps: Sequence[JointAction]
+                         ) -> tuple[int, str, str, str] | None:
+        """The first (step number, agent, action, state) at which a plan
+        from `start` plays an action not available at a state it can
+        reach, or None when every step is playable."""
+        reachable = {start}
+        for step_no, joint in enumerate(steps, 1):
+            for state in sorted(reachable):
+                for agent, action in zip(self.agents, joint):
+                    if action not in self.available[(agent, state)]:
+                        return step_no, agent, action, state
+            reachable = {target
+                         for state in reachable
+                         for target, prob in self.delta[(state, joint)].items()
+                         if prob > 0}
+        return None
 
 
 @dataclass(frozen=True)
@@ -612,18 +629,9 @@ class _ModelParser:
 
     def validate_plans(self, game: Csg):
         for name, (start, steps) in game.plans.items():
-            reachable = {start}
-            for step_no, joint in enumerate(steps):
-                for state in sorted(reachable):
-                    for agent, action in zip(game.agents, joint):
-                        if action not in game.available[(agent, state)]:
-                            raise ModelError(
-                                f"plan {name}, step {step_no + 1}: action "
-                                f"{action} not available to {agent} at "
-                                f"{state}", self.source)
-                nxt: set[str] = set()
-                for state in reachable:
-                    for target, prob in game.delta[(state, joint)].items():
-                        if prob > 0:
-                            nxt.add(target)
-                reachable = nxt
+            fault = game.unavailable_step(start, steps)
+            if fault is not None:
+                step_no, agent, action, state = fault
+                raise ModelError(
+                    f"plan {name}, step {step_no}: action {action} not "
+                    f"available to {agent} at {state}", self.source)

@@ -25,7 +25,7 @@ import numpy as np
 from .checker import (QueryContext, _fit_plan, _require_member, degree_guard,
                       sat_state, simplex_grid)
 from .errors import (InadmissibleError, MissingParameterError,
-                     UndefinedEstimateError)
+                     ResourceLimitError, UndefinedEstimateError)
 from .logic import DegreeKind, Next, PathFormula, horizon
 from .model import JointAction, Psmas, check_admissible
 from .polyarith import ParamId
@@ -33,6 +33,10 @@ from .synth import ResponsibilitySpec, UtilityConfig, utility_parts
 from .trace import CompatTags, Plan, validate_plan
 
 BLOCK = 10_000
+# The most cells, (depth + 1) x paths, of one sampled block: its state and
+# outcome matrices take 16 bytes a cell, and a larger block exits 3 before
+# they are allocated.
+MAX_BLOCK_CELLS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,11 @@ class _Sampler:
         A pick counts the state's cumulative entries at or below the draw,
         which on a nondecreasing row is `searchsorted(side="right")`.
         """
+        cells = (depth + 1) * count
+        if cells > MAX_BLOCK_CELLS:
+            raise ResourceLimitError(
+                f"a block of {count} paths of {depth} steps has {cells} "
+                f"cells, over the {MAX_BLOCK_CELLS} cap")
         states = np.empty((depth + 1, count), dtype=np.int64)
         states[0] = start
         picks = np.empty((depth, count), dtype=np.int64)

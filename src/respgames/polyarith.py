@@ -45,21 +45,9 @@ from typing import Iterable, Mapping
 from .errors import (MissingParameterError, ResourceLimitError,
                      ZeroDenominatorError)
 
-DEFAULT_TERM_LIMIT = 100_000
-
-_term_limit = DEFAULT_TERM_LIMIT
-
-
-def set_term_limit(limit: int) -> None:
-    """Set the global guard on polynomial term counts (fail loudly, not slow)."""
-    global _term_limit
-    if limit < 1:
-        raise ValueError("term limit must be positive")
-    _term_limit = limit
-
-
-def get_term_limit() -> int:
-    return _term_limit
+# The most terms a polynomial may hold; past it ResourceLimitError (exit 3)
+# ends the query rather than letting it run slow.
+MAX_TERMS = 100_000
 
 
 @dataclass(frozen=True)
@@ -223,10 +211,10 @@ class Polynomial:
         if g != 1:
             terms = {k: c // g for k, c in terms.items()}
             den //= g
-        if len(terms) > _term_limit:
+        if len(terms) > MAX_TERMS:
             raise ResourceLimitError(
                 f"polynomial would have {len(terms)} terms "
-                f"(limit {_term_limit})")
+                f"(limit {MAX_TERMS})")
         self._terms = terms
         self._den = den
         self._hash = None
@@ -573,10 +561,6 @@ class RationalFunction:
     @staticmethod
     def constant(value) -> "RationalFunction":
         return RationalFunction(Polynomial.constant(value))
-
-    @staticmethod
-    def from_polynomial(p: Polynomial) -> "RationalFunction":
-        return RationalFunction(p)
 
     @property
     def is_zero(self) -> bool:

@@ -19,8 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .checker import (DegreeResult, QueryContext, car_degree, cpr_degree,
-                      degree_value_at)
+from .checker import DegreeResult, car_degree, cpr_degree, degree_value_at
 from .errors import NoSolutionError, UnsupportedQueryError
 from .logic import PathFormula
 from .model import Psmas, RewardStructure, Scope, check_admissible
@@ -69,18 +68,6 @@ def payoff_valuation(m: Psmas, plan_or_horizon: Plan | int, agent: str,
         return total
     start = state if state is not None else m.base.initial
     return total_payoff(m, r, start, plan_or_horizon)
-
-
-def resp_valuation(m: Psmas, state: str, agent: str, plan: Plan,
-                   psi: PathFormula, theta: Fraction = Fraction(1),
-                   ctx: QueryContext | None = None) -> RationalFunction:
-    """Responsibility valuation: CAR degree + theta * CPR degree (full
-    coalition)."""
-    car = car_degree(m, state, agent, plan, psi, ctx=ctx)
-    if theta == 0:
-        return car.value
-    cpr = cpr_degree(m, state, agent, plan, psi, ctx=ctx)
-    return car.value + theta * cpr.value
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,18 @@
-"""Bounded histories, pure joint plans, compatibility classes and payoffs.
+"""Plans, compatibility tags and payoffs; history enumeration as reference.
 
 A history alternates states and joint actions; its probability is the
 product of the parametric transition entries along its steps (every step's
 entry is not identically zero).  A plan is a pure joint-action sequence from
 a start state; two plans are coalition-compatible when they agree on every
-coalition agent's action at every step.  Enumeration is a pure function of
-immutable inputs and honours a configurable branching-volume guard.
+coalition agent's action at every step.
 
 Queries do not enumerate: `CompatTags` decides class membership one joint
 action at a time, so the checker's forward pass can carry it as a tag, and
-`total_payoff` sums payoffs from per-state history counts.  History
-enumeration, `compatible_plans` and `payoff` remain as their reference.
+`total_payoff` sums payoffs from per-state history counts.  Both passes
+count the work they do and stop past MAX_PASS_WORK.  `History`,
+`enumerate_histories`, `plan_histories`, `compatible_plans` and `payoff`
+are the unguarded reference the tests compare them with; no query calls
+them.
 """
 
 from __future__ import annotations
@@ -24,25 +26,24 @@ from .errors import ModelError, ResourceLimitError
 from .model import JointAction, Psmas, RewardStructure
 from .polyarith import Polynomial
 
-DEFAULT_PATH_LIMIT = 1_000_000
-
-_path_limit = DEFAULT_PATH_LIMIT
-
-
-def set_path_limit(limit: int) -> None:
-    global _path_limit
-    if limit < 1:
-        raise ValueError("path limit must be positive")
-    _path_limit = limit
+# The most work one forward pass may do: term pairs multiplied by a pass
+# that sums polynomials, (cell, joint action, successor) expansions by one
+# that only counts.  Checked after each cell, so a refused query has done
+# at most this much work and one cell's more.
+MAX_PASS_WORK = 10_000_000
 
 
-def get_path_limit() -> int:
-    return _path_limit
+def check_work(work: int, unit: str) -> None:
+    """Refuse a pass whose `work`, counted in `unit`, is past the cap."""
+    if work > MAX_PASS_WORK:
+        raise ResourceLimitError(
+            f"the pass did {work} {unit}, over the {MAX_PASS_WORK} cap")
 
 
 @dataclass(frozen=True)
 class History:
-    """A finite state/joint-action alternation with polynomial probability."""
+    """A finite state/joint-action alternation with polynomial probability
+    (the unguarded test reference; queries do not build histories)."""
 
     states: tuple[str, ...]
     actions: tuple[JointAction, ...]
@@ -56,9 +57,6 @@ class History:
     @property
     def steps(self) -> int:
         return len(self.actions)
-
-    def key(self) -> tuple:
-        return (self.states, self.actions)
 
     @staticmethod
     def single(state: str) -> "History":
@@ -97,25 +95,20 @@ def validate_plan(m: Psmas, plan: Plan) -> None:
     game = m.base
     if plan.start not in game.states:
         raise ModelError(f"plan starts at unknown state {plan.start}")
-    reachable = {plan.start}
-    for step_no, joint in enumerate(plan.steps):
+    for step_no, joint in enumerate(plan.steps, 1):
         if len(joint) != len(game.agents):
-            raise ModelError(f"step {step_no + 1} is not a joint action")
-        for state in reachable:
-            for agent, action in zip(game.agents, joint):
-                if action not in game.available[(agent, state)]:
-                    raise ModelError(
-                        f"plan step {step_no + 1}: action {action} not "
-                        f"available to {agent} at {state}")
-        reachable = {target
-                     for state in reachable
-                     for target, prob in game.delta[(state, joint)].items()
-                     if prob > 0}
+            raise ModelError(f"step {step_no} is not a joint action")
+    fault = game.unavailable_step(plan.start, plan.steps)
+    if fault is not None:
+        step_no, agent, action, state = fault
+        raise ModelError(f"plan step {step_no}: action {action} not "
+                         f"available to {agent} at {state}")
 
 
 @dataclass(frozen=True)
 class CompatClass:
-    """All plans that agree with the anchor on the coalition's actions."""
+    """All plans that agree with the anchor on the coalition's actions
+    (the unguarded test reference of `CompatTags`)."""
 
     anchor: Plan
     coalition: frozenset[str]
@@ -131,26 +124,15 @@ class CompatClass:
         return tuple(actions) in self.prefix_sets[j]
 
 
-def guard_enumeration_volume(m: Psmas, depth: int) -> None:
-    """Refuse enumerations whose worst-case branching volume is over the
-    configured limit."""
-    max_branch = max(
-        (len(m.base.joint_actions(s)) for s in m.base.states), default=1)
-    volume = (max_branch ** depth) * len(m.base.states)
-    if volume > _path_limit:
-        raise ResourceLimitError(
-            f"enumeration volume {volume} exceeds limit {_path_limit}")
-
-
 def enumerate_histories(m: Psmas, state: str, depth: int) -> list[History]:
     """All histories of exactly `depth` steps from `state`.
 
     Per-step transition polynomials are not identically zero; for any
-    admissible valuation the returned probabilities sum to 1.
+    admissible valuation the returned probabilities sum to 1.  The
+    unguarded test reference: its cost grows with the number of histories.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    guard_enumeration_volume(m, depth)
     frontier = [History.single(state)]
     for _ in range(depth):
         nxt: list[History] = []
@@ -164,7 +146,8 @@ def enumerate_histories(m: Psmas, state: str, depth: int) -> list[History]:
 
 
 def plan_histories(m: Psmas, plan: Plan) -> list[History]:
-    """Histories consistent with a plan (branching over successors only)."""
+    """Histories consistent with a plan (branching over successors only);
+    the unguarded test reference."""
     validate_plan(m, plan)
     frontier = [History.single(plan.start)]
     for joint in plan.steps:
@@ -208,7 +191,6 @@ class CompatTags:
         self._pools: dict[tuple[frozenset[str], int],
                           tuple[tuple[str, ...], ...]] = {}
         self._live: dict[tuple[frozenset[str], int], bool] = {}
-        self._admits: dict[tuple[JointAction, ...], bool] = {}
 
     def pools(self, tag: frozenset[str],
               depth: int) -> tuple[tuple[str, ...], ...]:
@@ -257,16 +239,6 @@ class CompatTags:
                 for joint in itertools.product(*self.pools(tag, depth)))
         return self._live[key]
 
-    def admits(self, actions: Sequence[JointAction]) -> bool:
-        """Is this action prefix consistent with some member plan?"""
-        actions = tuple(actions)
-        if actions not in self._admits:
-            tag = self.start
-            for depth, joint in enumerate(actions):
-                tag = self.step(tag, depth, joint)
-            self._admits[actions] = self.live(tag, len(actions))
-        return self._admits[actions]
-
 
 def compatible_plans(m: Psmas, plan: Plan,
                      coalition: Iterable[str]) -> CompatClass:
@@ -274,7 +246,8 @@ def compatible_plans(m: Psmas, plan: Plan,
 
     Members agree with the anchor on every coalition agent's action at every
     step; agents outside the coalition range over all actions available along
-    the states each candidate plan can reach.
+    the states each candidate plan can reach.  The unguarded test reference
+    of `CompatTags`: it lists every member.
     """
     coalition = frozenset(coalition)
     unknown = coalition - set(m.base.agents)
@@ -282,8 +255,6 @@ def compatible_plans(m: Psmas, plan: Plan,
         raise ModelError(f"unknown coalition agent {sorted(unknown)[0]}")
     validate_plan(m, plan)
     game = m.base
-    guard_enumeration_volume(m, len(plan.steps))
-
     members: list[tuple[JointAction, ...]] = []
 
     def grow(prefix: tuple[JointAction, ...], reachable: frozenset[str]):
@@ -323,7 +294,8 @@ def payoff(h: History, r: RewardStructure) -> Polynomial:
     """Expected per-step payoff along a history.
 
     Each step contributes (action reward + state reward) weighted by that
-    step's parametric transition entry.
+    step's parametric transition entry.  The test reference of
+    `total_payoff`.
     """
     total = Polynomial.zero()
     for j, joint in enumerate(h.actions):
@@ -342,14 +314,15 @@ def total_payoff(m: Psmas, r: RewardStructure, start: str, depth: int,
     N_j(s) * C_{j+1}(t) histories, where N_j(s) counts the j-step prefixes
     from `start` that end in s and C_{j+1}(t) the continuations from t to
     the full depth.  The sum is therefore each transition entry times its
-    step reward times an integer count: linear in the entries.
+    step reward times an integer count: linear in the entries.  Both sweeps
+    count their (state, joint action, successor) expansions against
+    MAX_PASS_WORK.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if plan is None:
-        guard_enumeration_volume(m, depth)
-    else:
+    if plan is not None:
         validate_plan(m, plan)
+    work = 0
 
     def joints(j: int, state: str) -> list[JointAction]:
         if plan is not None:
@@ -363,6 +336,8 @@ def total_payoff(m: Psmas, r: RewardStructure, start: str, depth: int,
             for joint in joints(j, state):
                 for target, _ in m.successors(state, joint):
                     nxt[target] = nxt.get(target, 0) + count
+                    work += 1
+            check_work(work, "expansions")
         prefixes.append(nxt)
 
     suffixes = dict.fromkeys(prefixes[depth], 1)
@@ -375,10 +350,12 @@ def total_payoff(m: Psmas, r: RewardStructure, start: str, depth: int,
                 reward = r.step_reward(state, joint)
                 for target, _ in m.successors(state, joint):
                     here[state] += suffixes[target]
+                    work += 1
                     if reward != 0:
                         key = (state, joint, target)
                         weights[key] = (weights.get(key, 0)
                                         + reward * count * suffixes[target])
+            check_work(work, "expansions")
         suffixes = here
 
     total = Polynomial.zero()

@@ -6,13 +6,12 @@ import pytest
 
 from conftest import ball_valuation, brute_force_histories, var
 
-from respgames.checker import (QueryContext, car_degree, check_formula,
-                               cpr_degree, degree_value_at, path_sat_prob,
-                               reward_value, sat_witnesses,
-                               violation_witnesses)
+from respgames.checker import (QueryContext, _witnesses, car_degree,
+                               check_formula, cpr_degree, degree_guard,
+                               degree_value_at, path_sat_prob, reward_value)
 from respgames.errors import (DegenerateQueryError, MissingParameterError,
                               UnsupportedQueryError)
-from respgames.logic import parse_formula, parse_path_formula
+from respgames.logic import DegreeKind, parse_formula, parse_path_formula
 from respgames.polyarith import Polynomial, RationalFunction
 from respgames.trace import Plan, plan_from_model
 
@@ -45,7 +44,7 @@ def test_path_prob_example_six(ball):
 
 def test_witness_cylinders_disjoint_and_bounded(rounds):
     psi = parse_path_formula("F<=2 (collision | dropped)", rounds)
-    wits = sat_witnesses(rounds, "start", psi, sym())
+    wits, _ = _witnesses(rounds, "start", psi, sym())
     keys = [(w.states, w.actions) for w in wits]
     assert len(set(keys)) == len(keys)
     for a, b in itertools.combinations(wits, 2):
@@ -65,8 +64,7 @@ def test_witness_cylinders_disjoint_and_bounded(rounds):
 def test_sat_viol_witnesses_cover_full_depth(rounds):
     # every full-depth history extends exactly one witness prefix
     psi = parse_path_formula("F<=2 (collision | dropped)", rounds)
-    sats = sat_witnesses(rounds, "start", psi, sym())
-    viols = violation_witnesses(rounds, "start", psi, sym())
+    sats, viols = _witnesses(rounds, "start", psi, sym())
     prefixes = [(w.states, w.actions) for w in sats + viols]
     full = brute_force_histories(rounds, "start", 2)
     for states, actions, _ in full:
@@ -318,18 +316,45 @@ def test_nested_quantitative_needs_valuation(ball):
     assert res.holds is False
 
 
-def test_path_prob_respects_enumeration_limit(ball):
+def test_path_prob_respects_enumeration_limit(ball, monkeypatch):
+    from respgames import trace
     from respgames.errors import ResourceLimitError
-    from respgames.trace import (DEFAULT_PATH_LIMIT, get_path_limit,
-                                 set_path_limit)
     psi = parse_path_formula("F<=4 collision", ball)
-    old = get_path_limit()
-    set_path_limit(100)
-    try:
-        with pytest.raises(ResourceLimitError):
-            path_sat_prob(ball, "s0", psi)
-    finally:
-        set_path_limit(old)
+    monkeypatch.setattr(trace, "MAX_PASS_WORK", 100)
+    with pytest.raises(ResourceLimitError, match="term pairs, over the 100"):
+        path_sat_prob(ball, "s0", psi)
+    # a count-only pass counts expansions against the same cap
+    monkeypatch.setattr(trace, "MAX_PASS_WORK", 10)
+    short = parse_path_formula("F<=2 collision", ball)
+    plan = plan_from_model(ball, "pi1")
+    with pytest.raises(ResourceLimitError, match="expansions, over the 10"):
+        degree_guard(ball, "s0", plan, short, DegreeKind.CAR)
+
+
+def test_pass_work_counts_term_pairs_multiplied(rounds, monkeypatch):
+    # the work the pass charges is exactly the term pairs its products
+    # multiply, scalar reward products included
+    from respgames import checker
+    seen, pairs = [], [0]
+    real_check, real_mul = checker.check_work, Polynomial.__mul__
+
+    def check(work, unit):
+        seen.append((work, unit))
+        real_check(work, unit)
+
+    def mul(a, b):
+        right = len(b.terms()) if isinstance(b, Polynomial) else 1
+        pairs[0] += len(a.terms()) * right
+        return real_mul(a, b)
+
+    r = rounds.base.rewards["A1"]
+    target = parse_formula("score1", rounds)
+    monkeypatch.setattr(checker, "check_work", check)
+    monkeypatch.setattr(Polynomial, "__mul__", mul)
+    reward_value(rounds, "start", target, 4, r)
+    monkeypatch.undo()
+    assert pairs[0] > 0
+    assert seen[-1] == (pairs[0], "term pairs")
 
 
 def test_until_with_nontrivial_left_side(ball):
@@ -372,7 +397,7 @@ def test_cpr_with_singleton_coalition(ball):
 def test_car_numerator_witnesses_subset_of_denominator(rounds):
     psi = parse_path_formula("F<=2 (collision | dropped)", rounds)
     plan = plan_from_model(rounds, "pi_mix")
-    sats = sat_witnesses(rounds, "start", psi, sym())
+    sats, _ = _witnesses(rounds, "start", psi, sym())
     from respgames.trace import compatible_plans
     cls = compatible_plans(rounds, plan, {"A1"})
     numerator = [w for w in sats if cls.contains_action_prefix(w.actions)]

@@ -4,6 +4,7 @@ import time
 import pytest
 from conftest import MODELS
 
+from respgames import checker, polyarith, trace
 from respgames.cli import main
 
 BALL = str(MODELS / "ball.game")
@@ -249,24 +250,82 @@ def test_human_output(capsys):
 
 
 def test_flags_that_do_nothing_are_gone(capsys):
-    # --threads was never used; --grid is read by check alone
+    # --threads was never used; --grid is read by check alone; the term
+    # and work caps are constants, not flags
     assert main(["check", "--model", BALL, "--formula", "true",
                  "--threads", "1"]) == 2
     assert main(["degree", "--model", BALL, "--kind", "CAR",
                  "--agent", "A1", "--plan", "pi_skip",
                  "--formula", "X (dropped | score2)", "--grid", "4"]) == 2
+    for flag in ("--limit-terms", "--limit-paths"):
+        assert main(["degree", "--model", BALL, "--kind", "CAR",
+                     "--agent", "A1", "--plan", "pi1",
+                     "--formula", "F<=2 score1", flag, "2"]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_limit_paths_flag(capsys):
+def test_pass_work_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(trace, "MAX_PASS_WORK", 10)
     code = main(["degree", "--model", BALL, "--kind", "CAR",
                  "--agent", "A1", "--plan", "pi1",
-                 "--formula", "F<=2 score1", "--limit-paths", "10"])
+                 "--formula", "F<=2 score1"])
     assert code == 3
-    assert "exceeds" in capsys.readouterr().err
-    # restore the default for other tests in this process
-    from respgames import trace
-    trace.set_path_limit(trace.DEFAULT_PATH_LIMIT)
+    assert "term pairs, over the 10 cap" in capsys.readouterr().err
+
+
+def test_default_check_answers_deep_horizon(capsys):
+    # the pass answers k=32 within the default work cap
+    code, env = run_json(capsys, "check", "--model", ROUNDS, "--symbolic",
+                         "--formula", "<A1,A2> P>=1/2 [ F<=32 score1 ]")
+    assert code == 0
+    assert env["result"]["verdict"] is None
+    assert env["result"]["region"].endswith(" >= 1/2")
+
+
+def test_ne_long_horizon(capsys):
+    code, env = run_json(capsys, "ne", "--model", BALL, "--horizon", "12")
+    assert code == 0
+    assert env["result"]["solutions"]
+
+
+def test_work_cap_refuses_within_one_cell(capsys, monkeypatch):
+    # the pass checks its work after each cell, and a cell of ball_rounds
+    # multiplies at most 4 entries (4 joint actions, one successor each);
+    # it stops at the first check past the cap
+    seen, products = [], [0]
+    real_check, real_mul = checker.check_work, polyarith.Polynomial.__mul__
+
+    def check(work, unit):
+        seen.append((work, products[0]))
+        products[0] = 0
+        real_check(work, unit)
+
+    def mul(a, b):
+        products[0] += 1
+        return real_mul(a, b)
+
+    monkeypatch.setattr(trace, "MAX_PASS_WORK", 1000)
+    monkeypatch.setattr(checker, "check_work", check)
+    monkeypatch.setattr(polyarith.Polynomial, "__mul__", mul)
+    code = main(["check", "--model", ROUNDS, "--symbolic",
+                 "--formula", "<A1,A2> P>=1/2 [ F<=12 score1 ]"])
+    assert code == 3
+    assert max(n for _, n in seen[1:]) <= 4  # the first includes loading
+    assert seen[-2][0] <= 1000 < seen[-1][0]
+    assert (f"the pass did {seen[-1][0]} term pairs, over the 1000 cap"
+            in capsys.readouterr().err)
+
+
+def test_simulate_block_cap(capsys):
+    # refused before numpy allocates the 10^11-cell block
+    code, env = run_json(capsys, "simulate", "--model", BALL,
+                         "--formula", "X collision", "--bind", "x1=1/2",
+                         "--bind", "x2=1/2", "--horizon", "100000000",
+                         "--samples", "1000")
+    assert code == 3
+    assert env["result"]["error"] == (
+        "a block of 1000 paths of 100000000 steps has 100000001000 cells, "
+        "over the 10000000 cap")
 
 
 def test_grid_flag_controls_search_resolution(capsys):
@@ -332,29 +391,6 @@ def test_grid_point_cap_four_coalition_parameters(tmp_path, capsys):
     assert code == 0 and env["result"]["verdict"] is True
 
 
-def test_limit_terms_below_one_rejected(capsys):
-    # 0 used to mean the default, -1 ended in a ValueError traceback
-    for value in ("0", "-1"):
-        code = main(["degree", "--model", BALL, "--kind", "CAR",
-                     "--agent", "A1", "--plan", "pi1",
-                     "--formula", "F<=2 score1", "--limit-terms", value])
-        assert code == 3
-        assert "--limit-terms must be at least 1" in capsys.readouterr().err
-    from respgames import polyarith
-    assert polyarith.get_term_limit() == polyarith.DEFAULT_TERM_LIMIT
-
-
-def test_limit_paths_below_one_rejected(capsys):
-    for value in ("0", "-1"):
-        code = main(["degree", "--model", BALL, "--kind", "CAR",
-                     "--agent", "A1", "--plan", "pi1",
-                     "--formula", "F<=2 score1", "--limit-paths", value])
-        assert code == 3
-        assert "--limit-paths must be at least 1" in capsys.readouterr().err
-    from respgames import trace
-    assert trace.get_path_limit() == trace.DEFAULT_PATH_LIMIT
-
-
 def test_samples_below_one_rejected(capsys):
     for value in ("0", "-1"):
         code, env = run_json(capsys, "simulate", "--model", BALL,
@@ -364,13 +400,13 @@ def test_samples_below_one_rejected(capsys):
         assert env["result"] == {"error": "--samples must be at least 1"}
 
 
-def test_limit_terms_flag(capsys):
+def test_term_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(polyarith, "MAX_TERMS", 2)
     code = main(["degree", "--model", BALL, "--kind", "CAR",
                  "--agent", "A1", "--plan", "pi1",
-                 "--formula", "F<=2 score1", "--limit-terms", "2"])
+                 "--formula", "F<=2 score1"])
     assert code == 3
-    from respgames import polyarith
-    polyarith.set_term_limit(polyarith.DEFAULT_TERM_LIMIT)
+    assert "(limit 2)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -13,9 +13,9 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from respgames.checker import (QueryContext, _fit_plan, _mass,
-                               _reward_parts, _witnesses, car_degree,
-                               cpr_degree, degree_guard, path_sat_prob)
+from respgames.checker import (QueryContext, _fit_plan, _reward_parts,
+                               _witnesses, car_degree, cpr_degree,
+                               degree_guard, path_sat_prob)
 from respgames.errors import DegenerateQueryError, ModelError
 from respgames.logic import (And, Atom, DegreeKind, Next, Not, TrueFormula,
                              Until, horizon)
@@ -119,6 +119,13 @@ def queries(draw):
         psi = Until(draw(st.sampled_from(HOLDS)), k, goal)
     plan = plans(m, draw, horizon(psi) + draw(st.integers(0, 1)))
     return m, state, psi, plan
+
+
+def _mass(histories):
+    total = Polynomial.zero()
+    for h in histories:
+        total = total + h.probability
+    return total
 
 
 def reference_degree(m, state, agent, plan, psi, kind, coalition):

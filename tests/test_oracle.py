@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from math import sqrt
 
@@ -260,9 +261,16 @@ def reference_path_prob(m, cfg, psi):
     return Estimate(mean, sqrt(mean * (1 - mean) / cfg.samples), cfg.samples)
 
 
+def admits(compat, actions):
+    """Is this action prefix consistent with some member plan?"""
+    tag = compat.start
+    for depth, joint in enumerate(actions):
+        tag = compat.step(tag, depth, joint)
+    return compat.live(tag, len(actions))
+
+
 def reference_degree(m, cfg, agent, plan, psi, kind, coalition):
-    """Classify each chosen row by `CompatTags.admits` of its witness
-    prefix."""
+    """Classify each chosen row by `admits` of its witness prefix."""
     depth = horizon(psi)
     plan = _fit_plan(plan, depth)
     sampler = ReferenceSampler(m, cfg.valuation)
@@ -273,6 +281,7 @@ def reference_degree(m, cfg, agent, plan, psi, kind, coalition):
                         else coalition - {agent})
     if not degree_guard(m, cfg.start, plan, psi, kind, coalition, ctx):
         return Estimate(0.0, 0.0, cfg.samples)
+    admitted = functools.cache(functools.partial(admits, compat))
     num = den = 0
     for count, rng in reference_blocks(cfg):
         states, picks = sampler.sample_block(sampler.index[cfg.start], count,
@@ -281,9 +290,9 @@ def reference_degree(m, cfg, agent, plan, psi, kind, coalition):
         steps = sat_step if pick_sat else viol_step
         rows = steps >= 0
         den += int(rows.sum())
-        num += sum(map(compat.admits, sampler.actions(
-            states[rows].tolist(), picks[rows].tolist(),
-            steps[rows].tolist())))
+        prefixes = sampler.actions(states[rows].tolist(),
+                                   picks[rows].tolist(), steps[rows].tolist())
+        num += sum(map(admitted, prefixes))
     if den == 0:
         raise UndefinedEstimateError("no sampled path fell in the "
                                      "denominator event")

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from respgames import polyarith
 from respgames.errors import (MissingParameterError, ResourceLimitError,
                               ZeroDenominatorError)
 from respgames.polyarith import (MAX_EXPONENT, Monomial, ParamId,
                                  Polynomial, RationalFunction,
-                                 get_term_limit, parse_polynomial,
-                                 rf_equal_on_box, set_term_limit)
+                                 parse_polynomial, rf_equal_on_box)
 
 X1 = ParamId("A1", None, "skip", label="x1")
 X2 = ParamId("A2", None, "skip", label="x2")
@@ -181,14 +181,11 @@ def test_monomial_order_graded_lex():
                                          ((X2, 1),), ()]
 
 
-def test_term_limit_guard():
-    old = get_term_limit()
-    set_term_limit(3)
-    try:
-        with pytest.raises(ResourceLimitError):
-            (x1 + one) * (x2 + one)  # four terms
-    finally:
-        set_term_limit(old)
+def test_term_limit_guard(monkeypatch):
+    monkeypatch.setattr(polyarith, "MAX_TERMS", 3)
+    assert len(((x1 + one) * x2).terms()) == 2
+    with pytest.raises(ResourceLimitError, match="4 terms"):
+        (x1 + one) * (x2 + one)
 
 
 def test_param_identity_ignores_label():

@@ -12,8 +12,8 @@ from respgames.model import build_psmas, parse_model
 from respgames.polyarith import ParamId, Polynomial, RationalFunction
 from respgames.synth import (NeSystem, ResponsibilitySpec, UtilityConfig,
                              build_ne_system, find_equilibria,
-                             payoff_valuation, resp_valuation, solve_ne,
-                             utility, utility_parts, verify_ne)
+                             payoff_valuation, solve_ne, utility,
+                             utility_parts, verify_ne)
 from respgames.trace import plan_from_model
 
 ROOT17 = (math.sqrt(17) - 1) / 4
@@ -64,17 +64,25 @@ def test_payoff_valuation_mixed_horizon_two(ball):
         assert total == expected
 
 
+def _resp_valuation(m, state, plan, psi, theta):
+    """CAR + theta * CPR of A1, read off a responsibility-only utility."""
+    cfg = UtilityConfig(Fraction(0), Fraction(1), theta)
+    parts = utility_parts(m, "A1", cfg, len(plan),
+                          ResponsibilitySpec(plan, psi), state)
+    return -parts.symbolic()
+
+
 def test_resp_valuation_theta_zero_is_car(rounds):
     psi = parse_path_formula("F<=2 (collision | dropped)", rounds)
     plan = plan_from_model(rounds, "pi_mix")
-    value = resp_valuation(rounds, "start", "A1", plan, psi, Fraction(0))
+    value = _resp_valuation(rounds, "start", plan, psi, Fraction(0))
     assert value == car_degree(rounds, "start", "A1", plan, psi).value
 
 
 def test_resp_valuation_example_five_is_one(ball):
     psi = parse_path_formula("X (dropped | score2)", ball)
     plan = plan_from_model(ball, "pi_skip")
-    value = resp_valuation(ball, "s0", "A1", plan, psi, Fraction(0))
+    value = _resp_valuation(ball, "s0", plan, psi, Fraction(0))
     assert value == RationalFunction(Polynomial.one())
 
 

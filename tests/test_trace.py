@@ -8,9 +8,10 @@ from conftest import brute_force_histories, var
 from respgames.errors import ResourceLimitError
 from respgames.model import RewardStructure
 from respgames.polyarith import Polynomial
+from respgames import trace
 from respgames.trace import (Plan, compatible_plans, enumerate_histories,
-                             get_path_limit, payoff, plan_from_model,
-                             plan_histories, set_path_limit)
+                             payoff, plan_from_model, plan_histories,
+                             total_payoff)
 
 
 def test_depth_one_histories_match_edge_labels(ball):
@@ -50,14 +51,12 @@ def test_enumeration_matches_brute_force(rounds):
     assert ours == independent
 
 
-def test_resource_guard(ball):
-    old = get_path_limit()
-    set_path_limit(10)
-    try:
-        with pytest.raises(ResourceLimitError):
-            enumerate_histories(ball, "s0", 3)
-    finally:
-        set_path_limit(old)
+def test_resource_guard(ball, monkeypatch):
+    r = ball.base.rewards["A1"]
+    total_payoff(ball, r, "s0", 3)
+    monkeypatch.setattr(trace, "MAX_PASS_WORK", 10)
+    with pytest.raises(ResourceLimitError, match="expansions, over the 10"):
+        total_payoff(ball, r, "s0", 3)
 
 
 def test_plan_histories_self_loop(ball):
