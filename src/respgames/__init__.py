@@ -19,7 +19,7 @@ from .checker import (CheckResult, DegreeResult, ExtendedValue, QueryContext,
                       degree_value_at, path_sat_prob, reward_value)
 from .synth import (NeSolution, NeSystem, ResponsibilitySpec, UtilityConfig,
                     build_ne_system, find_equilibria, payoff_valuation,
-                    solve_ne, utility, verify_ne)
+                    solve_ne, utility_parts, verify_ne)
 from .oracle import (BestResponse, Estimate, SimConfig, estimate_degree,
                      estimate_path_prob, grid_best_response, simulate_paths)
 

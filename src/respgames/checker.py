@@ -32,12 +32,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import (DegenerateQueryError, MissingParameterError,
+from .errors import (DegenerateQueryError, InadmissibleError,
                      UnsupportedQueryError)
 from .logic import (And, Atom, CoalitionDegree, CoalitionProb,
                     CoalitionReward, CompareOp, DegreeKind, Next, Not,
                     PathFormula, StateFormula, TrueFormula, Until, horizon)
-from .model import Psmas, RewardStructure, Scope
+from .model import (AdmissibilityReport, Psmas, RewardStructure, Scope,
+                    scope_violations)
 from .polyarith import ParamId, Polynomial, RationalFunction
 from .trace import CompatTags, History, Plan, check_work, plan_from_model
 
@@ -108,8 +109,7 @@ class Region:
     bound: Fraction
 
     def render(self) -> str:
-        value = (self.value.render() if isinstance(self.value, ExtendedValue)
-                 else self.value.render())
+        value = self.value.render()
         bound = (str(self.bound.numerator) if self.bound.denominator == 1
                  else f"{self.bound.numerator}/{self.bound.denominator}")
         return f"{value} {self.cmp.value} {bound}"
@@ -596,15 +596,19 @@ def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
 
     `quantity` returns None to signal an infinite reward value, which
     satisfies >=/> bounds and fails <=/< bounds.  Non-coalition parameters
-    must all be fixed by the context.  Deterministic: plain grid scan at the
-    context resolution, then bisection-style refinement toward the bound.
+    must all be fixed by the context (MissingParameterError otherwise),
+    inside their scopes' simplices (admissibility conditions 2 and 3;
+    InadmissibleError otherwise).
+    Deterministic: plain grid scan at the context resolution, then
+    bisection-style refinement toward the bound.
     """
     scopes = [s for s in m.scopes() if s[0] in coalition]
-    search_params = [p for s in scopes for p in m.free_params(s)]
     fixed = dict(ctx.valuation or {})
-    for p in m.params:
-        if p not in search_params and p not in fixed:
-            raise MissingParameterError(p)
+    report = AdmissibilityReport.of(
+        [v for s in m.scopes() if s[0] not in coalition
+         for v in scope_violations(m, s, fixed)])
+    if not report.ok:
+        raise InadmissibleError(report)
 
     def test(value: Fraction | None) -> bool:
         if value is None:

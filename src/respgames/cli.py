@@ -17,17 +17,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
+import math
 import sys
 import time
 from fractions import Fraction
 
 from .checker import (QueryContext, car_degree, check_formula, cpr_degree,
                       degree_value_at, path_sat_prob)
-from .errors import (DegenerateQueryError, FormulaError, InadmissibleError,
-                     MissingParameterError, ModelError, NoSolutionError,
-                     ResourceLimitError, RespgamesError,
-                     UndefinedEstimateError, UnsupportedQueryError)
+from .errors import (FormulaError, InadmissibleError, MissingParameterError,
+                     ModelError, RespgamesError, UnsupportedQueryError)
 from .logic import DegreeKind, parse_formula, parse_path_formula
 from .model import build_psmas, check_admissible, load_model
 from .oracle import SimConfig, estimate_degree, estimate_path_prob
@@ -38,9 +36,24 @@ USAGE_EXIT = 2
 RESOURCE_EXIT = 3
 
 _USAGE_ERRORS = (FormulaError, ModelError, MissingParameterError)
-_RESOURCE_ERRORS = (ResourceLimitError, DegenerateQueryError,
-                    UnsupportedQueryError, InadmissibleError,
-                    UndefinedEstimateError, NoSolutionError)
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"bad rational '{text}'")
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number '{text}'")
+    if not 0 <= value < math.inf:  # also refuses nan
+        raise argparse.ArgumentTypeError(
+            f"tolerance '{text}' is not a finite number >= 0")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,17 +63,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "synthesis for parametric concurrent stochastic games.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, formula: bool = True):
+    def common(p: argparse.ArgumentParser, bind: bool = True,
+               seed: bool = False):
         p.add_argument("--model", required=True, help="model file path")
-        if formula:
-            p.add_argument("--formula", help="formula text")
-            p.add_argument("--formula-file", help="read formula from file")
-        p.add_argument("--bind", action="append", default=[],
-                       metavar="NAME=VALUE",
-                       help="bind a strategy parameter to an exact rational")
+        p.add_argument("--formula", help="formula text")
+        p.add_argument("--formula-file", help="read formula from file")
+        if bind:
+            p.add_argument("--bind", action="append", default=[],
+                           metavar="NAME=VALUE",
+                           help="bind a strategy parameter to an exact "
+                                "rational")
         p.add_argument("--state", help="query state (default: initial)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="PRNG seed (falls back to RESPGAMES_SEED, then 0)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="PRNG seed")
         p.add_argument("--output", choices=("human", "json"),
                        default="human")
 
@@ -81,19 +96,19 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated agents (default: all)")
 
     p_ne = sub.add_parser("ne", help="synthesize Nash equilibria")
-    common(p_ne)
+    common(p_ne, bind=False, seed=True)
     p_ne.add_argument("--horizon", type=int, required=True)
-    p_ne.add_argument("--lambda1", default="1")
-    p_ne.add_argument("--lambda2", default="0")
-    p_ne.add_argument("--theta", default="1")
+    p_ne.add_argument("--lambda1", type=_rational, default="1")
+    p_ne.add_argument("--lambda2", type=_rational, default="0")
+    p_ne.add_argument("--theta", type=_rational, default="1")
     p_ne.add_argument("--plan", help="responsibility outcome plan name")
     p_ne.add_argument("--seeds", type=int, default=24,
                       help="Newton starts per support")
-    p_ne.add_argument("--epsilon", default="1e-6")
-    p_ne.add_argument("--residual", default="1e-9")
+    p_ne.add_argument("--epsilon", type=_tolerance, default="1e-6")
+    p_ne.add_argument("--residual", type=_tolerance, default="1e-9")
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo estimation")
-    common(p_sim)
+    common(p_sim, seed=True)
     p_sim.add_argument("--samples", type=int, default=100_000)
     p_sim.add_argument("--kind", choices=("CAR", "CPR"),
                        help="estimate a degree instead of a probability")
@@ -130,8 +145,6 @@ def main(argv=None) -> int:
                              started)
     except _USAGE_ERRORS as exc:
         return _finish_error(args, str(exc), USAGE_EXIT, started)
-    except _RESOURCE_ERRORS as exc:
-        return _finish_error(args, str(exc), RESOURCE_EXIT, started)
     except RespgamesError as exc:
         return _finish_error(args, str(exc), RESOURCE_EXIT, started)
     envelope = _envelope(args, result, warnings, started)
@@ -149,18 +162,6 @@ def _apply_limits(args) -> None:
         if value is not None and value < least:
             flag = "--" + name.replace("_", "-")
             raise UnsupportedQueryError(f"{flag} must be at least {least}")
-
-
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("RESPGAMES_SEED")
-    if not env:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise FormulaError(f"RESPGAMES_SEED must be an integer, got '{env}'")
 
 
 def _load(args):
@@ -285,7 +286,7 @@ def _cmd_degree(args, warnings) -> tuple[int, dict]:
         warnings.append("kappa is 0: the degree is 0 by definition")
     if binds:
         _require_admissible(m, binds)
-        value = degree_value_at(result, m.derived_valuation(binds))
+        value = degree_value_at(result, binds)
         if result.kappa and result.value.den.evaluate(binds) == 0:
             warnings.append("denominator mass is zero at this valuation; "
                             "degree is 0 by convention")
@@ -296,8 +297,7 @@ def _cmd_degree(args, warnings) -> tuple[int, dict]:
 
 def _cmd_ne(args, warnings) -> tuple[int, dict]:
     m = _load(args)
-    cfg = UtilityConfig(Fraction(args.lambda1), Fraction(args.lambda2),
-                        Fraction(args.theta))
+    cfg = UtilityConfig(args.lambda1, args.lambda2, args.theta)
     resp_spec = None
     text = _formula_text(args)
     if cfg.lambda2 != 0 or (text and args.plan):
@@ -309,8 +309,8 @@ def _cmd_ne(args, warnings) -> tuple[int, dict]:
     state = _state(args, m)
     solutions = find_equilibria(
         m, args.horizon, cfg, resp_spec, state=state,
-        seeds=args.seeds, seed=_seed(args),
-        residual_tol=float(args.residual), epsilon=float(args.epsilon))
+        seeds=args.seeds, seed=args.seed, residual_tol=args.residual,
+        epsilon=args.epsilon)
     payload = {"solutions": [
         {
             "params": sol.as_floats(),
@@ -337,7 +337,7 @@ def _cmd_simulate(args, warnings) -> tuple[int, dict]:
     psi = parse_path_formula(text, m)
     from .logic import horizon as horizon_of
     depth = args.horizon if args.horizon is not None else horizon_of(psi)
-    cfg = SimConfig(samples=args.samples, seed=_seed(args), horizon=depth,
+    cfg = SimConfig(samples=args.samples, seed=args.seed, horizon=depth,
                     valuation=binds, start=_state(args, m))
     if args.kind:
         if not (args.agent and args.plan):
@@ -404,7 +404,7 @@ _NOT_QUERY = ("model", "formula", "formula_file", "output")
 
 def _digest(args) -> str:
     """Hash of the canonical query: model bytes, formula text and every
-    other parsed argument, with the seed as it will be used."""
+    other parsed argument (exact rationals as their canonical text)."""
     sha = hashlib.sha256()
     try:
         with open(args.model, "rb") as handle:
@@ -422,9 +422,8 @@ def _digest(args) -> str:
     sha.update(b"\x00")
     query = {key: value for key, value in sorted(vars(args).items())
              if key not in _NOT_QUERY}
-    if query.get("seed") is None:
-        query["seed"] = os.environ.get("RESPGAMES_SEED")
-    sha.update(json.dumps(query, sort_keys=True).encode("utf-8"))
+    sha.update(json.dumps(query, sort_keys=True, default=str)
+               .encode("utf-8"))
     return f"sha256:{sha.hexdigest()}"
 
 

@@ -5,7 +5,12 @@ exact stochastic transition kernel over joint actions, labels, rewards and
 named pure joint plans.  build_psmas turns it into the parametric model whose
 transition entries are polynomials in the strategy parameters, with one
 dependent action per agent scope eliminated as 1 - (sum of the others) so
-that the per-scope simplex identity holds algebraically.
+that the per-scope simplex identity holds algebraically.  One table, built
+once by build_psmas, owns the strategy space: each agent scope (one per
+agent when strategies are shared, one per agent and state otherwise) maps
+to its states, actions, free parameters and dependent parameter
+(`ScopeSpace`).  Parameters, transitions and admissibility are all read
+off that table.
 
 Model file format (UTF-8, '#' comments, sections in this order):
 
@@ -152,69 +157,86 @@ class AdmissibilityReport:
     ok: bool
     violations: tuple[tuple[int, str, Fraction], ...]
 
+    @staticmethod
+    def of(violations: Sequence[tuple[int, str, Fraction]]
+           ) -> "AdmissibilityReport":
+        """The report of these violations, parameter-level ones (the root
+        cause) cited first."""
+        priority = {2: 0, 3: 1, 1: 2}
+        ordered = sorted(violations, key=lambda v: (priority[v[0]], v[1]))
+        return AdmissibilityReport(ok=not ordered, violations=tuple(ordered))
+
+
+@dataclass(frozen=True)
+class ScopeSpace:
+    """One agent scope's strategy simplex: the states it covers, its
+    actions in declared order, the free parameters in action order and the
+    dependent parameter, whose value is 1 - (sum of the free ones)."""
+
+    states: tuple[str, ...]
+    actions: tuple[str, ...]
+    free: tuple[ParamId, ...]
+    dependent: ParamId
+
 
 class Psmas:
     """Parametric model: one strategy parameter per agent-scope-action.
 
-    The last action of each scope (lexicographically, unless the model
-    declares parameter names) is dependent and replaced by 1 - (sum of the
-    scope's free parameters), so every transition row sums to the constant 1
-    as a polynomial identity.
+    `table` maps each scope, in agent order, to its `ScopeSpace`; every
+    question about the strategy space reads it.  The dependent action of a
+    scope (lexicographically last, unless the model declares parameter
+    names) is replaced by 1 - (sum of the scope's free parameters), so
+    every transition row sums to the constant 1 as a polynomial identity.
     """
 
-    def __init__(self, base: Csg, params: tuple[ParamId, ...],
-                 dependent: Mapping[Scope, str],
-                 dependent_params: tuple[ParamId, ...],
-                 transition: Mapping[tuple[str, JointAction, str], Polynomial]):
+    def __init__(self, base: Csg, table: Mapping[Scope, ScopeSpace]):
         self.base = base
-        self.params = params
-        self.dependent = dict(dependent)
-        self.dependent_params = dependent_params
-        self.transition = dict(transition)
-        self.param_table = {p.name: p for p in params}
-        self.param_table.update({p.name: p for p in dependent_params})
-        self._by_triple = {(p.agent, p.state, p.action): p
-                           for p in params + dependent_params}
-        self._free_by_scope: dict[Scope, list[ParamId]] = {}
-        for p in params:
-            self._free_by_scope.setdefault((p.agent, p.state), []).append(p)
+        self.table = dict(table)
+        self._at = {(scope[0], state): space
+                    for scope, space in self.table.items()
+                    for state in space.states}
+        self.params = tuple(p for space in self.table.values()
+                            for p in space.free)
+        self.dependent_params = tuple(space.dependent
+                                      for space in self.table.values())
+        self.dependent = {scope: space.dependent.action
+                          for scope, space in self.table.items()}
+        self.param_table = {p.name: p for p in self.params}
+        self.param_table.update({p.name: p for p in self.dependent_params})
+        self.transition: dict[tuple[str, JointAction, str], Polynomial] = {}
+        for state in base.states:
+            for joint in base.joint_actions(state):
+                mix = Polynomial.one()
+                for agent, action in zip(base.agents, joint):
+                    mix = mix * self.action_probability(agent, state, action)
+                for target, prob in base.delta[(state, joint)].items():
+                    if prob != 0:
+                        self.transition[(state, joint, target)] = mix * prob
 
     # -- scope helpers --------------------------------------------------
 
-    def scope_of(self, agent: str, state: str) -> Scope:
-        return (agent, None) if self.base.shared_params else (agent, state)
-
     def scopes(self) -> list[Scope]:
-        if self.base.shared_params:
-            return [(agent, None) for agent in self.base.agents]
-        return [(agent, state) for agent in self.base.agents
-                for state in self.base.states]
+        return list(self.table)
 
     def agent_scopes(self, agent: str) -> list[Scope]:
-        return [s for s in self.scopes() if s[0] == agent]
+        return [s for s in self.table if s[0] == agent]
 
     def scope_actions(self, scope: Scope) -> tuple[str, ...]:
-        agent, state = scope
-        if state is not None:
-            return self.base.available[(agent, state)]
-        return self.base.available[(agent, self.base.states[0])]
+        return self.table[scope].actions
 
     def free_params(self, scope: Scope) -> tuple[ParamId, ...]:
-        return tuple(self._free_by_scope.get(scope, ()))
+        return self.table[scope].free
 
     def free_param(self, agent: str, state: str, action: str) -> ParamId | None:
-        scope = self.scope_of(agent, state)
-        for p in self._free_by_scope.get(scope, ()):
-            if p.action == action:
-                return p
-        return None
+        return next((p for p in self._at[(agent, state)].free
+                     if p.action == action), None)
 
     def action_probability(self, agent: str, state: str, action: str) -> Polynomial:
         """The (polynomial) probability of one agent action at a state."""
-        scope = self.scope_of(agent, state)
-        if self.dependent[scope] == action:
+        space = self._at[(agent, state)]
+        if space.dependent.action == action:
             total = Polynomial.one()
-            for p in self._free_by_scope.get(scope, ()):
+            for p in space.free:
                 total = total - Polynomial.variable(p)
             return total
         param = self.free_param(agent, state, action)
@@ -224,10 +246,8 @@ class Psmas:
 
     def vertex_valuation(self, scope: Scope, action: str) -> dict[ParamId, Fraction]:
         """Free-parameter values that make `action` the pure choice at scope."""
-        out = {}
-        for p in self._free_by_scope.get(scope, ()):
-            out[p] = Fraction(1) if p.action == action else Fraction(0)
-        return out
+        return {p: Fraction(1) if p.action == action else Fraction(0)
+                for p in self.table[scope].free}
 
     # -- transition helpers ----------------------------------------------
 
@@ -242,20 +262,6 @@ class Psmas:
     def transition_poly(self, state: str, joint: JointAction, target: str) -> Polynomial:
         return self.transition.get((state, joint, target), Polynomial.zero())
 
-    def derived_valuation(self, valuation: Mapping[ParamId, Fraction]
-                          ) -> dict[ParamId, Fraction]:
-        """Extend a free-parameter valuation with the dependent values."""
-        out = dict(valuation)
-        for dep in self.dependent_params:
-            scope = (dep.agent, dep.state)
-            total = Fraction(0)
-            for p in self._free_by_scope.get(scope, ()):
-                if p not in valuation:
-                    raise MissingParameterError(p)
-                total += Fraction(valuation[p])
-            out.setdefault(dep, 1 - total)
-        return out
-
 
 def build_psmas(g: Csg) -> Psmas:
     """Construct the parametric model for a game.
@@ -268,25 +274,21 @@ def build_psmas(g: Csg) -> Psmas:
     for name, agent, state, action in g.param_decls:
         declared.setdefault((agent, state), []).append((name, action))
 
-    scopes: list[Scope]
+    spans: list[tuple[Scope, tuple[str, ...]]]  # each scope, its states
     if g.shared_params:
-        scopes = [(agent, None) for agent in g.agents]
+        spans = [((agent, None), g.states) for agent in g.agents]
         for agent in g.agents:
-            acts = {g.available[(agent, s)] for s in g.states}
-            if len(acts) > 1:
+            if len({g.available[(agent, s)] for s in g.states}) > 1:
                 raise ModelError(
                     f"params: shared requires agent {agent} to have the same "
                     f"action set at every state")
     else:
-        scopes = [(agent, state) for agent in g.agents for state in g.states]
+        spans = [((agent, s), (s,)) for agent in g.agents for s in g.states]
 
-    params: list[ParamId] = []
-    dependent: dict[Scope, str] = {}
-    dependent_params: list[ParamId] = []
-    for scope in scopes:
-        agent, state = scope
-        actions = (g.available[(agent, state)] if state is not None
-                   else g.available[(agent, g.states[0])])
+    table: dict[Scope, ScopeSpace] = {}
+    for scope, states in spans:
+        agent = scope[0]
+        actions = g.available[(agent, states[0])]
         decls = declared.pop(scope, None)
         if decls:
             free_actions = [a for _, a in decls]
@@ -304,45 +306,42 @@ def build_psmas(g: Csg) -> Psmas:
             names = {a: n for n, a in decls}
         else:
             dep = sorted(actions)[-1]
-            free_actions = [a for a in actions if a != dep]
             names = {}
-        dependent[scope] = dep
-        for action in actions:
-            if action == dep:
-                dependent_params.append(ParamId(agent, state, action))
-            else:
-                params.append(ParamId(agent, state, action,
-                                      label=names.get(action)))
+        table[scope] = ScopeSpace(
+            states, actions,
+            tuple(ParamId(agent, scope[1], a, label=names.get(a))
+                  for a in actions if a != dep),
+            ParamId(agent, scope[1], dep))
     if declared:
         scope = next(iter(declared))
         raise ModelError(f"param declaration for unknown scope {scope}")
+    return Psmas(g, table)
 
-    by_scope: dict[Scope, dict[str, ParamId]] = {}
-    for p in params:
-        by_scope.setdefault((p.agent, p.state), {})[p.action] = p
 
-    def action_poly(agent: str, state: str, action: str) -> Polynomial:
-        scope = (agent, None) if g.shared_params else (agent, state)
-        if dependent[scope] == action:
-            total = Polynomial.one()
-            for p in by_scope.get(scope, {}).values():
-                total = total - Polynomial.variable(p)
-            return total
-        return Polynomial.variable(by_scope[scope][action])
-
-    transition: dict[tuple[str, JointAction, str], Polynomial] = {}
-    for state in g.states:
-        for joint in g.joint_actions(state):
-            mix = Polynomial.one()
-            for agent, action in zip(g.agents, joint):
-                mix = mix * action_poly(agent, state, action)
-            for target, prob in g.delta[(state, joint)].items():
-                if prob == 0:
-                    continue
-                transition[(state, joint, target)] = mix * prob
-
-    return Psmas(g, tuple(params), dependent, tuple(dependent_params),
-                 transition)
+def scope_violations(m: Psmas, scope: Scope,
+                     valuation: Mapping[ParamId, Fraction]
+                     ) -> list[tuple[int, str, Fraction]]:
+    """Admissibility conditions 2 and 3 at one scope: each action
+    probability (free, explicitly bound dependent, or derived dependent)
+    lies in [0,1], and they sum to exactly 1.  Every free parameter of the
+    scope must be bound."""
+    space = m.table[scope]
+    values = {}
+    for p in space.free:
+        if p not in valuation:
+            raise MissingParameterError(p)
+        values[p] = Fraction(valuation[p])
+    dep = space.dependent
+    values[dep] = (Fraction(valuation[dep]) if dep in valuation
+                   else 1 - sum(values.values()))
+    violations = []
+    total = sum(values.values())
+    if total != 1:
+        where = scope[0] if scope[1] is None else f"{scope[0]}@{scope[1]}"
+        violations.append((3, where, total))
+    violations.extend((2, p.name, value) for p, value in values.items()
+                      if value < 0 or value > 1)
+    return violations
 
 
 def check_admissible(m: Psmas, valuation: Mapping[ParamId, Fraction]
@@ -350,50 +349,17 @@ def check_admissible(m: Psmas, valuation: Mapping[ParamId, Fraction]
     """Check the three admissibility conditions exactly.
 
     Condition 1: every instantiated transition value lies in [0,1].
-    Condition 2: every action probability (free, explicitly bound dependent,
-    or derived dependent) lies in [0,1].  Condition 3: per agent and scope the
-    action probabilities sum to exactly 1.
+    Conditions 2 and 3 hold at every scope (`scope_violations`).
     """
-    violations: list[tuple[int, str, Fraction]] = []
-    for p in m.params:
-        if p not in valuation:
-            raise MissingParameterError(p)
-
-    by_scope_values: dict[Scope, dict[str, Fraction]] = {}
-    for scope in m.scopes():
-        values: dict[str, Fraction] = {}
-        for p in m.free_params(scope):
-            values[p.action] = Fraction(valuation[p])
-        dep_action = m.dependent[scope]
-        dep_id = next(d for d in m.dependent_params
-                      if (d.agent, d.state) == scope)
-        if dep_id in valuation:
-            values[dep_action] = Fraction(valuation[dep_id])
-        else:
-            values[dep_action] = 1 - sum(values.values())
-        by_scope_values[scope] = values
-
-    for scope, values in by_scope_values.items():
-        total = sum(values.values())
-        if total != 1:
-            where = scope[0] if scope[1] is None else f"{scope[0]}@{scope[1]}"
-            violations.append((3, where, total))
-        for action, value in values.items():
-            if value < 0 or value > 1:
-                pid = m._by_triple[(scope[0], scope[1], action)]
-                violations.append((2, pid.name, value))
-
+    violations = [v for scope in m.table
+                  for v in scope_violations(m, scope, valuation)]
     free_only = {p: Fraction(valuation[p]) for p in m.params}
     for (state, joint, target), poly in m.transition.items():
         value = poly.evaluate(free_only)
         if value < 0 or value > 1:
             where = f"trans {state} ({', '.join(joint)}) -> {target}"
             violations.append((1, where, value))
-
-    # Parameter-level violations are the root cause; cite them first.
-    priority = {2: 0, 3: 1, 1: 2}
-    violations.sort(key=lambda v: (priority[v[0]], v[1]))
-    return AdmissibilityReport(ok=not violations, violations=tuple(violations))
+    return AdmissibilityReport.of(violations)
 
 
 # -- model file parsing -------------------------------------------------

@@ -29,7 +29,7 @@ from .errors import (InadmissibleError, MissingParameterError,
 from .logic import DegreeKind, Next, PathFormula, horizon
 from .model import JointAction, Psmas, check_admissible
 from .polyarith import ParamId
-from .synth import ResponsibilitySpec, UtilityConfig, utility_parts
+from .synth import UtilityParts
 from .trace import CompatTags, Plan, validate_plan
 
 BLOCK = 10_000
@@ -327,17 +327,17 @@ class BestResponse:
     resolution: Fraction
 
 
-def grid_best_response(m: Psmas, horizon: int, cfg: UtilityConfig,
-                       agent: str, others: Mapping[ParamId, Fraction],
-                       resolution: Fraction = Fraction(1, 1000),
-                       resp_spec: ResponsibilitySpec | None = None,
-                       state: str | None = None) -> BestResponse:
-    """Exhaustively scan the agent's parameter grid for utility maximizers.
+def grid_best_response(m: Psmas, parts: UtilityParts,
+                       others: Mapping[ParamId, Fraction],
+                       resolution: Fraction = Fraction(1, 1000)
+                       ) -> BestResponse:
+    """Exhaustively scan the parameter grid of `parts.agent` for maximizers
+    of its utility `parts`.
 
     Exact rational evaluation at every grid point; returns all maximizers
     whose utility is within 1e-12 of the maximum.
     """
-    scopes = m.agent_scopes(agent)
+    scopes = m.agent_scopes(parts.agent)
     own_params = [p for scope in scopes for p in m.free_params(scope)]
     grid = simplex_grid(m, scopes, int(1 / resolution))
 
@@ -345,7 +345,6 @@ def grid_best_response(m: Psmas, horizon: int, cfg: UtilityConfig,
         if p not in own_params and p not in others:
             raise MissingParameterError(p)
 
-    parts = utility_parts(m, agent, cfg, horizon, resp_spec, state)
     best: Fraction | None = None
     argmax: list[dict[ParamId, Fraction]] = []
     slack = Fraction(1, 10 ** 12)

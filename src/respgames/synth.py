@@ -7,12 +7,15 @@ scope, the indifference equations (equal utility for every supported action,
 cross-multiplied to polynomial form) are solved by multi-start damped Newton
 iteration inside the unit box, pinned actions are substituted out, and every
 surviving candidate must pass the epsilon-best-response verifier exactly.
-Numeric root finding, exact post-hoc residuals.
+Numeric root finding, exact post-hoc residuals.  `find_equilibria` builds
+each agent's utility once (`utility_parts`) and hands the same parts to
+every support's system and to the verifier.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -131,13 +134,6 @@ def utility_parts(m: Psmas, agent: str, cfg: UtilityConfig, horizon: int,
     return UtilityParts(agent=agent, payoff=pay, car=car, cpr=cpr, cfg=cfg)
 
 
-def utility(m: Psmas, state: str | None, agent: str, cfg: UtilityConfig,
-            horizon: int,
-            resp_spec: ResponsibilitySpec | None = None) -> RationalFunction:
-    """The symbolic utility function of one agent."""
-    return utility_parts(m, agent, cfg, horizon, resp_spec, state).symbolic()
-
-
 # -- the indifference system ---------------------------------------------
 
 
@@ -148,7 +144,6 @@ class NeSystem:
 
     variables: tuple[ParamId, ...]
     equations: tuple[Polynomial, ...]
-    box: Mapping[ParamId, tuple[Fraction, Fraction]]
     support: Mapping[Scope, tuple[str, ...]]
     pinned: Mapping[ParamId, Fraction] = field(default_factory=dict)
 
@@ -167,66 +162,50 @@ class NeSolution:
             self.valuation.items(), key=lambda kv: kv[0].order_key)}
 
 
-def full_support(m: Psmas) -> dict[Scope, tuple[str, ...]]:
-    return {scope: m.scope_actions(scope) for scope in m.scopes()}
-
-
-def build_ne_system(m: Psmas, horizon: int, cfg: UtilityConfig,
-                    resp_spec: ResponsibilitySpec | None = None,
-                    support: Mapping[Scope, tuple[str, ...]] | None = None,
-                    state: str | None = None,
-                    parts: Mapping[str, UtilityParts] | None = None
-                    ) -> NeSystem:
+def build_ne_system(m: Psmas, parts: Sequence[UtilityParts],
+                    support: Mapping[Scope, tuple[str, ...]]) -> NeSystem:
     """Equal-utility equations for every pair of supported actions.
 
     "Plays a at scope" substitutes that scope's parameters with the pure
     vertex for a; differences of the resulting rational functions are
     cross-multiplied to polynomials.  Unsupported free parameters are pinned
     to 0; an unsupported dependent action adds the simplex residual equation
-    1 - (sum of supported free parameters) = 0.  `parts` are the agents'
-    utilities when the caller already holds them (computed otherwise).
+    1 - (sum of supported free parameters) = 0.  `parts` holds one utility
+    per agent.
     """
-    support = dict(support) if support is not None else full_support(m)
-    for scope in m.scopes():
-        acts = support.get(scope)
+    support = dict(support)
+    pinned: dict[ParamId, Fraction] = {}
+    extra_equations: list[Polynomial] = []
+    for scope, space in m.table.items():
+        acts = set(support.get(scope, ()))
         if not acts:
             raise UnsupportedQueryError(
                 f"support must pick at least one action for {scope[0]}")
-        unknown = set(acts) - set(m.scope_actions(scope))
+        unknown = acts - set(space.actions)
         if unknown:
             raise UnsupportedQueryError(
                 f"support names unknown action {sorted(unknown)[0]}")
-
-    pinned: dict[ParamId, Fraction] = {}
-    extra_equations: list[Polynomial] = []
-    for scope in m.scopes():
-        acts = set(support[scope])
         if len(acts) == 1:
             # Forced pure choice: the whole scope is a vertex.
             pinned.update(m.vertex_valuation(scope, next(iter(acts))))
             continue
-        for p in m.free_params(scope):
+        for p in space.free:
             if p.action not in acts:
                 pinned[p] = Fraction(0)
-        if m.dependent[scope] not in acts:
+        if space.dependent.action not in acts:
             residual = Polynomial.one()
-            for p in m.free_params(scope):
+            for p in space.free:
                 if p.action in acts:
                     residual = residual - Polynomial.variable(p)
             extra_equations.append(residual)
 
     pin_bindings = {p: Polynomial.constant(v) for p, v in pinned.items()}
-    if parts is None:
-        parts = {agent: utility_parts(m, agent, cfg, horizon, resp_spec,
-                                      state)
-                 for agent in m.base.agents}
-
     equations: list[Polynomial] = list(extra_equations)
-    for agent in m.base.agents:
-        u = parts[agent].symbolic()
-        num = u.num.substitute(pin_bindings)
-        den = u.den.substitute(pin_bindings)
-        for scope in m.agent_scopes(agent):
+    for u in parts:
+        rf = u.symbolic()
+        num = rf.num.substitute(pin_bindings)
+        den = rf.den.substitute(pin_bindings)
+        for scope in m.agent_scopes(u.agent):
             acts = [a for a in m.scope_actions(scope) if a in support[scope]]
             if len(acts) < 2:
                 continue
@@ -240,9 +219,8 @@ def build_ne_system(m: Psmas, horizon: int, cfg: UtilityConfig,
                 equations.append(n_a * d_b - n_b * d_a)
 
     variables = tuple(p for p in m.params if p not in pinned)
-    box = {p: (Fraction(0), Fraction(1)) for p in variables}
     return NeSystem(variables=variables, equations=tuple(equations),
-                    box=box, support=support, pinned=pinned)
+                    support=support, pinned=pinned)
 
 
 # -- numeric solving --------------------------------------------------------
@@ -381,28 +359,20 @@ def _close(a: Mapping[ParamId, Fraction], b: Mapping[ParamId, Fraction],
 # -- verification -------------------------------------------------------------
 
 
-def verify_ne(m: Psmas, candidate: Mapping[ParamId, Fraction], horizon: int,
-              cfg: UtilityConfig,
-              resp_spec: ResponsibilitySpec | None = None,
-              epsilon: float = 1e-6,
-              state: str | None = None,
-              parts: Mapping[str, UtilityParts] | None = None
-              ) -> tuple[bool, float]:
+def verify_ne(m: Psmas, parts: Sequence[UtilityParts],
+              candidate: Mapping[ParamId, Fraction],
+              epsilon: float = 1e-6) -> tuple[bool, float]:
     """Check that no agent gains more than epsilon by a pure deviation.
 
     Pure deviations at each scope suffice for utilities linear in the
     agent's own parameters (the monotone-mixture argument); the grid oracle
-    covers interior deviations independently.  Returns (ok, max gain).
+    covers interior deviations independently.  `parts` holds one utility
+    per agent.  Returns (ok, max gain).
     """
-    if parts is None:
-        parts = {agent: utility_parts(m, agent, cfg, horizon, resp_spec,
-                                      state)
-                 for agent in m.base.agents}
     max_gain = 0.0
-    for agent in m.base.agents:
-        u = parts[agent]
+    for u in parts:
         here = u.evaluate(candidate)
-        for scope in m.agent_scopes(agent):
+        for scope in m.agent_scopes(u.agent):
             for action in m.scope_actions(scope):
                 deviated = dict(candidate)
                 deviated.update(m.vertex_valuation(scope, action))
@@ -424,35 +394,26 @@ def find_equilibria(m: Psmas, horizon: int, cfg: UtilityConfig,
     Every returned solution is admissible, meets the residual tolerance on
     its system, and passes verify_ne at epsilon (closed loop).
     """
-    scopes = m.scopes()
-    per_scope: list[list[tuple[str, ...]]] = []
-    for scope in scopes:
-        actions = m.scope_actions(scope)
-        subsets = []
-        for size in range(1, len(actions) + 1):
-            subsets.extend(itertools.combinations(actions, size))
-        per_scope.append(subsets)
-    combos = 1
-    for subsets in per_scope:
-        combos *= len(subsets)
+    # every nonempty subset of each scope's actions
+    per_scope = [[subset for size in range(1, len(space.actions) + 1)
+                  for subset in itertools.combinations(space.actions, size)]
+                 for space in m.table.values()]
+    combos = math.prod(len(subsets) for subsets in per_scope)
     if combos > max_supports:
         raise UnsupportedQueryError(
             f"{combos} support combinations exceed the limit {max_supports}")
 
-    parts = {agent: utility_parts(m, agent, cfg, horizon, resp_spec, state)
-             for agent in m.base.agents}
+    parts = tuple(utility_parts(m, agent, cfg, horizon, resp_spec, state)
+                  for agent in m.base.agents)
 
     def verifier(cand: Mapping[ParamId, Fraction]) -> tuple[bool, float]:
         if not check_admissible(m, cand).ok:
             return False, float("inf")
-        return verify_ne(m, cand, horizon, cfg, resp_spec, epsilon, state,
-                         parts)
+        return verify_ne(m, parts, cand, epsilon)
 
     solutions: list[NeSolution] = []
     for combo in itertools.product(*per_scope):
-        support = dict(zip(scopes, combo))
-        sys = build_ne_system(m, horizon, cfg, resp_spec, support, state,
-                              parts)
+        sys = build_ne_system(m, parts, dict(zip(m.table, combo)))
         try:
             found = solve_ne(sys, seeds=seeds, seed=seed,
                              residual_tol=residual_tol, verifier=verifier)

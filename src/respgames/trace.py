@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ModelError, ResourceLimitError
@@ -314,15 +313,16 @@ def total_payoff(m: Psmas, r: RewardStructure, start: str, depth: int,
     N_j(s) * C_{j+1}(t) histories, where N_j(s) counts the j-step prefixes
     from `start` that end in s and C_{j+1}(t) the continuations from t to
     the full depth.  The sum is therefore each transition entry times its
-    step reward times an integer count: linear in the entries.  Both sweeps
-    count their (state, joint action, successor) expansions against
-    MAX_PASS_WORK.
+    step reward times an integer count: linear in the entries.  The counts
+    grow to about 2 bits a step on the shipped models, so both sweeps
+    charge each addition the machine words of the integers it adds, and
+    count that work against MAX_PASS_WORK.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if plan is not None:
         validate_plan(m, plan)
-    work = 0
+    work, unit = 0, "words added"
 
     def joints(j: int, state: str) -> list[JointAction]:
         if plan is not None:
@@ -336,29 +336,37 @@ def total_payoff(m: Psmas, r: RewardStructure, start: str, depth: int,
             for joint in joints(j, state):
                 for target, _ in m.successors(state, joint):
                     nxt[target] = nxt.get(target, 0) + count
-                    work += 1
-            check_work(work, "expansions")
+                    work += _words(count)
+            check_work(work, unit)
         prefixes.append(nxt)
 
+    # history counts of each rewarded step; its reward multiplies them once
     suffixes = dict.fromkeys(prefixes[depth], 1)
-    weights: dict[tuple[str, JointAction, str], Fraction] = {}
+    counts: dict[tuple[str, JointAction, str], int] = {}
     for j in reversed(range(depth)):
         here: dict[str, int] = {}
         for state, count in prefixes[j].items():
             here[state] = 0
             for joint in joints(j, state):
-                reward = r.step_reward(state, joint)
+                rewarded = r.step_reward(state, joint) != 0
                 for target, _ in m.successors(state, joint):
                     here[state] += suffixes[target]
-                    work += 1
-                    if reward != 0:
+                    work += _words(suffixes[target])
+                    if rewarded:
                         key = (state, joint, target)
-                        weights[key] = (weights.get(key, 0)
-                                        + reward * count * suffixes[target])
-            check_work(work, "expansions")
+                        through = count * suffixes[target]
+                        counts[key] = counts.get(key, 0) + through
+                        work += _words(through)
+            check_work(work, unit)
         suffixes = here
 
     total = Polynomial.zero()
-    for (state, joint, target), weight in weights.items():
+    for (state, joint, target), count in counts.items():
+        weight = r.step_reward(state, joint) * count
         total = total + m.transition_poly(state, joint, target) * weight
     return total
+
+
+def _words(n: int) -> int:
+    """The machine words an addition of the integer n touches."""
+    return n.bit_length() // 64 + 1

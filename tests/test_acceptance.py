@@ -174,11 +174,10 @@ def test_criterion_07_payoff_equilibrium(ball):
                    for p in ball.free_params(s)]
             others = {p: v for p, v in sol.valuation.items()
                       if p not in own}
-            br = grid_best_response(ball, 2, cfg, agent, others,
-                                    resolution=grid)
+            parts = utility_parts(ball, agent, cfg, 2)
+            br = grid_best_response(ball, parts, others, resolution=grid)
             near = any(all(abs(point[p] - sol.valuation[p]) <= grid
                            for p in own) for point in br.maximizers)
-            parts = utility_parts(ball, agent, cfg, 2)
             gap = float(br.utility - parts.evaluate(sol.valuation))
             ok = ok and near and gap <= 1e-6
     record(7, "payoff-only synthesis returns a verified equilibrium "
@@ -199,11 +198,10 @@ def test_criterion_08_pure_equilibrium_recovery(rounds):
         for agent, own_id in (("A1", x1), ("A2", x2)):
             others = {p: v for p, v in target.valuation.items()
                       if p is not own_id}
-            br = grid_best_response(rounds, 2, cfg, agent, others,
-                                    resolution=grid, resp_spec=spec)
+            parts = utility_parts(rounds, agent, cfg, 2, spec)
+            br = grid_best_response(rounds, parts, others, resolution=grid)
             near = any(abs(point[own_id] - target.valuation[own_id]) <= grid
                        for point in br.maximizers)
-            parts = utility_parts(rounds, agent, cfg, 2, spec)
             gap = float(br.utility - parts.evaluate(target.valuation))
             ok = ok and near and gap <= 1e-6
     record(8, "responsibility-minimizing synthesis recovers the pure "
@@ -215,7 +213,7 @@ def test_criterion_09_root_reproduction():
     x = ParamId("solo", None, "x", label="x")
     xx = Polynomial.variable(x)
     system = NeSystem(variables=(x,), equations=(2 * xx * xx + xx - 2,),
-                      box={x: (Fraction(0), Fraction(1))}, support={})
+                      support={})
     sols = solve_ne(system, seeds=8, seed=0)
     root = (math.sqrt(17) - 1) / 4
     ok = (len(sols) == 1

@@ -106,6 +106,20 @@ def test_eval_inadmissible_exit_three(capsys):
     assert "condition 2" in err and "x1" in err
 
 
+def test_check_inadmissible_fixed_binding_exit_three(capsys):
+    # x2 is outside the coalition, so the search keeps it fixed; at -1 the
+    # "probability" of a collision reaches 2
+    code = main(["check", "--model", BALL, "--bind", "x2=-1",
+                 "--formula", "<A1> P>=1 [ X collision ]"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "condition 2" in err and "x2" in err
+    # a coalition parameter is searched over, whatever it is bound to
+    assert main(["check", "--model", BALL, "--bind", "x1=-1",
+                 "--bind", "x2=0", "--formula",
+                 "<A1> P>=1 [ X collision ]"]) == 0
+
+
 def test_eval_missing_binding_exit_two(capsys):
     code = main(["eval", "--model", BALL,
                  "--formula", "X (dropped | score2)", "--bind", "x1=3/10"])
@@ -187,19 +201,6 @@ def test_unreadable_formula_file(tmp_path, capsys):
     assert env["result"]["error"].startswith("cannot read input")
 
 
-def test_env_seed_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("RESPGAMES_SEED", "99")
-    _, a = run_json(capsys, "simulate", "--model", BALL,
-                    "--formula", "X collision",
-                    "--bind", "x1=1/2", "--bind", "x2=1/2",
-                    "--samples", "5000")
-    _, b = run_json(capsys, "simulate", "--model", BALL,
-                    "--formula", "X collision",
-                    "--bind", "x1=1/2", "--bind", "x2=1/2",
-                    "--samples", "5000", "--seed", "99")
-    assert a["result"] == b["result"]
-
-
 def test_simulate_degree_estimate(capsys):
     code, env = run_json(capsys, "simulate", "--model", BALL,
                          "--formula", "X collision", "--kind", "CPR",
@@ -261,6 +262,16 @@ def test_flags_that_do_nothing_are_gone(capsys):
         assert main(["degree", "--model", BALL, "--kind", "CAR",
                      "--agent", "A1", "--plan", "pi1",
                      "--formula", "F<=2 score1", flag, "2"]) == 2
+    # only ne and simulate draw random numbers; ne binds no parameters
+    for argv in (["check", "--model", BALL, "--formula", "true"],
+                 ["degree", "--model", BALL, "--kind", "CAR",
+                  "--agent", "A1", "--plan", "pi_skip",
+                  "--formula", "X (dropped | score2)"],
+                 ["eval", "--model", BALL, "--formula", "X true",
+                  "--bind", "x1=1/2", "--bind", "x2=1/2"]):
+        assert main(argv + ["--seed", "1"]) == 2
+    assert main(["ne", "--model", BALL, "--horizon", "1",
+                 "--bind", "zz=qq"]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
@@ -407,6 +418,19 @@ def test_term_cap_exits_3(capsys, monkeypatch):
                  "--formula", "F<=2 score1"])
     assert code == 3
     assert "(limit 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lambda1", "abc"), ("--lambda1", "1/0"), ("--lambda2", "x"),
+    ("--theta", "1/0"), ("--epsilon", "nope"), ("--residual", "1e-9x"),
+    # parseable, but no tolerance: inf passed every candidate, while nan
+    # and negative values rejected every one
+    ("--epsilon", "inf"), ("--epsilon", "-1"), ("--residual", "nan"),
+])
+def test_ne_bad_number_flag_exit_two(capsys, flag, value):
+    assert main(["ne", "--model", BALL, "--horizon", "1", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and value in err
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -21,7 +21,7 @@ from respgames.oracle import (BLOCK, Estimate, SimConfig, _sat_tables,
                               _witness_steps, estimate_degree,
                               estimate_path_prob, grid_best_response,
                               simulate_paths)
-from respgames.synth import ResponsibilitySpec, UtilityConfig
+from respgames.synth import ResponsibilitySpec, UtilityConfig, utility_parts
 from respgames.trace import CompatTags, Plan, plan_from_model
 
 
@@ -132,7 +132,8 @@ def test_grid_constant_utility_returns_whole_grid(relay):
     m = relay
     h = m.param_table["x_R_start_hold"]
     cfg = UtilityConfig(Fraction(0), Fraction(0))
-    br = grid_best_response(m, 1, cfg, "R", {}, resolution=Fraction(1, 10))
+    br = grid_best_response(m, utility_parts(m, "R", cfg, 1), {},
+                            resolution=Fraction(1, 10))
     assert len(br.maximizers) == 11
     assert br.utility == 0
 
@@ -140,12 +141,12 @@ def test_grid_constant_utility_returns_whole_grid(relay):
 def test_grid_best_response_payoff(ball):
     x1, x2 = ball.param_table["x1"], ball.param_table["x2"]
     cfg = UtilityConfig(Fraction(1), Fraction(0))
-    br = grid_best_response(ball, 2, cfg, "A1", {x2: Fraction(1)},
-                            resolution=Fraction(1, 100))
+    br = grid_best_response(ball, utility_parts(ball, "A1", cfg, 2),
+                            {x2: Fraction(1)}, resolution=Fraction(1, 100))
     assert br.utility == 16
     assert [m[x1] for m in br.maximizers] == [Fraction(0)]
-    br2 = grid_best_response(ball, 2, cfg, "A2", {x1: Fraction(0)},
-                             resolution=Fraction(1, 100))
+    br2 = grid_best_response(ball, utility_parts(ball, "A2", cfg, 2),
+                             {x1: Fraction(0)}, resolution=Fraction(1, 100))
     assert [m[x2] for m in br2.maximizers] == [Fraction(1)]
 
 
@@ -156,8 +157,9 @@ def test_grid_best_response_responsibility(rounds):
     psi = parse_path_formula("F<=2 (collision | dropped)", rounds)
     spec = ResponsibilitySpec(plan_from_model(rounds, "pi_mix"), psi)
     cfg = UtilityConfig(Fraction(0), Fraction(1), Fraction(0))
-    br = grid_best_response(rounds, 2, cfg, "A1", {x2: Fraction(1)},
-                            resolution=Fraction(1, 100), resp_spec=spec)
+    parts = utility_parts(rounds, "A1", cfg, 2, spec)
+    br = grid_best_response(rounds, parts, {x2: Fraction(1)},
+                            resolution=Fraction(1, 100))
     values = {m[x1] for m in br.maximizers}
     assert Fraction(0) in values
     assert br.utility == 0

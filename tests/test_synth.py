@@ -12,11 +12,22 @@ from respgames.model import build_psmas, parse_model
 from respgames.polyarith import ParamId, Polynomial, RationalFunction
 from respgames.synth import (NeSystem, ResponsibilitySpec, UtilityConfig,
                              build_ne_system, find_equilibria,
-                             payoff_valuation, solve_ne, utility,
-                             utility_parts, verify_ne)
+                             payoff_valuation, solve_ne, utility_parts,
+                             verify_ne)
 from respgames.trace import plan_from_model
 
 ROOT17 = (math.sqrt(17) - 1) / 4
+
+
+def _parts(m, cfg, horizon, spec=None):
+    """Every agent's utility, as find_equilibria builds them."""
+    return tuple(utility_parts(m, agent, cfg, horizon, spec)
+                 for agent in m.base.agents)
+
+
+def _full_support(m):
+    return {scope: m.scope_actions(scope) for scope in m.scopes()}
+
 
 COIN = """
 agents: M
@@ -90,21 +101,23 @@ def test_utility_weight_collapse(rounds):
     psi = parse_path_formula("F<=2 (collision | dropped)", rounds)
     plan = plan_from_model(rounds, "pi_mix")
     spec = ResponsibilitySpec(plan, psi)
-    u = utility(rounds, "start", "A1",
-                UtilityConfig(Fraction(0), Fraction(1), Fraction(0)), 2, spec)
+    u = utility_parts(rounds, "A1",
+                      UtilityConfig(Fraction(0), Fraction(1), Fraction(0)), 2,
+                      spec, "start").symbolic()
     car = car_degree(rounds, "start", "A1", plan, psi).value
     assert u == RationalFunction(Polynomial.zero()) - car
 
 
 def test_utility_linearity_in_lambda1(ball):
-    u1 = utility(ball, "s0", "A1", UtilityConfig(Fraction(1), Fraction(0)), 2)
-    u2 = utility(ball, "s0", "A1", UtilityConfig(Fraction(2), Fraction(0)), 2)
-    u3 = utility(ball, "s0", "A1", UtilityConfig(Fraction(3), Fraction(0)), 2)
+    cfgs = [UtilityConfig(Fraction(w), Fraction(0)) for w in (1, 2, 3)]
+    u1, u2, u3 = (utility_parts(ball, "A1", cfg, 2, state="s0").symbolic()
+                  for cfg in cfgs)
     assert u1 + u2 == u3
 
 
 def test_build_ne_system_two_variables(ball):
-    sys = build_ne_system(ball, 2, UtilityConfig(Fraction(1), Fraction(0)))
+    cfg = UtilityConfig(Fraction(1), Fraction(0))
+    sys = build_ne_system(ball, _parts(ball, cfg, 2), _full_support(ball))
     assert len(sys.variables) == 2
     assert {p.name for p in sys.variables} == {"x1", "x2"}
     # utilities are linear with constant difference, so the full-support
@@ -114,8 +127,8 @@ def test_build_ne_system_two_variables(ball):
 
 def test_build_ne_system_single_support_has_no_equations(ball):
     support = {("A1", None): ("catch",), ("A2", None): ("skip",)}
-    sys = build_ne_system(ball, 2, UtilityConfig(Fraction(1), Fraction(0)),
-                          support=support)
+    cfg = UtilityConfig(Fraction(1), Fraction(0))
+    sys = build_ne_system(ball, _parts(ball, cfg, 2), support)
     assert sys.equations == () and sys.variables == ()
     assert sys.pinned[ball.param_table["x1"]] == 0
     assert sys.pinned[ball.param_table["x2"]] == 1
@@ -150,8 +163,8 @@ def test_build_ne_system_simplex_residual_for_excluded_dependent():
     support = dict.fromkeys(m.scopes())
     for scope in m.scopes():
         support[scope] = ("a", "b") if scope == ("Z", "s") else ("stop",)
-    sys = build_ne_system(m, 1, UtilityConfig(Fraction(1), Fraction(0)),
-                          support=support)
+    cfg = UtilityConfig(Fraction(1), Fraction(0))
+    sys = build_ne_system(m, _parts(m, cfg, 1), support)
     residual = Polynomial.one() - Polynomial.variable(xa) \
         - Polynomial.variable(xb)
     assert residual in sys.equations
@@ -162,7 +175,8 @@ def test_build_ne_system_simplex_residual_for_excluded_dependent():
 
 def test_constant_utility_makes_every_point_indifferent():
     m = build_psmas(parse_model(COIN))
-    sys = build_ne_system(m, 1, UtilityConfig(Fraction(1), Fraction(0)))
+    cfg = UtilityConfig(Fraction(1), Fraction(0))
+    sys = build_ne_system(m, _parts(m, cfg, 1), _full_support(m))
     assert all(eq.is_zero for eq in sys.equations)
     sols = find_equilibria(m, 1, UtilityConfig(Fraction(1), Fraction(0)),
                            seeds=6)
@@ -181,8 +195,7 @@ def test_solve_ne_root_reproduction():
     x = ParamId("solo", None, "x", label="x")
     xx = Polynomial.variable(x)
     sys = NeSystem(variables=(x,),
-                   equations=(2 * xx * xx + xx - 2,),
-                   box={x: (Fraction(0), Fraction(1))}, support={})
+                   equations=(2 * xx * xx + xx - 2,), support={})
     sols = solve_ne(sys, seeds=8, seed=0)
     assert len(sols) == 1
     assert abs(float(sols[0].valuation[x]) - ROOT17) < 1e-9
@@ -192,8 +205,7 @@ def test_solve_ne_root_reproduction():
 def test_solve_ne_linear():
     x = ParamId("solo", None, "x", label="x")
     xx = Polynomial.variable(x)
-    sys = NeSystem(variables=(x,), equations=(xx - 1,),
-                   box={x: (Fraction(0), Fraction(1))}, support={})
+    sys = NeSystem(variables=(x,), equations=(xx - 1,), support={})
     sols = solve_ne(sys, seeds=4, seed=0)
     assert len(sols) == 1 and sols[0].valuation[x] == 1
 
@@ -203,7 +215,6 @@ def test_solve_ne_variable_limit():
                    for i in range(7))
     sys = NeSystem(variables=params,
                    equations=(Polynomial.variable(params[0]) - 1,),
-                   box={p: (Fraction(0), Fraction(1)) for p in params},
                    support={})
     with pytest.raises(UnsupportedQueryError):
         solve_ne(sys, seeds=2, seed=0)
@@ -227,8 +238,7 @@ def test_find_equilibria_support_combination_limit():
 def test_solve_ne_infeasible_raises():
     x = ParamId("solo", None, "x", label="x")
     sys = NeSystem(variables=(x,),
-                   equations=(Polynomial.constant(8),),
-                   box={x: (Fraction(0), Fraction(1))}, support={})
+                   equations=(Polynomial.constant(8),), support={})
     with pytest.raises(NoSolutionError):
         solve_ne(sys, seeds=4, seed=0)
 
@@ -237,7 +247,7 @@ def test_solve_ne_deterministic():
     x = ParamId("solo", None, "x", label="x")
     xx = Polynomial.variable(x)
     sys = NeSystem(variables=(x,), equations=(2 * xx * xx + xx - 2,),
-                   box={x: (Fraction(0), Fraction(1))}, support={})
+                   support={})
     a = solve_ne(sys, seeds=8, seed=3)
     b = solve_ne(sys, seeds=8, seed=3)
     assert [s.valuation for s in a] == [s.valuation for s in b]
@@ -317,10 +327,11 @@ def test_solutions_pairwise_separated(rounds):
 def test_verify_ne_flags_perturbed_candidate(ball):
     cfg = UtilityConfig(Fraction(1), Fraction(0))
     good = ball_valuation(ball, Fraction(0), Fraction(1))
-    ok, gap = verify_ne(ball, good, 2, cfg)
+    parts = _parts(ball, cfg, 2)
+    ok, gap = verify_ne(ball, parts, good)
     assert ok and gap == 0
     bad = ball_valuation(ball, Fraction(1, 10), Fraction(1))
-    ok2, gap2 = verify_ne(ball, bad, 2, cfg)
+    ok2, gap2 = verify_ne(ball, parts, bad)
     # A1 regains 8 * 0.1 by deviating back to pure catch
     assert not ok2 and gap2 > 1e-3
 
@@ -349,9 +360,10 @@ def test_forced_profile_has_zero_gap(relay):
     # horizon-2 utility is 11 - 2h: passing immediately is the best response
     value = payoff_valuation(relay, 2, "R")
     assert value == 11 - 2 * Polynomial.variable(h)
-    ok, gap = verify_ne(relay, {h: Fraction(0)}, 2, cfg)
+    parts = _parts(relay, cfg, 2)
+    ok, gap = verify_ne(relay, parts, {h: Fraction(0)})
     assert ok and gap == 0
-    ok2, gap2 = verify_ne(relay, {h: Fraction(1)}, 2, cfg)
+    ok2, gap2 = verify_ne(relay, parts, {h: Fraction(1)})
     assert not ok2 and gap2 == 2
 
 
@@ -453,8 +465,8 @@ def test_three_agent_game_end_to_end():
 def test_forced_single_action_game_has_zero_gap():
     m = build_psmas(parse_model(FORCED))
     assert m.params == ()
-    ok, gap = verify_ne(m, {}, 2, UtilityConfig(Fraction(1), Fraction(0)))
+    cfg = UtilityConfig(Fraction(1), Fraction(0))
+    ok, gap = verify_ne(m, _parts(m, cfg, 2), {})
     assert ok and gap == 0
-    sols = find_equilibria(m, 2, UtilityConfig(Fraction(1), Fraction(0)),
-                           seeds=2)
+    sols = find_equilibria(m, 2, cfg, seeds=2)
     assert len(sols) == 1 and sols[0].valuation == {}

@@ -55,7 +55,7 @@ def test_resource_guard(ball, monkeypatch):
     r = ball.base.rewards["A1"]
     total_payoff(ball, r, "s0", 3)
     monkeypatch.setattr(trace, "MAX_PASS_WORK", 10)
-    with pytest.raises(ResourceLimitError, match="expansions, over the 10"):
+    with pytest.raises(ResourceLimitError, match="words added, over the 10"):
         total_payoff(ball, r, "s0", 3)
 
 
