@@ -598,7 +598,8 @@ def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
     satisfies >=/> bounds and fails <=/< bounds.  Non-coalition parameters
     must all be fixed by the context (MissingParameterError otherwise),
     inside their scopes' simplices (admissibility conditions 2 and 3;
-    InadmissibleError otherwise).
+    InadmissibleError otherwise).  A coalition parameter the context binds
+    is searched over all the same, with one warning each.
     Deterministic: plain grid scan at the context resolution, then
     bisection-style refinement toward the bound.
     """
@@ -609,6 +610,11 @@ def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
          for v in scope_violations(m, s, fixed)])
     if not report.ok:
         raise InadmissibleError(report)
+    warnings = tuple(
+        f"{p.name} belongs to the coalition: the search ranges over it, "
+        f"not its bound value"
+        for s in scopes for p in (*m.free_params(s), m.table[s].dependent)
+        if p in fixed)
 
     def test(value: Fraction | None) -> bool:
         if value is None:
@@ -623,7 +629,7 @@ def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
         point.update(own)
         value = quantity(point)
         if test(value):
-            return CheckResult(holds=True, witness=point)
+            return CheckResult(holds=True, witness=point, warnings=warnings)
         if value is None:
             continue
         if best_value is None or (value > best_value if maximize
@@ -634,9 +640,11 @@ def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
         refined = _refine(m, scopes, fixed, best_point, quantity, maximize,
                           Fraction(1, ctx.grid_denominator))
         if test(quantity(refined)):
-            return CheckResult(holds=True, witness=refined)
+            return CheckResult(holds=True, witness=refined,
+                               warnings=warnings)
         best_point = refined
-    return CheckResult(holds=False, witness=best_point)
+    return CheckResult(holds=False, witness=best_point,
+                       warnings=warnings)
 
 
 def _refine(m: Psmas, scopes, fixed, point, quantity, maximize,

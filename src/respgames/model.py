@@ -350,9 +350,17 @@ def check_admissible(m: Psmas, valuation: Mapping[ParamId, Fraction]
 
     Condition 1: every instantiated transition value lies in [0,1].
     Conditions 2 and 3 hold at every scope (`scope_violations`).
+
+    Conditions 2 and 3 imply condition 1: a transition value is a product
+    of one action probability per agent, each in [0,1] once its scope's
+    conditions hold, times a kernel entry, which `Csg` keeps in [0,1].  So
+    the transitions are evaluated only when some scope is violated, to
+    report the transitions its values break.
     """
     violations = [v for scope in m.table
                   for v in scope_violations(m, scope, valuation)]
+    if not violations:
+        return AdmissibilityReport.of(violations)
     free_only = {p: Fraction(valuation[p]) for p in m.params}
     for (state, joint, target), poly in m.transition.items():
         value = poly.evaluate(free_only)

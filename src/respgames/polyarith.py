@@ -416,20 +416,66 @@ class Polynomial:
         return total
 
     def substitute(self, bindings: Mapping[ParamId, "Polynomial"]) -> "Polynomial":
-        """Simultaneously replace parameters by polynomials."""
+        """Simultaneously replace parameters by polynomials, in one pass.
+
+        A constant binding n/d folds into the integer numerators as in
+        `evaluate`: with top the parameter's highest exponent here, a term
+        with exponent e is multiplied by n**e * d**(top - e), and the
+        denominator by d**top.  Unbound parameters keep their fields of
+        each key.  A non-constant binding P is raised to the term's
+        exponent and multiplied in, in parameter order, by polynomial
+        products, so their exponent guard applies, and the result is
+        brought to the denominator prod(den(P)**top).  The terms
+        accumulate in one dict, in the order a term-by-term sum of the
+        products inserts them, a key dropped as soon as it cancels; one
+        reduction ends the call.
+        """
         if not bindings:
             return self
-        fields = _fields(self._terms)
-        out = Polynomial.zero()
+        den = self._den
+        kept = 0  # the fields of parameters left in place
+        constants: list[tuple[int, list[int]]] = []
+        polys: list[tuple[int, Polynomial, dict[int, Polynomial]]] = []
+        poly_den = 1
+        for shift, p in _fields(self._terms):
+            b = bindings.get(p)
+            if b is None:
+                kept |= _FIELD << shift
+                continue
+            top = max(k >> shift & _FIELD for k in self._terms)
+            if b.is_constant:
+                n, d = b._terms.get(0, 0), b._den
+                constants.append(
+                    (shift, [n ** e * d ** (top - e) for e in range(top + 1)]))
+                den *= d ** top
+            else:
+                polys.append((shift, b, {}))
+                poly_den *= b._den ** top
+        out: dict[int, int] = {}
+        get = out.get
         for key, c in self._terms.items():
-            term = Polynomial.constant(Fraction(c, self._den))
-            for p, e in _monomial(key, fields).exps:
-                factor = bindings.get(p)
-                if factor is None:
-                    factor = Polynomial.variable(p)
-                term = term * factor ** e
-            out = out + term
-        return out
+            for shift, table in constants:
+                c *= table[key >> shift & _FIELD]
+            if not c:
+                continue
+            if polys:
+                term = _new({key & kept: 1}, 1)
+                for shift, b, powers in polys:
+                    if e := key >> shift & _FIELD:
+                        if e not in powers:
+                            powers[e] = b ** e
+                        term = term * powers[e]
+                c *= poly_den // term._den
+                products = term._terms.items()
+            else:
+                products = ((key & kept, 1),)
+            for k, t in products:
+                total = get(k, 0) + c * t
+                if total:
+                    out[k] = total
+                else:
+                    del out[k]
+        return _new(out, den * poly_den)
 
     def derivative(self, param: ParamId) -> "Polynomial":
         i = _field_of.get((param, param.label))

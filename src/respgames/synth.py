@@ -262,47 +262,55 @@ def solve_ne(sys: NeSystem, seeds: int = 24, seed: int = 0,
 
     jacobian = [[eq.derivative(v) for v in variables] for eq in equations]
 
-    def f_vec(x: np.ndarray) -> np.ndarray:
-        point = {v: float(xi) for v, xi in zip(variables, x)}
-        return np.array([eq.evaluate_float(point) for eq in equations])
+    def f_vec(x: list[float]) -> list[float]:
+        point = dict(zip(variables, x))
+        return [eq.evaluate_float(point) for eq in equations]
 
-    def j_mat(x: np.ndarray) -> np.ndarray:
-        point = {v: float(xi) for v, xi in zip(variables, x)}
+    def j_mat(x: list[float]) -> np.ndarray:
+        point = dict(zip(variables, x))
         return np.array([[d.evaluate_float(point) for d in row]
                          for row in jacobian])
 
     candidates: list[dict[ParamId, Fraction]] = []
     for s in range(seeds):
         idx = seed * seeds + s + 1
-        x = np.array([_halton(idx, _PRIMES[d % len(_PRIMES)])
-                      for d in range(len(variables))])
-        x = 0.02 + 0.96 * x  # interior starts
+        x = [0.02 + 0.96 * _halton(idx, _PRIMES[d % len(_PRIMES)])
+             for d in range(len(variables))]  # interior starts
         if not equations:
             candidates.append(_to_exact(sys, variables, x))
             continue
-        x = _newton(f_vec, j_mat, x, len(equations))
+        x = _newton(f_vec, j_mat, x)
         if x is not None:
             candidates.append(_to_exact(sys, variables, x))
     return _finish(sys, candidates, equations, residual_tol, verifier)
 
 
-def _newton(f_vec, j_mat, x: np.ndarray, n_eq: int) -> np.ndarray | None:
+def _newton(f_vec, j_mat, x: list[float]) -> list[float] | None:
+    """Damped Newton inside the box from x; None when it stalls.
+
+    Each step solves J step = -f in the least-squares sense and is halved
+    until the max-norm residual shrinks.  The vectors hold at most six
+    floats, so outside `lstsq` the loop runs on Python floats: `_max_abs`
+    and `_clip` give what np.max(np.abs(v)) and np.clip give, bit for bit.
+    """
     fx = f_vec(x)
-    norm = float(np.max(np.abs(fx))) if n_eq else 0.0
+    norm = _max_abs(fx)
     for _ in range(80):
         if norm < 1e-13:
             return x
         try:
-            step, *_ = np.linalg.lstsq(j_mat(x), -fx, rcond=None)
+            step, *_ = np.linalg.lstsq(j_mat(x), np.negative(fx), rcond=None)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(step)):
+        step = step.tolist()
+        if not all(map(math.isfinite, step)):
             return None
         # Damping: halve until the residual actually shrinks.
         for damp in range(13):
-            trial = np.clip(x + step * (0.5 ** damp), 0.0, 1.0)
+            scale = 0.5 ** damp
+            trial = [_clip(xi + si * scale) for xi, si in zip(x, step)]
             ft = f_vec(trial)
-            nt = float(np.max(np.abs(ft)))
+            nt = _max_abs(ft)
             if nt < norm:
                 x, fx, norm = trial, ft, nt
                 break
@@ -311,8 +319,26 @@ def _newton(f_vec, j_mat, x: np.ndarray, n_eq: int) -> np.ndarray | None:
     return x if norm < 1e-13 else None
 
 
+def _max_abs(values: Sequence[float]) -> float:
+    """The largest |v|, 0.0 for none; NaN if any v is NaN, as np.max
+    propagates it, so a NaN residual never counts as shrinking."""
+    out = 0.0
+    for v in values:
+        v = abs(v)
+        if v != v:
+            return v
+        if v > out:
+            out = v
+    return out
+
+
+def _clip(v: float) -> float:
+    """v clipped to [0, 1] as np.clip clips a float."""
+    return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+
+
 def _to_exact(sys: NeSystem, variables: Sequence[ParamId],
-              x: np.ndarray) -> dict[ParamId, Fraction]:
+              x: Sequence[float]) -> dict[ParamId, Fraction]:
     out = dict(sys.pinned)
     for v, xi in zip(variables, x):
         value = Fraction(float(xi))
@@ -367,7 +393,9 @@ def verify_ne(m: Psmas, parts: Sequence[UtilityParts],
     Pure deviations at each scope suffice for utilities linear in the
     agent's own parameters (the monotone-mixture argument); the grid oracle
     covers interior deviations independently.  `parts` holds one utility
-    per agent.  Returns (ok, max gain).
+    per agent.  Returns (True, the largest gain, at least 0) when every
+    gain is at most epsilon; otherwise (False, the first gain over
+    epsilon), without trying the deviations after it.
     """
     max_gain = 0.0
     for u in parts:
@@ -377,8 +405,10 @@ def verify_ne(m: Psmas, parts: Sequence[UtilityParts],
                 deviated = dict(candidate)
                 deviated.update(m.vertex_valuation(scope, action))
                 gain = float(u.evaluate(deviated) - here)
+                if gain > epsilon:
+                    return False, gain
                 max_gain = max(max_gain, gain)
-    return max_gain <= epsilon, max_gain
+    return True, max_gain
 
 
 # -- support enumeration driver ------------------------------------------------

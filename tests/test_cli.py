@@ -120,6 +120,21 @@ def test_check_inadmissible_fixed_binding_exit_three(capsys):
                  "<A1> P>=1 [ X collision ]"]) == 0
 
 
+def test_check_bound_coalition_parameter_warns(capsys):
+    code, env = run_json(capsys, "check", "--model", BALL, "--bind", "x1=-1",
+                         "--bind", "x2=0", "--formula",
+                         "<A1> P>=1 [ X collision ]")
+    assert code == 0
+    assert env["result"] == {"verdict": True,
+                             "witness": {"x1": "0", "x2": "0"}}
+    assert env["warnings"] == ["x1 belongs to the coalition: the search "
+                               "ranges over it, not its bound value"]
+    # a binding outside the coalition is used, and draws no warning
+    code, env = run_json(capsys, "check", "--model", BALL, "--bind", "x2=0",
+                         "--formula", "<A1> P>=1 [ X collision ]")
+    assert (code, env["warnings"]) == (0, [])
+
+
 def test_eval_missing_binding_exit_two(capsys):
     code = main(["eval", "--model", BALL,
                  "--formula", "X (dropped | score2)", "--bind", "x1=3/10"])

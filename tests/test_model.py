@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from conftest import MODELS, ball_valuation, var
 
 from respgames.errors import MissingParameterError, ModelError
-from respgames.model import build_psmas, check_admissible, parse_model
+from respgames.model import (AdmissibilityReport, build_psmas,
+                             check_admissible, parse_model, scope_violations)
 from respgames.polyarith import Polynomial
 
 TINY = """
@@ -134,6 +136,66 @@ def test_admissible_vertices(ball):
 def test_admissible_missing_parameter(ball):
     with pytest.raises(MissingParameterError):
         check_admissible(ball, {ball.param_table["x1"]: Fraction(1, 2)})
+
+
+def full_admissibility(m, valuation) -> AdmissibilityReport:
+    """Reference: the scope conditions, and condition 1 evaluated on every
+    transition whatever they say."""
+    violations = [v for scope in m.table
+                  for v in scope_violations(m, scope, valuation)]
+    free = {p: Fraction(valuation[p]) for p in m.params}
+    for (state, joint, target), poly in m.transition.items():
+        value = poly.evaluate(free)
+        if not 0 <= value <= 1:
+            violations.append(
+                (1, f"trans {state} ({', '.join(joint)}) -> {target}",
+                 value))
+    return AdmissibilityReport.of(violations)
+
+
+def _random_valuation(m, rng: random.Random) -> dict:
+    """Per scope: free values inside the simplex or anywhere in [-1, 2],
+    and the dependent parameter unbound, bound to 1 - (sum of the free
+    ones), or bound at random."""
+    def anywhere():
+        return Fraction(rng.randint(-12, 24), rng.choice((1, 3, 12)))
+
+    valuation = {}
+    for space in m.table.values():
+        if rng.random() < 0.5:
+            den = rng.randint(1, 12)
+            left = den
+            for p in space.free:
+                valuation[p] = Fraction(share := rng.randint(0, left), den)
+                left -= share
+        else:
+            valuation.update((p, anywhere()) for p in space.free)
+        mode = rng.randrange(3)
+        if mode == 1:
+            valuation[space.dependent] = 1 - sum(valuation[p]
+                                                 for p in space.free)
+        elif mode == 2:
+            valuation[space.dependent] = anywhere()
+    return valuation
+
+
+def test_admissibility_matches_full_transition_check(ball, rounds, relay):
+    text = (MODELS / "ball_rounds.game").read_text()
+    per_state = build_psmas(parse_model(
+        text.replace("params: shared\n", "")
+            .replace("param x1: A1 skip\n", "")
+            .replace("param x2: A2 skip\n", "")))
+    rng = random.Random(7)
+    conditions, admissible = set(), 0
+    for m in (ball, rounds, relay, per_state):
+        for _ in range(300):
+            valuation = _random_valuation(m, rng)
+            report = check_admissible(m, valuation)
+            assert report == full_admissibility(m, valuation)
+            conditions.update(c for c, _, _ in report.violations)
+            admissible += report.ok
+    # every condition was violated somewhere, and some points passed
+    assert conditions == {1, 2, 3} and admissible > 0
 
 
 def test_instantiated_matrix_is_stochastic(ball):

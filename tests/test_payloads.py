@@ -1,8 +1,10 @@
-"""Exact `check`, `degree` and `eval` answers stay byte-identical.
+"""`check`, `degree`, `eval` and `ne` answers stay byte-identical.
 
 `payloads.json` holds the exit code and the JSON `result` of each
-invocation below, spread over the three shipped models.  `ne` and
-`simulate` are left out: their floats depend on numpy and BLAS.
+invocation below, spread over the three shipped models.  The `ne` entries
+pin every Newton float, `gap` and `residual` to the byte; their steps come
+from `numpy.linalg.lstsq` on systems of at most six unknowns.  `simulate`
+is left out: its estimates depend on numpy's random streams.
 
 Regenerate the file, after a change meant to alter answers, with
 `PYTHONPATH=src python tests/test_payloads.py`.
@@ -72,6 +74,19 @@ INVOCATIONS = [
      "--plan", "go", "--formula", "F<=1 finished"],
     ["eval", "--model", RELAY, "--state", "mid", "--formula",
      "F<=1 finished", "--bind", "x_R_start_hold=1/4"],
+    # ne: payoff-only, responsibility-weighted (two Newton seeds, and the
+    # horizon-1 query with nine solutions), and per-state relay
+    ["ne", "--model", BALL, "--horizon", "3", "--lambda1", "1",
+     "--lambda2", "0"],
+    *(["ne", "--model", ROUNDS, "--horizon", "2", "--lambda1", "1",
+       "--lambda2", "1", "--theta", "1", "--plan", "pi_mix",
+       "--formula", "F<=2 (collision | dropped)", "--seed", seed]
+      for seed in ("17", "4242")),
+    ["ne", "--model", ROUNDS, "--horizon", "1", "--lambda1", "1",
+     "--lambda2", "1", "--theta", "1", "--plan", "pi_mix",
+     "--formula", "F<=1 (collision | dropped)", "--seed", "5"],
+    ["ne", "--model", RELAY, "--horizon", "2"],
+    ["ne", "--model", RELAY, "--horizon", "3"],
 ]
 
 

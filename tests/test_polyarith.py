@@ -533,7 +533,8 @@ def kernel_cases(draw):
     bound = draw(st.lists(st.sampled_from(params), unique=True))
     small = draw(ref_polynomials(params, max_terms=2))
     bindings = {p: draw(st.sampled_from(
-        (small, ref_const(2), {}, ref_var(draw(st.sampled_from(params))))))
+        (small, ref_const(2), ref_const(draw(coefficients)), {},
+         ref_var(draw(st.sampled_from(params))))))
         for p in bound}
     point = draw(points(params))
     # thirds and sevenths round, so a change in the order of float

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import ball_valuation, brute_force_histories, var
@@ -11,7 +12,7 @@ from respgames.logic import parse_path_formula
 from respgames.model import build_psmas, parse_model
 from respgames.polyarith import ParamId, Polynomial, RationalFunction
 from respgames.synth import (NeSystem, ResponsibilitySpec, UtilityConfig,
-                             build_ne_system, find_equilibria,
+                             _max_abs, build_ne_system, find_equilibria,
                              payoff_valuation, solve_ne, utility_parts,
                              verify_ne)
 from respgames.trace import plan_from_model
@@ -253,6 +254,32 @@ def test_solve_ne_deterministic():
     assert [s.valuation for s in a] == [s.valuation for s in b]
 
 
+def test_solve_ne_overflowing_residual():
+    # 2**1023 * (x + y + z + w) overflows to inf where the sum passes 2, as
+    # it does at some starts, whose Newton steps are then not finite; at
+    # the others the first row's scale swamps the rest, and Newton stalls
+    params = [ParamId("M", None, a, label=a) for a in "xyzw"]
+    x, y, z, w = map(Polynomial.variable, params)
+    big = (x + y + z + w) * 2 ** 1023
+    assert big.evaluate_float(dict.fromkeys(params, 0.5)) == math.inf
+    sys = NeSystem(variables=tuple(params),
+                   equations=(big, x - y, y - z, z - w), support={})
+    for seed in range(3):
+        with pytest.raises(NoSolutionError) as err:
+            solve_ne(sys, seeds=24, seed=seed)
+        assert err.value.best_residual == math.inf
+
+
+def test_newton_norm_propagates_nan():
+    # the damping loop's norm is np.max(np.abs(v)) on Python floats
+    nan, inf = math.nan, math.inf
+    for values in ([0.5, -2.0, 1.0], [-0.0], [inf, nan, 1.0], [1.0, nan],
+                   [-inf, 3.0], [nan]):
+        want = float(np.max(np.abs(values)))
+        got = _max_abs(values)
+        assert repr(got) == repr(want)
+
+
 def test_payoff_equilibrium(ball):
     cfg = UtilityConfig(Fraction(1), Fraction(0))
     sols = find_equilibria(ball, 2, cfg, seeds=8)
@@ -334,6 +361,17 @@ def test_verify_ne_flags_perturbed_candidate(ball):
     ok2, gap2 = verify_ne(ball, parts, bad)
     # A1 regains 8 * 0.1 by deviating back to pure catch
     assert not ok2 and gap2 > 1e-3
+
+
+def test_verify_ne_stops_at_first_gain_over_epsilon(ball):
+    # horizon-2 payoffs are 16 - 8*x1 for A1 and 8 + 8*x2 for A2: at
+    # x1 = 1/4, x2 = 1/2 A1 gains 2 by catching and A2 gains 4 by skipping
+    parts = _parts(ball, UtilityConfig(Fraction(1), Fraction(0)), 2)
+    point = ball_valuation(ball, Fraction(1, 4), Fraction(1, 2))
+    # both beat epsilon: A1's deviation comes first and ends the check
+    assert verify_ne(ball, parts, point) == (False, 2.0)
+    # below epsilon every deviation is tried and the largest gain reported
+    assert verify_ne(ball, parts, point, epsilon=5) == (True, 4.0)
 
 
 def test_supported_actions_share_equal_utility(ball):
