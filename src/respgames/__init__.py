@@ -16,7 +16,8 @@ from .logic import (CompareOp, DegreeKind, PathFormula, StateFormula,
 from .trace import Plan, plan_from_model
 from .checker import (CheckResult, DegreeResult, ExtendedValue, QueryContext,
                       Region, car_degree, check_formula, cpr_degree,
-                      degree_value_at, path_sat_prob, reward_value)
+                      degree_at, path_sat_prob, reward_value,
+                      responsibility_degree)
 from .synth import (NeSolution, NeSystem, ResponsibilitySpec, UtilityConfig,
                     build_ne_system, find_equilibria, payoff_valuation,
                     solve_ne, utility_parts, verify_ne)

@@ -109,10 +109,7 @@ class Region:
     bound: Fraction
 
     def render(self) -> str:
-        value = self.value.render()
-        bound = (str(self.bound.numerator) if self.bound.denominator == 1
-                 else f"{self.bound.numerator}/{self.bound.denominator}")
-        return f"{value} {self.cmp.value} {bound}"
+        return f"{self.value.render()} {self.cmp.value} {self.bound}"
 
 
 @dataclass(frozen=True)
@@ -238,7 +235,8 @@ def _witness_pass(m: Psmas, state: str, psi: PathFormula, ctx: QueryContext,
 
     The work is the term pairs the products multiply, or the expansions
     (cell, joint action, successor) of a count-only pass; past
-    `trace.MAX_PASS_WORK` the pass raises ResourceLimitError.
+    `trace.MAX_PASS_WORK` the pass raises ResourceLimitError.  The pass
+    ends at the first depth with no open cell.
     """
     classify, k = _classifier(m, psi, ctx)
     work, unit = 0, "term pairs" if weigh else "expansions"
@@ -276,6 +274,8 @@ def _witness_pass(m: Psmas, state: str, psi: PathFormula, ctx: QueryContext,
                             work += len(step.terms())
                             into.reward = into.reward + step * gain
             check_work(work, unit)
+        if not nxt:
+            break
         cells = nxt
     return out
 
@@ -335,11 +335,7 @@ def check_prob(m: Psmas, state: str, f: CoalitionProb,
     value = path_sat_prob(m, state, f.body, ctx)
     if not ctx.is_evaluated:
         return CheckResult(holds=None, region=Region(value, f.cmp, f.bound))
-
-    def finite_px(v: Mapping[ParamId, Fraction]) -> Fraction | None:
-        return value.evaluate(v)
-
-    return _exists_search(m, f.coalition, ctx, finite_px, f.cmp, f.bound)
+    return _exists_search(m, f.coalition, ctx, value.evaluate, f.cmp, f.bound)
 
 
 # -- reward operator --------------------------------------------------------
@@ -410,10 +406,7 @@ def car_degree(m: Psmas, state: str, agent: str, plan: Plan,
     kappa forces the zero function.
     """
     ctx = ctx or QueryContext.symbolic()
-    coalition = frozenset(coalition) if coalition is not None else frozenset(
-        m.base.agents)
-    _require_member(agent, coalition)
-    plan = _fit_plan(plan, horizon(psi))
+    plan, coalition = degree_setup(m, agent, plan, psi, coalition)
     sums = _witness_pass(m, state, psi, ctx, CompatTags(m, plan, {agent}))
     numerator, sats = sums[True, True], _either(sums, True)
     kappa = _either(sums, False).paths > 0
@@ -432,10 +425,7 @@ def cpr_degree(m: Psmas, state: str, agent: str, plan: Plan,
     with the anchor on the whole coalition.
     """
     ctx = ctx or QueryContext.symbolic()
-    coalition = frozenset(coalition) if coalition is not None else frozenset(
-        m.base.agents)
-    _require_member(agent, coalition)
-    plan = _fit_plan(plan, horizon(psi))
+    plan, coalition = degree_setup(m, agent, plan, psi, coalition)
     others = CompatTags(m, plan, coalition - {agent})
     full = CompatTags(m, plan, coalition)
     sums = _witness_pass(m, state, psi, ctx, others)
@@ -462,27 +452,38 @@ def degree_guard(m: Psmas, state: str, plan: Plan, psi: PathFormula,
     Rejects plans shorter than the outcome's horizon like the degrees do.
     """
     ctx = ctx or QueryContext.symbolic()
-    coalition = frozenset(coalition) if coalition is not None else frozenset(
-        m.base.agents)
-    plan = _fit_plan(plan, horizon(psi))
+    plan, coalition = degree_setup(m, None, plan, psi, coalition)
     if kind is DegreeKind.CAR:
         sums = _witness_pass(m, state, psi, ctx, weigh=False)
         return _either(sums, False).paths > 0
     return _achievable(m, state, psi, ctx, CompatTags(m, plan, coalition))
 
 
-def _require_member(agent: str, coalition: frozenset[str]) -> None:
-    if agent not in coalition:
+def responsibility_degree(m: Psmas, state: str, agent: str, plan: Plan,
+                          psi: PathFormula, kind: DegreeKind,
+                          coalition: Iterable[str] | None = None,
+                          ctx: QueryContext | None = None) -> DegreeResult:
+    """The CAR or CPR degree, as `kind` says."""
+    fn = car_degree if kind is DegreeKind.CAR else cpr_degree
+    return fn(m, state, agent, plan, psi, coalition, ctx)
+
+
+def degree_setup(m: Psmas, agent: str | None, plan: Plan, psi: PathFormula,
+                 coalition: Iterable[str] | None
+                 ) -> tuple[Plan, frozenset[str]]:
+    """The plan cut to psi's horizon and the coalition (default: every
+    agent) of a degree query; refuses a shorter plan, and an agent outside
+    the coalition (None for a guard, which names no agent)."""
+    coalition = frozenset(m.base.agents if coalition is None else coalition)
+    if agent is not None and agent not in coalition:
         raise UnsupportedQueryError(
             f"degree agent {agent} must belong to the coalition")
-
-
-def _fit_plan(plan: Plan, depth: int) -> Plan:
+    depth = horizon(psi)
     if len(plan.steps) < depth:
         raise UnsupportedQueryError(
             f"plan has {len(plan.steps)} steps but the outcome needs "
             f"{depth}")
-    return plan.truncated(depth)
+    return plan.truncated(depth), coalition
 
 
 def _degree_result(num: Polynomial, den: Polynomial, kappa: bool,
@@ -499,40 +500,36 @@ def _degree_result(num: Polynomial, den: Polynomial, kappa: bool,
                         denominator_paths=den_paths)
 
 
-def degree_value_at(result: DegreeResult,
-                    valuation: Mapping[ParamId, Fraction]) -> Fraction:
-    """Evaluate a degree at an admissible valuation.
+def degree_at(result: DegreeResult, valuation: Mapping[ParamId, Fraction]
+              ) -> tuple[Fraction, tuple[str, ...]]:
+    """A degree's value at an admissible valuation, and the note that the
+    zero-mass convention decided it.
 
     At points where the (unreduced) denominator vanishes the numerator
     vanishes too — no outcome mass, no responsibility share — so the value
     is 0 by convention.
     """
     if not result.kappa:
-        return Fraction(0)
+        return Fraction(0), ()
     den = result.value.den.evaluate(valuation)
     if den == 0:
-        return Fraction(0)
-    return result.value.num.evaluate(valuation) / den
+        return Fraction(0), ("the degree's denominator mass is zero at this "
+                             "valuation, so the degree is 0 by convention",)
+    return result.value.num.evaluate(valuation) / den, ()
 
 
 def check_degree(m: Psmas, state: str, f: CoalitionDegree,
                  ctx: QueryContext) -> CheckResult:
     """Decide `<A> D cmp d [ CAR/CPR(i, plan, psi) ]` (or return the region)."""
-    plan = plan_from_model(m, f.plan)
-    fn = car_degree if f.kind is DegreeKind.CAR else cpr_degree
-    result = fn(m, state, f.agent, plan, f.body, f.coalition, ctx)
+    result = responsibility_degree(m, state, f.agent,
+                                   plan_from_model(m, f.plan), f.body,
+                                   f.kind, f.coalition, ctx)
     if not ctx.is_evaluated:
         return CheckResult(holds=None,
                            region=Region(result.value, f.cmp, f.bound))
-    warnings = ()
-    den = (result.value.den.evaluate(ctx.valuation) if result.kappa
-           else Fraction(1))
-    if result.kappa and den == 0:
-        warnings = ("degree denominator has zero probability at this "
-                    "valuation; value is 0 by convention",)
-    value = degree_value_at(result, ctx.valuation)
+    value, notes = degree_at(result, ctx.valuation)
     return CheckResult(holds=f.cmp.holds(value, f.bound),
-                       witness=dict(ctx.valuation), warnings=warnings)
+                       witness=dict(ctx.valuation), warnings=notes)
 
 
 # -- formula dispatch ---------------------------------------------------------
@@ -599,12 +596,15 @@ def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
     must all be fixed by the context (MissingParameterError otherwise),
     inside their scopes' simplices (admissibility conditions 2 and 3;
     InadmissibleError otherwise).  A coalition parameter the context binds
-    is searched over all the same, with one warning each.
+    is searched over all the same, with one warning each, and the witness
+    leaves its binding out.
     Deterministic: plain grid scan at the context resolution, then
     bisection-style refinement toward the bound.
     """
     scopes = [s for s in m.scopes() if s[0] in coalition]
-    fixed = dict(ctx.valuation or {})
+    owned = {p for s in scopes
+             for p in (*m.free_params(s), m.table[s].dependent)}
+    fixed = {p: v for p, v in ctx.valuation.items() if p not in owned}
     report = AdmissibilityReport.of(
         [v for s in m.scopes() if s[0] not in coalition
          for v in scope_violations(m, s, fixed)])
@@ -612,9 +612,7 @@ def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
         raise InadmissibleError(report)
     warnings = tuple(
         f"{p.name} belongs to the coalition: the search ranges over it, "
-        f"not its bound value"
-        for s in scopes for p in (*m.free_params(s), m.table[s].dependent)
-        if p in fixed)
+        f"not its bound value" for p in ctx.valuation if p in owned)
 
     def test(value: Fraction | None) -> bool:
         if value is None:

@@ -22,8 +22,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .checker import (QueryContext, car_degree, check_formula, cpr_degree,
-                      degree_value_at, path_sat_prob)
+from .checker import (QueryContext, check_formula, degree_at, path_sat_prob,
+                      responsibility_degree)
 from .errors import (FormulaError, InadmissibleError, MissingParameterError,
                      ModelError, RespgamesError, UnsupportedQueryError)
 from .logic import DegreeKind, parse_formula, parse_path_formula
@@ -79,6 +79,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", choices=("human", "json"),
                        default="human")
 
+    def degree_query(p: argparse.ArgumentParser, required: bool):
+        """The flags that `_degree_query` reads."""
+        p.add_argument("--kind", choices=("CAR", "CPR"), required=required,
+                       help="responsibility degree to compute")
+        p.add_argument("--agent", required=required)
+        p.add_argument("--plan", required=required,
+                       help="plan name declared in the model file")
+        p.add_argument("--coalition",
+                       help="comma-separated agents (default: all)")
+
     p_check = sub.add_parser("check", help="decide a state formula")
     common(p_check)
     p_check.add_argument("--symbolic", action="store_true",
@@ -88,12 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_degree = sub.add_parser("degree", help="responsibility degree")
     common(p_degree)
-    p_degree.add_argument("--kind", choices=("CAR", "CPR"), required=True)
-    p_degree.add_argument("--agent", required=True)
-    p_degree.add_argument("--plan", required=True,
-                          help="plan name declared in the model file")
-    p_degree.add_argument("--coalition",
-                          help="comma-separated agents (default: all)")
+    degree_query(p_degree, required=True)
 
     p_ne = sub.add_parser("ne", help="synthesize Nash equilibria")
     common(p_ne, bind=False, seed=True)
@@ -110,21 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte-Carlo estimation")
     common(p_sim, seed=True)
     p_sim.add_argument("--samples", type=int, default=100_000)
-    p_sim.add_argument("--kind", choices=("CAR", "CPR"),
-                       help="estimate a degree instead of a probability")
-    p_sim.add_argument("--agent")
-    p_sim.add_argument("--plan")
-    p_sim.add_argument("--coalition")
-    p_sim.add_argument("--horizon", type=int, default=None,
-                       help="sample depth (default: formula horizon)")
+    degree_query(p_sim, required=False)
 
     p_eval = sub.add_parser(
         "eval", help="evaluate a symbolic quantity at exact bindings")
     common(p_eval)
-    p_eval.add_argument("--kind", choices=("CAR", "CPR"))
-    p_eval.add_argument("--agent")
-    p_eval.add_argument("--plan")
-    p_eval.add_argument("--coalition")
+    degree_query(p_eval, required=False)
 
     return parser
 
@@ -133,6 +129,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        unread = _unread_flag(args)
+        if unread:
+            parser.error(unread)
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     started = time.time()
@@ -152,6 +151,24 @@ def main(argv=None) -> int:
     return code
 
 
+def _unread_flag(args) -> str | None:
+    """Why the first given flag that the rest of the query leaves unread
+    is refused, or None."""
+    if args.subcommand == "check" and args.symbolic:
+        names, context = ("bind", "grid"), "with --symbolic"
+    elif args.subcommand == "ne" and args.lambda2 == 0:
+        names = ("plan", "formula", "formula_file")
+        context = "with --lambda2 0"
+    elif args.subcommand in ("eval", "simulate") and args.kind is None:
+        names, context = ("agent", "plan", "coalition"), "without --kind"
+    else:
+        return None
+    for name in names:
+        if getattr(args, name) not in (None, []):
+            return f"--{name.replace('_', '-')} is not read {context}"
+    return None
+
+
 # the least value of each size flag; a smaller one exits 3 before any work
 _SIZE_FLAGS = {"grid": 1, "samples": 1, "seeds": 1, "horizon": 0}
 
@@ -169,14 +186,20 @@ def _load(args):
 
 
 def _formula_text(args) -> str | None:
-    if getattr(args, "formula", None) and getattr(args, "formula_file", None):
+    if args.formula and args.formula_file:
         raise FormulaError("give --formula or --formula-file, not both")
-    if getattr(args, "formula", None):
-        return args.formula
-    if getattr(args, "formula_file", None):
+    if args.formula_file:
         with open(args.formula_file, "r", encoding="utf-8") as handle:
             return handle.read().strip()
-    return None
+    return args.formula or None
+
+
+def _query_text(args) -> str:
+    text = _formula_text(args)
+    if text is None:
+        raise FormulaError(
+            f"{args.subcommand} needs --formula or --formula-file")
+    return text
 
 
 def _bindings(args, m) -> dict:
@@ -197,10 +220,9 @@ def _bindings(args, m) -> dict:
 
 
 def _coalition(args, m):
-    text = getattr(args, "coalition", None)
-    if not text:
+    if not args.coalition:
         return frozenset(m.base.agents)
-    members = frozenset(a.strip() for a in text.split(","))
+    members = frozenset(a.strip() for a in args.coalition.split(","))
     unknown = members - set(m.base.agents)
     if unknown:
         raise FormulaError(f"unknown agent '{sorted(unknown)[0]}'")
@@ -208,7 +230,7 @@ def _coalition(args, m):
 
 
 def _state(args, m) -> str:
-    state = getattr(args, "state", None) or m.base.initial
+    state = args.state or m.base.initial
     if state not in m.base.states:
         raise FormulaError(f"unknown state '{state}'")
     return state
@@ -233,48 +255,47 @@ def _dispatch(args, warnings) -> tuple[int, dict]:
 
 def _cmd_check(args, warnings) -> tuple[int, dict]:
     m = _load(args)
-    text = _formula_text(args)
-    if text is None:
-        raise FormulaError("check needs --formula or --formula-file")
-    phi = parse_formula(text, m, source=args.formula_file or "<formula>")
+    phi = parse_formula(_query_text(args), m,
+                        source=args.formula_file or "<formula>")
     state = _state(args, m)
-    binds = _bindings(args, m)
     if args.symbolic:
         result = check_formula(m, state, phi, QueryContext.symbolic())
         if result.region is not None:
             return 0, {"verdict": None, "region": result.region.render()}
         return (0 if result.holds else 1), {"verdict": result.holds}
-    grid = args.grid if args.grid is not None else 50
-    ctx = QueryContext.evaluated(binds, grid_denominator=grid)
+    ctx = QueryContext.evaluated(_bindings(args, m),
+                                 grid_denominator=args.grid or 50)
     result = check_formula(m, state, phi, ctx)
     warnings.extend(result.warnings)
     payload = {"verdict": result.holds}
     if result.witness is not None:
-        payload["witness"] = {p.name: _frac_str(v)
+        payload["witness"] = {p.name: str(v)
                               for p, v in sorted(result.witness.items(),
                                                  key=lambda kv: kv[0].order_key)}
     return (0 if result.holds else 1), payload
 
 
 def _degree_query(args, m):
-    text = _formula_text(args)
-    if text is None:
-        raise FormulaError("a path formula is required (--formula)")
-    psi = parse_path_formula(text, m, source=args.formula_file or "<formula>")
-    plan = plan_from_model(m, args.plan)
-    coalition = _coalition(args, m)
-    kind = DegreeKind(args.kind)
-    fn = car_degree if kind is DegreeKind.CAR else cpr_degree
-    return psi, plan, coalition, kind, fn
+    """(plan, coalition, kind) of the degree that --kind, --agent, --plan
+    and --coalition ask for; None without --kind."""
+    if args.kind is None:
+        return None
+    if not (args.agent and args.plan):
+        raise FormulaError("--kind needs --agent and --plan")
+    return (plan_from_model(m, args.plan), _coalition(args, m),
+            DegreeKind(args.kind))
 
 
 def _cmd_degree(args, warnings) -> tuple[int, dict]:
     m = _load(args)
-    psi, plan, coalition, kind, fn = _degree_query(args, m)
+    psi = parse_path_formula(_query_text(args), m,
+                             source=args.formula_file or "<formula>")
+    plan, coalition, kind = _degree_query(args, m)
     state = _state(args, m)
     binds = _bindings(args, m)
     ctx = QueryContext.evaluated(binds) if binds else QueryContext.symbolic()
-    result = fn(m, state, args.agent, plan, psi, coalition, ctx)
+    result = responsibility_degree(m, state, args.agent, plan, psi, kind,
+                                   coalition, ctx)
     payload = {
         "value": result.value.render(),
         "kappa": result.kappa,
@@ -286,11 +307,9 @@ def _cmd_degree(args, warnings) -> tuple[int, dict]:
         warnings.append("kappa is 0: the degree is 0 by definition")
     if binds:
         _require_admissible(m, binds)
-        value = degree_value_at(result, binds)
-        if result.kappa and result.value.den.evaluate(binds) == 0:
-            warnings.append("denominator mass is zero at this valuation; "
-                            "degree is 0 by convention")
-        payload["exact"] = _frac_str(value)
+        value, notes = degree_at(result, binds)
+        warnings.extend(notes)
+        payload["exact"] = str(value)
         payload["decimal"] = float(value)
     return 0, payload
 
@@ -299,8 +318,8 @@ def _cmd_ne(args, warnings) -> tuple[int, dict]:
     m = _load(args)
     cfg = UtilityConfig(args.lambda1, args.lambda2, args.theta)
     resp_spec = None
-    text = _formula_text(args)
-    if cfg.lambda2 != 0 or (text and args.plan):
+    if cfg.lambda2 != 0:
+        text = _formula_text(args)
         if not (text and args.plan):
             raise FormulaError(
                 "responsibility-weighted utilities need --plan and --formula")
@@ -331,21 +350,15 @@ def _cmd_simulate(args, warnings) -> tuple[int, dict]:
     m = _load(args)
     binds = _bindings(args, m)
     _require_admissible(m, binds)
-    text = _formula_text(args)
-    if text is None:
-        raise FormulaError("simulate needs a path formula (--formula)")
-    psi = parse_path_formula(text, m)
-    from .logic import horizon as horizon_of
-    depth = args.horizon if args.horizon is not None else horizon_of(psi)
-    cfg = SimConfig(samples=args.samples, seed=args.seed, horizon=depth,
-                    valuation=binds, start=_state(args, m))
-    if args.kind:
-        if not (args.agent and args.plan):
-            raise FormulaError("degree estimation needs --agent and --plan")
-        est = estimate_degree(m, cfg, args.agent, plan_from_model(m, args.plan),
-                              psi, DegreeKind(args.kind), _coalition(args, m))
-    else:
+    psi = parse_path_formula(_query_text(args), m)
+    query = _degree_query(args, m)
+    cfg = SimConfig(samples=args.samples, seed=args.seed, valuation=binds,
+                    start=_state(args, m))
+    if query is None:
         est = estimate_path_prob(m, cfg, psi)
+    else:
+        plan, coalition, kind = query
+        est = estimate_degree(m, cfg, args.agent, plan, psi, kind, coalition)
     return 0, {"estimate": est.mean, "stderr": est.stderr,
                "samples": est.samples}
 
@@ -354,47 +367,34 @@ def _cmd_eval(args, warnings) -> tuple[int, dict]:
     m = _load(args)
     binds = _bindings(args, m)
     state = _state(args, m)
-    text = _formula_text(args)
-    if text is None:
-        raise FormulaError("eval needs --formula")
-    for p in m.params:
-        if p not in binds:
-            raise MissingParameterError(p)
-    _require_admissible(m, binds)
-    if args.kind:
-        if not (args.agent and args.plan):
-            raise FormulaError("degree evaluation needs --agent and --plan")
-        psi = parse_path_formula(text, m)
-        fn = car_degree if DegreeKind(args.kind) is DegreeKind.CAR else cpr_degree
-        result = fn(m, state, args.agent, plan_from_model(m, args.plan), psi,
-                    _coalition(args, m), QueryContext.evaluated(binds))
-        value = degree_value_at(result, binds)
+    text = _query_text(args)
+    _require_admissible(m, binds)  # every parameter bound, admissibly
+    query = _degree_query(args, m)
+    ctx = QueryContext.evaluated(binds)
+    if query is not None:
+        plan, coalition, kind = query
+        result = responsibility_degree(m, state, args.agent, plan,
+                                       parse_path_formula(text, m), kind,
+                                       coalition, ctx)
+        value, notes = degree_at(result, binds)
+        warnings.extend(notes)
         symbolic = result.value.render()
     else:
         try:
             psi = parse_path_formula(text, m)
         except FormulaError:
-            phi = parse_formula(text, m)
-            result = check_formula(m, state, phi,
-                                   QueryContext.evaluated(binds))
+            result = check_formula(m, state, parse_formula(text, m), ctx)
             warnings.extend(result.warnings)
             return (0 if result.holds else 1), {"verdict": result.holds}
-        rf = path_sat_prob(m, state, psi, QueryContext.evaluated(binds))
+        rf = path_sat_prob(m, state, psi, ctx)
         value = rf.evaluate(binds)
         symbolic = rf.render()
-    return 0, {"symbolic": symbolic, "value": _frac_str(value),
+    return 0, {"symbolic": symbolic, "value": str(value),
                "decimal": float(value),
-               "rendered": f"{_frac_str(value)} ({float(value):g})"}
+               "rendered": f"{value} ({float(value):g})"}
 
 
 # -- envelope ---------------------------------------------------------------
-
-
-def _frac_str(q: Fraction) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 # Arguments whose content the digest hashes in their place, or that only

@@ -392,14 +392,14 @@ def render_formula(phi) -> str:
         return f"{_wrap(phi.left)} & {_wrap(phi.right)}"
     if isinstance(phi, CoalitionProb):
         return (f"{_render_coalition(phi.coalition)} P{phi.cmp.value}"
-                f"{_render_bound(phi.bound)} [ {render_formula(phi.body)} ]")
+                f"{phi.bound} [ {render_formula(phi.body)} ]")
     if isinstance(phi, CoalitionReward):
         return (f"{_render_coalition(phi.coalition)} R{phi.cmp.value}"
-                f"{_render_bound(phi.bound)} [ F<={phi.k} "
+                f"{phi.bound} [ F<={phi.k} "
                 f"{_wrap(phi.target)} @ {phi.agent} ]")
     if isinstance(phi, CoalitionDegree):
         return (f"{_render_coalition(phi.coalition)} D{phi.cmp.value}"
-                f"{_render_bound(phi.bound)} [ {phi.kind.value}({phi.agent}, "
+                f"{phi.bound} [ {phi.kind.value}({phi.agent}, "
                 f"{phi.plan}, {render_formula(phi.body)}) ]")
     if isinstance(phi, Next):
         return f"X {_wrap(phi.body)}"
@@ -418,9 +418,3 @@ def _wrap(phi) -> str:
 
 def _render_coalition(coalition: frozenset[str]) -> str:
     return f"<{','.join(sorted(coalition))}>"
-
-
-def _render_bound(bound: Fraction) -> str:
-    if bound.denominator == 1:
-        return str(bound.numerator)
-    return f"{bound.numerator}/{bound.denominator}"

@@ -22,15 +22,15 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .checker import (QueryContext, _fit_plan, _require_member, degree_guard,
-                      sat_state, simplex_grid)
+from .checker import (QueryContext, degree_guard, degree_setup, sat_state,
+                      simplex_grid)
 from .errors import (InadmissibleError, MissingParameterError,
                      ResourceLimitError, UndefinedEstimateError)
 from .logic import DegreeKind, Next, PathFormula, horizon
 from .model import JointAction, Psmas, check_admissible
 from .polyarith import ParamId
 from .synth import UtilityParts
-from .trace import CompatTags, Plan, validate_plan
+from .trace import CompatTags, Plan
 
 BLOCK = 10_000
 # The most cells, (depth + 1) x paths, of one sampled block: its state and
@@ -41,12 +41,12 @@ MAX_BLOCK_CELLS = 10_000_000
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Sampling setup: count, seed, depth, the admissible valuation and the
-    start state (None: the model's initial state)."""
+    """Sampling setup: count, seed, the admissible valuation and the start
+    state (None: the model's initial state).  The estimators sample to the
+    path formula's horizon."""
 
     samples: int
     seed: int
-    horizon: int
     valuation: Mapping[ParamId, Fraction]
     start: str | None = None
 
@@ -152,14 +152,15 @@ def _blocks(cfg: SimConfig) -> Iterator[tuple[int, int, np.random.Generator]]:
         block_no += 1
 
 
-def simulate_paths(m: Psmas, cfg: SimConfig
+def simulate_paths(m: Psmas, cfg: SimConfig, depth: int
                    ) -> Iterator[tuple[tuple[str, ...],
                                        tuple[JointAction, ...]]]:
-    """Stream sampled histories as (states, joint actions) tuples."""
+    """Stream sampled histories of `depth` steps as (states, joint actions)
+    tuples."""
     sampler = _Sampler(m, cfg.valuation)
     start = sampler.index[_start(m, cfg)]
     for _, count, rng in _blocks(cfg):
-        states, picks = sampler.sample_block(start, count, cfg.horizon, rng)
+        states, picks = sampler.sample_block(start, count, depth, rng)
         joints = sampler.joint_ids(states, picks)
         for st, acts in zip(states.tolist(), joints.tolist()):
             yield (tuple(sampler.states[i] for i in st),
@@ -196,8 +197,7 @@ def _witness_steps(psi: PathFormula, states: np.ndarray, hold: np.ndarray,
     certain violation is first established, or -1.  Mirrors the checker's
     cylinder accounting exactly.
     """
-    n, w = states.shape
-    depth = w - 1
+    n = len(states)
     sat_step = np.full(n, -1, dtype=np.int64)
     viol_step = np.full(n, -1, dtype=np.int64)
     if isinstance(psi, Next):
@@ -223,7 +223,7 @@ def _witness_steps(psi: PathFormula, states: np.ndarray, hold: np.ndarray,
 def estimate_path_prob(m: Psmas, cfg: SimConfig, psi: PathFormula) -> Estimate:
     """Empirical frequency of a path formula under the valuation."""
     sampler = _Sampler(m, cfg.valuation)
-    depth = max(cfg.horizon, horizon(psi))
+    depth = horizon(psi)
     hold, goal = _sat_tables(m, sampler, psi, cfg.valuation)
     start = sampler.index[_start(m, cfg)]
     hits = 0
@@ -249,12 +249,10 @@ def estimate_degree(m: Psmas, cfg: SimConfig, agent: str, plan: Plan,
     agent and the plan are checked like the exact degrees do, also when
     kappa is false.
     """
-    coalition = frozenset(coalition) if coalition is not None else frozenset(
-        m.base.agents)
-    _require_member(agent, coalition)
-    depth = horizon(psi)
-    plan = _fit_plan(plan, depth)
-    validate_plan(m, plan)
+    plan, coalition = degree_setup(m, agent, plan, psi, coalition)
+    pick_sat = kind is DegreeKind.CAR
+    compat = CompatTags(m, plan, {agent} if pick_sat
+                        else coalition - {agent})
     sampler = _Sampler(m, cfg.valuation)
     hold, goal = _sat_tables(m, sampler, psi, cfg.valuation)
     state = _start(m, cfg)
@@ -264,13 +262,10 @@ def estimate_degree(m: Psmas, cfg: SimConfig, agent: str, plan: Plan,
     kappa = degree_guard(m, state, plan, psi, kind, coalition, ctx)
     if not kappa:
         return Estimate(mean=0.0, stderr=0.0, samples=cfg.samples)
-    pick_sat = kind is DegreeKind.CAR
-    compat = CompatTags(m, plan, {agent} if pick_sat
-                        else coalition - {agent})
 
     num = den = 0
     for _, count, rng in _blocks(cfg):
-        states, picks = sampler.sample_block(start, count, depth, rng)
+        states, picks = sampler.sample_block(start, count, horizon(psi), rng)
         sat_step, viol_step = _witness_steps(psi, states, hold, goal)
         steps = sat_step if pick_sat else viol_step
         chosen = steps >= 0

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .checker import DegreeResult, car_degree, cpr_degree, degree_value_at
+from .checker import DegreeResult, car_degree, cpr_degree, degree_at
 from .errors import NoSolutionError, UnsupportedQueryError
 from .logic import PathFormula
 from .model import Psmas, RewardStructure, Scope, check_admissible
@@ -108,9 +108,9 @@ class UtilityParts:
         if self.cfg.lambda2 != 0:
             resp = Fraction(0)
             if self.car is not None:
-                resp += degree_value_at(self.car, valuation)
+                resp += degree_at(self.car, valuation)[0]
             if self.cpr is not None:
-                resp += self.cfg.theta * degree_value_at(self.cpr, valuation)
+                resp += self.cfg.theta * degree_at(self.cpr, valuation)[0]
             total -= self.cfg.lambda2 * resp
         return total
 
@@ -292,14 +292,19 @@ def _newton(f_vec, j_mat, x: list[float]) -> list[float] | None:
     until the max-norm residual shrinks.  The vectors hold at most six
     floats, so outside `lstsq` the loop runs on Python floats: `_max_abs`
     and `_clip` give what np.max(np.abs(v)) and np.clip give, bit for bit.
+    A residual or Jacobian that is not finite stalls before `lstsq`, whose
+    LAPACK would print its complaint to standard output.
     """
     fx = f_vec(x)
     norm = _max_abs(fx)
     for _ in range(80):
         if norm < 1e-13:
             return x
+        jac = j_mat(x)
+        if not (math.isfinite(norm) and np.isfinite(jac).all()):
+            return None
         try:
-            step, *_ = np.linalg.lstsq(j_mat(x), np.negative(fx), rcond=None)
+            step, *_ = np.linalg.lstsq(jac, np.negative(fx), rcond=None)
         except np.linalg.LinAlgError:
             return None
         step = step.tolist()

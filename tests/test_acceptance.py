@@ -14,10 +14,9 @@ from fractions import Fraction
 from conftest import (BALL_VALUATIONS, ball_valuation, brute_force_histories,
                       var)
 
-from respgames.checker import (car_degree, cpr_degree, degree_value_at,
+from respgames.checker import (car_degree, cpr_degree, degree_at,
                                path_sat_prob, reward_value)
-from respgames.logic import (DegreeKind, horizon, parse_formula,
-                             parse_path_formula)
+from respgames.logic import DegreeKind, parse_formula, parse_path_formula
 from respgames.model import check_admissible
 from respgames.oracle import (SimConfig, estimate_degree, estimate_path_prob,
                               grid_best_response)
@@ -70,8 +69,8 @@ def test_criterion_03_cpr_numerator_and_monte_carlo(ball):
     sym_num = result.value.num.substitute({x2: X1})
     sym_den = result.value.den.substitute({x2: X1})
     half = {x1: Fraction(1, 2), x2: Fraction(1, 2)}
-    exact = degree_value_at(result, half)
-    est = estimate_degree(ball, SimConfig(MC_SAMPLES, SEED, 1, half),
+    exact, _ = degree_at(result, half)
+    est = estimate_degree(ball, SimConfig(MC_SAMPLES, SEED, half),
                           "A1", plan, psi, DegreeKind.CPR)
     ok = (sym_num == X1 * (one - X1)
           and sym_den == 2 * X1 - X1 * X1
@@ -154,7 +153,7 @@ def test_criterion_06_oracle_agreement(ball, rounds):
                 exact = float(path_sat_prob(
                     m, m.base.initial, psi).evaluate(v))
                 est = estimate_path_prob(
-                    m, SimConfig(MC_SAMPLES, SEED, horizon(psi), v), psi)
+                    m, SimConfig(MC_SAMPLES, SEED, v), psi)
                 ok = ok and abs(est.mean - exact) <= 4 * max(
                     est.stderr, 1e-12)
     record(6, "simulated frequencies match exact probabilities within "

@@ -8,7 +8,7 @@ from conftest import ball_valuation, brute_force_histories, var
 
 from respgames.checker import (QueryContext, _witnesses, car_degree,
                                check_formula, cpr_degree, degree_guard,
-                               degree_value_at, path_sat_prob, reward_value)
+                               degree_at, path_sat_prob, reward_value)
 from respgames.errors import (DegenerateQueryError, MissingParameterError,
                               UnsupportedQueryError)
 from respgames.logic import DegreeKind, parse_formula, parse_path_formula
@@ -104,9 +104,9 @@ def test_cpr_example_six(ball):
     assert res.kappa
     assert res.value.num == x1 * (one - x2)
     assert res.value.den == x1 + x2 - x1 * x2
-    assert degree_value_at(res, ball_valuation(ball, Fraction(1, 2),
-                                               Fraction(1, 2))) \
-        == Fraction(1, 3)
+    assert degree_at(res, ball_valuation(ball, Fraction(1, 2),
+                                         Fraction(1, 2))) \
+        == (Fraction(1, 3), ())
 
 
 def test_cpr_kappa_zero_when_plan_violates(ball):
@@ -157,7 +157,7 @@ def test_degree_range_on_fixtures(ball, rounds):
                 for _ in range(25):
                     v = ball_valuation(m, Fraction(rng.randint(0, 12), 12),
                                        Fraction(rng.randint(0, 12), 12))
-                    value = degree_value_at(res, v)
+                    value, _ = degree_at(res, v)
                     assert 0 <= value <= 1
 
 
@@ -411,7 +411,7 @@ def test_monte_carlo_agreement_spot(ball):
     psi = parse_path_formula("X collision", ball)
     exact = path_sat_prob(ball, "s0", psi)
     v = ball_valuation(ball, Fraction(1, 3), Fraction(1, 4))
-    est = estimate_path_prob(ball, SimConfig(40_000, 17, 1, v), psi)
+    est = estimate_path_prob(ball, SimConfig(40_000, 17, v), psi)
     assert abs(est.mean - float(exact.evaluate(v))) <= 4 * est.stderr
 
 

@@ -345,8 +345,8 @@ def test_work_cap_refuses_within_one_cell(capsys, monkeypatch):
 def test_simulate_block_cap(capsys):
     # refused before numpy allocates the 10^11-cell block
     code, env = run_json(capsys, "simulate", "--model", BALL,
-                         "--formula", "X collision", "--bind", "x1=1/2",
-                         "--bind", "x2=1/2", "--horizon", "100000000",
+                         "--formula", "F<=100000000 collision",
+                         "--bind", "x1=1/2", "--bind", "x2=1/2",
                          "--samples", "1000")
     assert code == 3
     assert env["result"]["error"] == (
@@ -455,13 +455,83 @@ def test_ne_bad_number_flag_exit_two(capsys, flag, value):
      "--seeds must be at least 1"),
     (["ne", "--model", BALL, "--horizon", "2", "--seeds", "-1"],
      "--seeds must be at least 1"),
-    (["simulate", "--model", BALL, "--formula", "X collision",
-      "--bind", "x1=1/2", "--bind", "x2=1/2", "--horizon", "-2"],
-     "--horizon must be at least 0"),
-], ids=["ne-horizon-minus-1", "ne-seeds-0", "ne-seeds-minus-1",
-        "simulate-horizon-minus-2"])
+], ids=["ne-horizon-minus-1", "ne-seeds-0", "ne-seeds-minus-1"])
 def test_size_flag_below_least_rejected(capsys, argv, flag):
     # ne --horizon -1 ended in a ValueError traceback, the others ran
     code, env = run_json(capsys, *argv)
     assert code == 3
     assert env["result"] == {"error": flag}
+
+
+SIM = ["simulate", "--model", BALL, "--formula", "X collision",
+       "--bind", "x1=1/2", "--bind", "x2=1/2", "--samples", "1000"]
+EVAL = ["eval", "--model", BALL, "--formula", "X collision",
+        "--bind", "x1=1/2", "--bind", "x2=1/2"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (SIM + ["--horizon", "3"], "--horizon"),
+    (["check", "--model", BALL, "--symbolic", "--bind", "x1=1/2",
+      "--formula", "<A1,A2> P>0 [ X collision ]"], "--bind"),
+    (["check", "--model", BALL, "--symbolic", "--grid", "10",
+      "--formula", "<A1,A2> P>0 [ X collision ]"], "--grid"),
+    (["ne", "--model", BALL, "--horizon", "1", "--plan", "pi_catch"],
+     "--plan"),
+    (["ne", "--model", BALL, "--horizon", "1", "--lambda2", "0",
+      "--formula", "X collision"], "--formula"),
+    (EVAL + ["--plan", "nonexistent"], "--plan"),
+    (EVAL + ["--agent", "A1"], "--agent"),
+    (SIM + ["--coalition", "A1"], "--coalition"),
+    (SIM + ["--agent", "A1", "--plan", "pi_catch"], "--agent"),
+], ids=["simulate-horizon", "check-symbolic-bind", "check-symbolic-grid",
+        "ne-payoff-plan", "ne-payoff-formula", "eval-plan-without-kind",
+        "eval-agent-without-kind", "simulate-coalition-without-kind",
+        "simulate-agent-without-kind"])
+def test_unread_flag_refused(capsys, argv, flag):
+    # each of these flags used to be accepted and left unread
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_zero_mass_note_is_one_note(capsys):
+    # CPR of A1 under pi_catch at x1 = x2 = 0: no path violates the
+    # collision, so the degree is 0 by the zero-mass convention
+    query = ["--model", BALL, "--formula", "X collision", "--kind", "CPR",
+             "--agent", "A1", "--plan", "pi_catch",
+             "--bind", "x1=0", "--bind", "x2=0"]
+    _, degree = run_json(capsys, "degree", *query)
+    _, evaluated = run_json(capsys, "eval", *query)
+    _, checked = run_json(capsys, "check", "--model", BALL,
+                          "--bind", "x1=0", "--bind", "x2=0", "--formula",
+                          "<A1,A2> D<=0 [ CPR(A1, pi_catch, X collision) ]")
+    assert degree["result"]["exact"] == evaluated["result"]["value"] == "0"
+    assert checked["result"]["verdict"] is True
+    note = ["the degree's denominator mass is zero at this valuation, so "
+            "the degree is 0 by convention"]
+    assert degree["warnings"] == evaluated["warnings"] == note
+    assert checked["warnings"] == note
+
+
+def test_symbolic_check_of_a_deep_horizon_stops_when_all_is_decided(capsys):
+    # every path is a witness at step 0, so the pass ends there instead of
+    # stepping through 10^9 empty depths
+    started = time.perf_counter()
+    for formula in ("<A1,A2> P>=1 [ F<=1000000000 true ]",
+                    "<A1,A2> R<=5 [ F<=1000000000 true @ A2 ]"):
+        code, env = run_json(capsys, "check", "--model", ROUNDS,
+                             "--symbolic", "--formula", formula)
+        assert code == 0 and env["result"]["verdict"] is None
+    assert time.perf_counter() - started < 5
+
+
+def test_check_witness_leaves_out_bound_coalition_parameters(capsys):
+    # x_A1_catch is A1's dependent parameter: the search sets x1, so a
+    # bound 1/3 would contradict the witness's x1 = 0
+    code, env = run_json(capsys, "check", "--model", BALL,
+                         "--bind", "x_A1_catch=1/3", "--bind", "x2=0",
+                         "--formula", "<A1> P>=1 [ X collision ]")
+    assert code == 0
+    assert env["result"] == {"verdict": True,
+                             "witness": {"x1": "0", "x2": "0"}}
+    assert env["warnings"] == ["x_A1_catch belongs to the coalition: the "
+                               "search ranges over it, not its bound value"]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from respgames.checker import (QueryContext, _fit_plan, _reward_parts,
+from respgames.checker import (QueryContext, _reward_parts,
                                _witnesses, car_degree, cpr_degree,
                                degree_guard, path_sat_prob)
 from respgames.errors import DegenerateQueryError, ModelError
@@ -131,7 +131,7 @@ def _mass(histories):
 def reference_degree(m, state, agent, plan, psi, kind, coalition):
     """CAR/CPR by witness enumeration and plan-class membership."""
     ctx = QueryContext.symbolic()
-    plan = _fit_plan(plan, horizon(psi))
+    plan = plan.truncated(horizon(psi))
     sats, viols = _witnesses(m, state, psi, ctx)
     if kind is DegreeKind.CAR:
         own = compatible_plans(m, plan, {agent})

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from conftest import ball_valuation
 from test_engine import AGENTS, queries
 
-from respgames.checker import (QueryContext, _fit_plan, car_degree,
-                               cpr_degree, degree_guard, degree_value_at,
-                               path_sat_prob)
+from respgames.checker import (QueryContext, car_degree, cpr_degree,
+                               degree_at, degree_guard, path_sat_prob)
 from respgames.errors import (InadmissibleError, ModelError,
                               RespgamesError, UndefinedEstimateError)
 from respgames.logic import DegreeKind, horizon, parse_path_formula
@@ -27,20 +26,21 @@ from respgames.trace import CompatTags, Plan, plan_from_model
 
 def test_stream_determinism(ball):
     v = ball_valuation(ball, Fraction(1, 3), Fraction(2, 3))
-    cfg = SimConfig(samples=3000, seed=42, horizon=2, valuation=v)
-    assert list(simulate_paths(ball, cfg)) == list(simulate_paths(ball, cfg))
+    cfg = SimConfig(samples=3000, seed=42, valuation=v)
+    assert (list(simulate_paths(ball, cfg, 2))
+            == list(simulate_paths(ball, cfg, 2)))
 
 
 def test_stream_changes_with_seed(ball):
     v = ball_valuation(ball, Fraction(1, 3), Fraction(2, 3))
-    a = list(simulate_paths(ball, SimConfig(2000, 1, 1, v)))
-    b = list(simulate_paths(ball, SimConfig(2000, 2, 1, v)))
+    a = list(simulate_paths(ball, SimConfig(2000, 1, v), 1))
+    b = list(simulate_paths(ball, SimConfig(2000, 2, v), 1))
     assert a != b
 
 
 def test_degenerate_distribution(ball):
     v = ball_valuation(ball, Fraction(1), Fraction(1))
-    for states, actions in simulate_paths(ball, SimConfig(500, 9, 1, v)):
+    for states, actions in simulate_paths(ball, SimConfig(500, 9, v), 1):
         assert states == ("s0", "s0")
         assert actions == (("skip", "skip"),)
 
@@ -49,7 +49,7 @@ def test_fair_coin_joint_frequency(ball):
     v = ball_valuation(ball, Fraction(1, 2), Fraction(1, 2))
     n = 100_000
     hits = sum(actions[0] == ("catch", "catch")
-               for _, actions in simulate_paths(ball, SimConfig(n, 11, 1, v)))
+               for _, actions in simulate_paths(ball, SimConfig(n, 11, v), 1))
     stderr = (0.25 * 0.75 / n) ** 0.5
     assert abs(hits / n - 0.25) <= 4 * stderr
 
@@ -57,13 +57,13 @@ def test_fair_coin_joint_frequency(ball):
 def test_inadmissible_valuation_rejected(ball):
     v = ball_valuation(ball, Fraction(6, 5), Fraction(1, 2))
     with pytest.raises(InadmissibleError):
-        list(simulate_paths(ball, SimConfig(10, 0, 1, v)))
+        list(simulate_paths(ball, SimConfig(10, 0, v), 1))
 
 
 def test_path_prob_agreement_example_five(ball):
     psi = parse_path_formula("X (dropped | score2)", ball)
     v = ball_valuation(ball, Fraction(3, 10), Fraction(7, 10))
-    est = estimate_path_prob(ball, SimConfig(60_000, 7, 1, v), psi)
+    est = estimate_path_prob(ball, SimConfig(60_000, 7, v), psi)
     exact = float(path_sat_prob(ball, "s0", psi).evaluate(v))
     assert exact == 0.3
     assert abs(est.mean - exact) <= 4 * est.stderr
@@ -72,7 +72,7 @@ def test_path_prob_agreement_example_five(ball):
 def test_estimate_degree_example_five_car(ball):
     psi = parse_path_formula("X (dropped | score2)", ball)
     v = ball_valuation(ball, Fraction(1, 2), Fraction(1, 2))
-    est = estimate_degree(ball, SimConfig(20_000, 5, 1, v), "A1",
+    est = estimate_degree(ball, SimConfig(20_000, 5, v), "A1",
                           plan_from_model(ball, "pi_skip"), psi,
                           DegreeKind.CAR)
     assert est.mean == 1.0
@@ -81,7 +81,7 @@ def test_estimate_degree_example_five_car(ball):
 def test_estimate_degree_kappa_zero_is_exact(ball):
     psi = parse_path_formula("X true", ball)
     v = ball_valuation(ball, Fraction(1, 2), Fraction(1, 2))
-    est = estimate_degree(ball, SimConfig(5_000, 5, 1, v), "A1",
+    est = estimate_degree(ball, SimConfig(5_000, 5, v), "A1",
                           plan_from_model(ball, "pi_skip"), psi,
                           DegreeKind.CAR)
     assert est.mean == 0.0 and est.stderr == 0.0
@@ -97,17 +97,17 @@ def test_estimate_degree_checks_like_exact_degree(ball):
         with pytest.raises(RespgamesError) as exact:
             car_degree(ball, "s0", agent, plan, psi)
         with pytest.raises(type(exact.value), match=str(exact.value)):
-            estimate_degree(ball, SimConfig(500, 5, 1, v), agent, plan, psi,
+            estimate_degree(ball, SimConfig(500, 5, v), agent, plan, psi,
                             DegreeKind.CAR)
 
 
 def test_estimate_degree_example_six_cpr(ball):
     psi = parse_path_formula("X collision", ball)
     v = ball_valuation(ball, Fraction(1, 2), Fraction(1, 2))
-    est = estimate_degree(ball, SimConfig(60_000, 5, 1, v), "A1",
+    est = estimate_degree(ball, SimConfig(60_000, 5, v), "A1",
                           plan_from_model(ball, "pi_catch"), psi,
                           DegreeKind.CPR)
-    exact = degree_value_at(
+    exact, _ = degree_at(
         cpr_degree(ball, "s0", "A1", plan_from_model(ball, "pi_catch"), psi),
         v)
     assert exact == Fraction(1, 3)
@@ -122,7 +122,7 @@ def test_estimate_degree_undefined_denominator(ball):
     psi = parse_path_formula("X (dropped | score2)", ball)
     v = ball_valuation(ball, Fraction(0), Fraction(1))
     with pytest.raises(UndefinedEstimateError):
-        estimate_degree(ball, SimConfig(2_000, 5, 1, v), "A1",
+        estimate_degree(ball, SimConfig(2_000, 5, v), "A1",
                         plan_from_model(ball, "pi_skip"), psi,
                         DegreeKind.CAR)
 
@@ -167,12 +167,12 @@ def test_grid_best_response_responsibility(rounds):
 
 def test_estimate_degree_bounded_reach_car(rounds):
     # exercises the witness-step classifier on a two-step reach outcome
-    from respgames.checker import car_degree, degree_value_at
+    from respgames.checker import car_degree, degree_at
     psi = parse_path_formula("F<=2 (collision | dropped)", rounds)
     plan = plan_from_model(rounds, "pi_mix")
     v = ball_valuation(rounds, Fraction(2, 5), Fraction(3, 5))
-    exact = degree_value_at(car_degree(rounds, "start", "A1", plan, psi), v)
-    est = estimate_degree(rounds, SimConfig(80_000, 23, 2, v), "A1", plan,
+    exact, _ = degree_at(car_degree(rounds, "start", "A1", plan, psi), v)
+    est = estimate_degree(rounds, SimConfig(80_000, 23, v), "A1", plan,
                           psi, DegreeKind.CAR)
     assert abs(est.mean - float(exact)) <= 4 * est.stderr
 
@@ -180,8 +180,8 @@ def test_estimate_degree_bounded_reach_car(rounds):
 def test_block_boundary_consistency(ball):
     # sample counts straddling the block size keep the prefix identical
     v = ball_valuation(ball, Fraction(1, 3), Fraction(2, 3))
-    small = list(simulate_paths(ball, SimConfig(9_999, 13, 1, v)))
-    large = list(simulate_paths(ball, SimConfig(10_050, 13, 1, v)))
+    small = list(simulate_paths(ball, SimConfig(9_999, 13, v), 1))
+    large = list(simulate_paths(ball, SimConfig(10_050, 13, v), 1))
     assert large[:9_999] == small
 
 
@@ -240,14 +240,14 @@ def reference_blocks(cfg):
         yield min(BLOCK, cfg.samples - offset), np.random.default_rng(seq)
 
 
-def reference_paths(m, cfg):
+def reference_paths(m, cfg, depth):
     sampler = ReferenceSampler(m, cfg.valuation)
     start = sampler.index[cfg.start]
     for count, rng in reference_blocks(cfg):
-        states, picks = sampler.sample_block(start, count, cfg.horizon, rng)
+        states, picks = sampler.sample_block(start, count, depth, rng)
         states, picks = states.tolist(), picks.tolist()
         for here, acts in zip(states, sampler.actions(
-                states, picks, [cfg.horizon] * count)):
+                states, picks, [depth] * count)):
             yield tuple(sampler.states[i] for i in here), acts
 
 
@@ -257,7 +257,7 @@ def reference_path_prob(m, cfg, psi):
     hits = 0
     for count, rng in reference_blocks(cfg):
         states, _ = sampler.sample_block(sampler.index[cfg.start], count,
-                                         max(cfg.horizon, horizon(psi)), rng)
+                                         horizon(psi), rng)
         hits += int((_witness_steps(psi, states, hold, goal)[0] >= 0).sum())
     mean = hits / cfg.samples
     return Estimate(mean, sqrt(mean * (1 - mean) / cfg.samples), cfg.samples)
@@ -274,7 +274,7 @@ def admits(compat, actions):
 def reference_degree(m, cfg, agent, plan, psi, kind, coalition):
     """Classify each chosen row by `admits` of its witness prefix."""
     depth = horizon(psi)
-    plan = _fit_plan(plan, depth)
+    plan = plan.truncated(depth)
     sampler = ReferenceSampler(m, cfg.valuation)
     hold, goal = _sat_tables(m, sampler, psi, cfg.valuation)
     ctx = QueryContext.evaluated(cfg.valuation)
@@ -326,9 +326,10 @@ def test_vectorised_sampler_equals_per_sample_loops(query, samples, extra,
     m, state, psi, plan = query
     valuation = {p: data.draw(st.sampled_from(MIXES)) for p in m.params}
     assume(0 < path_sat_prob(m, state, psi).evaluate(valuation) < 1)
-    cfg = SimConfig(samples, seed, horizon(psi) + extra, valuation,
-                    start=state)
-    assert list(simulate_paths(m, cfg)) == list(reference_paths(m, cfg))
+    cfg = SimConfig(samples, seed, valuation, start=state)
+    depth = horizon(psi) + extra
+    assert (list(simulate_paths(m, cfg, depth))
+            == list(reference_paths(m, cfg, depth)))
     assert estimate_path_prob(m, cfg, psi) == reference_path_prob(m, cfg,
                                                                   psi)
     for coalition in ({agent}, AGENTS):
@@ -396,10 +397,10 @@ def test_degree_classifier_on_hand_made_prefixes(text):
     psi = parse_path_formula("F<=2 g", m)
     plan = plan_from_model(m, "pi")
     v = {p: Fraction(1, 2) for p in m.params}
-    exact = degree_value_at(car_degree(m, "s", "A", plan, psi), v)
+    exact, _ = degree_at(car_degree(m, "s", "A", plan, psi), v)
     assert exact == Fraction(1, 3)
     for samples in (9_999, 10_050):
-        cfg = SimConfig(samples, 3, 2, v, start="s")
+        cfg = SimConfig(samples, 3, v, start="s")
         args = (m, cfg, "A", plan, psi, DegreeKind.CAR, None)
         est = estimate_degree(*args)
         assert est == reference_degree(*args)

@@ -270,6 +270,23 @@ def test_solve_ne_overflowing_residual():
         assert err.value.best_residual == math.inf
 
 
+def test_newton_keeps_non_finite_values_from_lapack(capfd):
+    # 7e307 * y * (1 + x + x^2) overflows at some iterates; handed to
+    # lstsq, such a residual or Jacobian made LAPACK print "DLASCL"
+    # complaints on standard output, 114 lines over these six seeds
+    x, y = (ParamId("solo", None, n, label=n) for n in "xy")
+    xx, yy = Polynomial.variable(x), Polynomial.variable(y)
+    sys = NeSystem(variables=(x, y),
+                   equations=(xx - Fraction(1, 2) + Fraction(7e307) * yy
+                              * (1 + xx + xx * xx), yy - 2 * yy * yy),
+                   support={})
+    for seed in range(6):
+        with pytest.raises(NoSolutionError):
+            solve_ne(sys, seeds=24, seed=seed)
+    out, err = capfd.readouterr()
+    assert "DLASCL" not in out + err
+
+
 def test_newton_norm_propagates_nan():
     # the damping loop's norm is np.max(np.abs(v)) on Python floats
     nan, inf = math.nan, math.inf
