@@ -5,7 +5,7 @@ from .errors import (DegenerateQueryError, FormulaError, InadmissibleError,
                      MissingParameterError, ModelError, NoSolutionError,
                      ResourceLimitError, RespgamesError,
                      UndefinedEstimateError, UnsupportedQueryError,
-                     ZeroDenominatorError)
+                     UsageError, ZeroDenominatorError)
 from .polyarith import (Monomial, ParamId, Polynomial, RationalFunction,
                         parse_polynomial, rf_equal_on_box)
 from .model import (AdmissibilityReport, Csg, Psmas, RewardStructure,

@@ -39,7 +39,7 @@ from .logic import (And, Atom, CoalitionDegree, CoalitionProb,
                     PathFormula, StateFormula, TrueFormula, Until, horizon)
 from .model import (AdmissibilityReport, Psmas, RewardStructure, Scope,
                     scope_violations)
-from .polyarith import ParamId, Polynomial, RationalFunction
+from .polyarith import GridWalk, ParamId, Polynomial, RationalFunction
 from .trace import CompatTags, History, Plan, check_work, plan_from_model
 
 SYMBOLIC = "symbolic"
@@ -332,10 +332,11 @@ def check_prob(m: Psmas, state: str, f: CoalitionProb,
     Evaluated mode searches the coalition's parameters for a witness while
     the context fixes every non-coalition parameter.
     """
-    value = path_sat_prob(m, state, f.body, ctx)
     if not ctx.is_evaluated:
+        value = path_sat_prob(m, state, f.body, ctx)
         return CheckResult(holds=None, region=Region(value, f.cmp, f.bound))
-    return _exists_search(m, f.coalition, ctx, value.evaluate, f.cmp, f.bound)
+    mass = _witness_pass(m, state, f.body, ctx)[True, True].mass
+    return _exists_search(m, f.coalition, ctx, mass, f.cmp, f.bound)
 
 
 # -- reward operator --------------------------------------------------------
@@ -383,13 +384,8 @@ def check_reward(m: Psmas, state: str, f: CoalitionReward,
         return CheckResult(holds=None, region=Region(value, f.cmp, f.bound))
 
     noreach, reach_reward = _reward_parts(m, state, f.target, f.k, r, ctx)
-
-    def finite_rx(v: Mapping[ParamId, Fraction]) -> Fraction | None:
-        if noreach.evaluate(v) > 0:
-            return None  # infinite
-        return reach_reward.evaluate(v)
-
-    return _exists_search(m, f.coalition, ctx, finite_rx, f.cmp, f.bound)
+    return _exists_search(m, f.coalition, ctx, reach_reward, f.cmp, f.bound,
+                          infinite=noreach)
 
 
 # -- degree operators --------------------------------------------------------
@@ -552,13 +548,13 @@ def check_formula(m: Psmas, state: str, phi: StateFormula,
 MAX_GRID_POINTS = 2_000_000
 
 
-def simplex_grid(m: Psmas, scopes: Sequence[Scope], denominator: int
-                 ) -> Iterator[dict[ParamId, Fraction]]:
-    """The grid points of the scopes' free parameters at step 1/denominator.
+def _grid_axes(m: Psmas, scopes: Sequence[Scope], denominator: int
+               ) -> list[list[tuple[int, ...]]]:
+    """Per scope, the grid numerators of its free parameters: tuples of
+    naturals summing to at most the denominator, in lexicographic order.
 
-    Per scope the free parameters sum to at most 1; points come in
-    lexicographic order, scope by scope.  The points are counted before any
-    is made: over MAX_GRID_POINTS raises UnsupportedQueryError.
+    The points, one tuple per scope, are counted before any is made: over
+    MAX_GRID_POINTS raises UnsupportedQueryError.
     """
     free = [m.free_params(scope) for scope in scopes]
     total = math.prod(math.comb(denominator + len(params), len(params))
@@ -566,10 +562,21 @@ def simplex_grid(m: Psmas, scopes: Sequence[Scope], denominator: int
     if total > MAX_GRID_POINTS:
         raise UnsupportedQueryError(
             f"grid has {total} points, over the {MAX_GRID_POINTS} cap")
+    return [list(_bounded_tuples(len(params), denominator))
+            for params in free]
+
+
+def simplex_grid(m: Psmas, scopes: Sequence[Scope], denominator: int
+                 ) -> Iterator[dict[ParamId, Fraction]]:
+    """The grid points of the scopes' free parameters at step 1/denominator.
+
+    Per scope the free parameters sum to at most 1; points come in
+    lexicographic order, scope by scope, capped as `_grid_axes` says.
+    """
     grids = [[tuple(Fraction(i, denominator) for i in combo)
-              for combo in _bounded_tuples(len(params), denominator)]
-             for params in free]
-    flat = [p for params in free for p in params]
+              for combo in axis]
+             for axis in _grid_axes(m, scopes, denominator)]
+    flat = [p for scope in scopes for p in m.free_params(scope)]
     return (dict(zip(flat, itertools.chain.from_iterable(combo)))
             for combo in itertools.product(*grids))
 
@@ -586,20 +593,22 @@ def _bounded_tuples(length: int, budget: int) -> Iterator[tuple[int, ...]]:
 
 
 def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
-                   quantity: Callable[[Mapping[ParamId, Fraction]],
-                                      Fraction | None],
-                   cmp: CompareOp, bound: Fraction) -> CheckResult:
-    """Search the coalition's parameter box for a witness of `quantity cmp bound`.
+                   value: Polynomial, cmp: CompareOp, bound: Fraction,
+                   infinite: Polynomial | None = None) -> CheckResult:
+    """Search the coalition's parameter box for a witness of `value cmp bound`.
 
-    `quantity` returns None to signal an infinite reward value, which
-    satisfies >=/> bounds and fails <=/< bounds.  Non-coalition parameters
-    must all be fixed by the context (MissingParameterError otherwise),
-    inside their scopes' simplices (admissibility conditions 2 and 3;
-    InadmissibleError otherwise).  A coalition parameter the context binds
-    is searched over all the same, with one warning each, and the witness
+    Where `infinite` (a reward's never-reaching mass) is positive the value
+    is infinite, which satisfies >=/> bounds and fails <=/< bounds.
+    Non-coalition parameters must all be fixed by the context
+    (MissingParameterError otherwise), inside their scopes' simplices
+    (admissibility conditions 2 and 3; InadmissibleError otherwise), and
+    are substituted once.  A coalition parameter the context binds is
+    searched over all the same, with one warning each, and the witness
     leaves its binding out.
-    Deterministic: plain grid scan at the context resolution, then
-    bisection-style refinement toward the bound.
+    Deterministic: a grid scan at the context resolution, in integers
+    (`GridWalk`), returns the first point that meets the bound, else the
+    first strictly best point is refined by bisection-style steps toward
+    the bound.  A false verdict carries a warning that it is no proof.
     """
     scopes = [s for s in m.scopes() if s[0] in coalition]
     owned = {p for s in scopes
@@ -614,35 +623,68 @@ def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
         f"{p.name} belongs to the coalition: the search ranges over it, "
         f"not its bound value" for p in ctx.valuation if p in owned)
 
-    def test(value: Fraction | None) -> bool:
-        if value is None:
-            return cmp in (CompareOp.GE, CompareOp.GT)
-        return cmp.holds(value, bound)
-
-    best_point: dict[ParamId, Fraction] | None = None
-    best_value: Fraction | None = None
+    denominator = ctx.grid_denominator
+    axes = _grid_axes(m, scopes, denominator)
+    groups = [m.free_params(s) for s in scopes]
+    flat = [p for params in groups for p in params]
+    constants = {p: Polynomial.constant(v) for p, v in fixed.items()}
+    if infinite is not None:
+        infinite = infinite.substitute(constants)
+        unreached: Iterable[int] = GridWalk(infinite, groups, denominator)
+    else:
+        unreached = itertools.repeat(0)
+    value = value.substitute(constants)
+    walk = GridWalk(value, groups, denominator)
     maximize = cmp in (CompareOp.GE, CompareOp.GT)
-    for own in simplex_grid(m, scopes, ctx.grid_denominator):
-        point = dict(fixed)
-        point.update(own)
-        value = quantity(point)
-        if test(value):
-            return CheckResult(holds=True, witness=point, warnings=warnings)
-        if value is None:
-            continue
-        if best_value is None or (value > best_value if maximize
-                                  else value < best_value):
-            best_value, best_point = value, point
 
-    if best_point is not None:
-        refined = _refine(m, scopes, fixed, best_point, quantity, maximize,
-                          Fraction(1, ctx.grid_denominator))
+    def point_at(combo) -> dict[ParamId, Fraction]:
+        point = dict(fixed)
+        numerators = itertools.chain.from_iterable(combo)
+        point.update((p, Fraction(i, denominator))
+                     for p, i in zip(flat, numerators))
+        return point
+
+    def quantity(point: Mapping[ParamId, Fraction]) -> Fraction | None:
+        if infinite is not None and infinite.evaluate(point) > 0:
+            return None
+        return value.evaluate(point)
+
+    def test(v: Fraction | None) -> bool:
+        if v is None:
+            return maximize
+        return cmp.holds(v, bound)
+
+    # a value n / walk.scale meets the bound iff n * den(bound) does
+    # num(bound) * walk.scale, as both scales are positive
+    target, times = bound.numerator * walk.scale, bound.denominator
+    best: int | None = None
+    best_combo = None
+    for combo, mass, n in zip(itertools.product(*axes), unreached, walk):
+        if mass > 0:  # the value is infinite
+            if maximize:
+                return CheckResult(holds=True, witness=point_at(combo),
+                                   warnings=warnings)
+            continue
+        if cmp.holds(n * times, target):
+            return CheckResult(holds=True, witness=point_at(combo),
+                               warnings=warnings)
+        if best is None or (n > best if maximize else n < best):
+            best, best_combo = n, combo
+
+    best_point = None
+    if best_combo is not None:
+        refined = _refine(m, scopes, fixed, point_at(best_combo), quantity,
+                          maximize, Fraction(1, denominator))
         if test(quantity(refined)):
             return CheckResult(holds=True, witness=refined,
                                warnings=warnings)
         best_point = refined
+    note = (f"this false verdict comes from a 1/{denominator} grid search "
+            f"with local refinement, not from a proof")
+    if best_point is not None:
+        note += "; the witness is the best point found"
     return CheckResult(holds=False, witness=best_point,
-                       warnings=warnings)
+                       warnings=(*warnings, note))
 
 
 def _refine(m: Psmas, scopes, fixed, point, quantity, maximize,

@@ -25,7 +25,8 @@ from fractions import Fraction
 from .checker import (QueryContext, check_formula, degree_at, path_sat_prob,
                       responsibility_degree)
 from .errors import (FormulaError, InadmissibleError, MissingParameterError,
-                     ModelError, RespgamesError, UnsupportedQueryError)
+                     ModelError, RespgamesError, UnsupportedQueryError,
+                     UsageError)
 from .logic import DegreeKind, parse_formula, parse_path_formula
 from .model import build_psmas, check_admissible, load_model
 from .oracle import SimConfig, estimate_degree, estimate_path_prob
@@ -35,7 +36,8 @@ from .trace import plan_from_model
 USAGE_EXIT = 2
 RESOURCE_EXIT = 3
 
-_USAGE_ERRORS = (FormulaError, ModelError, MissingParameterError)
+_USAGE_ERRORS = (FormulaError, ModelError, MissingParameterError,
+                 UsageError)
 
 
 def _rational(text: str) -> Fraction:
@@ -105,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ne.add_argument("--horizon", type=int, required=True)
     p_ne.add_argument("--lambda1", type=_rational, default="1")
     p_ne.add_argument("--lambda2", type=_rational, default="0")
-    p_ne.add_argument("--theta", type=_rational, default="1")
+    p_ne.add_argument("--theta", type=_rational,
+                      help="CPR weight against CAR (default 1)")
     p_ne.add_argument("--plan", help="responsibility outcome plan name")
     p_ne.add_argument("--seeds", type=int, default=24,
                       help="Newton starts per support")
@@ -157,7 +160,7 @@ def _unread_flag(args) -> str | None:
     if args.subcommand == "check" and args.symbolic:
         names, context = ("bind", "grid"), "with --symbolic"
     elif args.subcommand == "ne" and args.lambda2 == 0:
-        names = ("plan", "formula", "formula_file")
+        names = ("plan", "formula", "formula_file", "theta")
         context = "with --lambda2 0"
     elif args.subcommand in ("eval", "simulate") and args.kind is None:
         names, context = ("agent", "plan", "coalition"), "without --kind"
@@ -187,7 +190,7 @@ def _load(args):
 
 def _formula_text(args) -> str | None:
     if args.formula and args.formula_file:
-        raise FormulaError("give --formula or --formula-file, not both")
+        raise UsageError("give --formula or --formula-file, not both")
     if args.formula_file:
         with open(args.formula_file, "r", encoding="utf-8") as handle:
             return handle.read().strip()
@@ -197,7 +200,7 @@ def _formula_text(args) -> str | None:
 def _query_text(args) -> str:
     text = _formula_text(args)
     if text is None:
-        raise FormulaError(
+        raise UsageError(
             f"{args.subcommand} needs --formula or --formula-file")
     return text
 
@@ -206,16 +209,16 @@ def _bindings(args, m) -> dict:
     out = {}
     for item in args.bind:
         if "=" not in item:
-            raise FormulaError(f"--bind expects NAME=VALUE, got '{item}'")
+            raise UsageError(f"--bind expects NAME=VALUE, got '{item}'")
         name, value_text = item.split("=", 1)
         name = name.strip()
         pid = m.param_table.get(name)
         if pid is None:
-            raise FormulaError(f"unknown parameter '{name}'")
+            raise UsageError(f"unknown parameter '{name}'")
         try:
             out[pid] = Fraction(value_text.strip())
         except (ValueError, ZeroDivisionError):
-            raise FormulaError(f"bad rational '{value_text}' for {name}")
+            raise UsageError(f"bad rational '{value_text}' for {name}")
     return out
 
 
@@ -225,14 +228,14 @@ def _coalition(args, m):
     members = frozenset(a.strip() for a in args.coalition.split(","))
     unknown = members - set(m.base.agents)
     if unknown:
-        raise FormulaError(f"unknown agent '{sorted(unknown)[0]}'")
+        raise UsageError(f"unknown agent '{sorted(unknown)[0]}'")
     return members
 
 
 def _state(args, m) -> str:
     state = args.state or m.base.initial
     if state not in m.base.states:
-        raise FormulaError(f"unknown state '{state}'")
+        raise UsageError(f"unknown state '{state}'")
     return state
 
 
@@ -281,7 +284,7 @@ def _degree_query(args, m):
     if args.kind is None:
         return None
     if not (args.agent and args.plan):
-        raise FormulaError("--kind needs --agent and --plan")
+        raise UsageError("--kind needs --agent and --plan")
     return (plan_from_model(m, args.plan), _coalition(args, m),
             DegreeKind(args.kind))
 
@@ -316,12 +319,13 @@ def _cmd_degree(args, warnings) -> tuple[int, dict]:
 
 def _cmd_ne(args, warnings) -> tuple[int, dict]:
     m = _load(args)
-    cfg = UtilityConfig(args.lambda1, args.lambda2, args.theta)
+    theta = Fraction(1) if args.theta is None else args.theta
+    cfg = UtilityConfig(args.lambda1, args.lambda2, theta)
     resp_spec = None
     if cfg.lambda2 != 0:
         text = _formula_text(args)
         if not (text and args.plan):
-            raise FormulaError(
+            raise UsageError(
                 "responsibility-weighted utilities need --plan and --formula")
         resp_spec = ResponsibilitySpec(plan_from_model(m, args.plan),
                                        parse_path_formula(text, m))

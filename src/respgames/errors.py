@@ -35,6 +35,11 @@ class FormulaError(RespgamesError):
         super().__init__(f"{source}:{line}:{col or 1}: {message}")
 
 
+class UsageError(RespgamesError):
+    """A command line whose flags are missing, conflicting or name unknown
+    things; unlike FormulaError it points at no formula text."""
+
+
 class MissingParameterError(RespgamesError):
     """A valuation does not assign a parameter that is needed."""
 

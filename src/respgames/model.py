@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import MissingParameterError, ModelError
-from .polyarith import ParamId, Polynomial
+from .polyarith import ParamId, Polynomial, intern
 
 JointAction = tuple[str, ...]
 Scope = tuple[str, str | None]  # (agent, state) or (agent, None) when shared
@@ -307,9 +307,11 @@ def build_psmas(g: Csg) -> Psmas:
         else:
             dep = sorted(actions)[-1]
             names = {}
+        # free parameters are interned, so each load of a model shares
+        # them; the dependent one never enters a polynomial
         table[scope] = ScopeSpace(
             states, actions,
-            tuple(ParamId(agent, scope[1], a, label=names.get(a))
+            tuple(intern(ParamId(agent, scope[1], a, label=names.get(a)))
                   for a in actions if a != dep),
             ParamId(agent, scope[1], dep))
     if declared:

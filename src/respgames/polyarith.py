@@ -40,7 +40,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (MissingParameterError, ResourceLimitError,
                      ZeroDenominatorError)
@@ -114,12 +114,23 @@ _BITS = 16
 _FIELD = (1 << _BITS) - 1
 MAX_EXPONENT = (1 << (_BITS - 1)) - 1
 
-# Field numbers, assigned on first sight and never reused or moved; only
-# the speed of an operation, never its result, depends on them.  Equal
-# parameters with different labels get fields of their own, so a key
-# unpacks to the parameter, and the name, it was built from.
+# Field numbers, assigned on first use in a polynomial and never reused or
+# moved; only the speed of an operation, never its result, depends on
+# them.  Equal parameters with different labels get fields of their own,
+# so a key unpacks to the parameter, and the name, it was built from.
+# `_interned` holds one object per (parameter, label), the one every field
+# unpacks to.
 _field_of: dict[tuple[ParamId, str | None], int] = {}
 _param_at: list[ParamId] = []
+_interned: dict[tuple[ParamId, str | None], ParamId] = {}
+
+
+def intern(p: ParamId) -> ParamId:
+    """The registered parameter equal to p with p's label (p itself the
+    first time).  Dictionaries find an interned parameter by identity, so
+    the parameters of every load of a model are the objects that compiled
+    plans hold, and no lookup calls `ParamId.__eq__`."""
+    return _interned.setdefault((p, p.label), p)
 
 
 def _shift(p: ParamId) -> int:
@@ -127,7 +138,7 @@ def _shift(p: ParamId) -> int:
     i = _field_of.get((p, p.label))
     if i is None:
         i = _field_of[p, p.label] = len(_param_at)
-        _param_at.append(p)
+        _param_at.append(intern(p))
     return i * _BITS
 
 
@@ -575,6 +586,92 @@ class _EvalPlan:
         # int / int rounds correctly, as float(Fraction) does
         self.float_rows = tuple((c / poly._den, factors)
                                 for c, factors in sparse)
+
+
+class GridWalk:
+    """A polynomial's values on a simplex grid, as integers over one scale.
+
+    `groups` lists the grid's parameters simplex by simplex; each takes the
+    values i/denominator, with the naturals i of one group summing to at
+    most the denominator.  Iterating yields, at every point in
+    lexicographic order over the flattened groups, the integer N whose
+    value is N / `scale`, with scale = den * denominator**(sum of the
+    parameters' highest exponents top).  As in `evaluate`, parameter j
+    at value i/denominator contributes i**e * denominator**(top - e) to a
+    term with exponent e, read from a table, so a term is its numerator
+    times one table entry per parameter.  The walk
+    collapses one parameter per level, outermost first: each of its values
+    folds its table row into the coefficients of the remaining parameters,
+    which are then walked alike.  No Fraction is made per point.
+
+    A parameter of the polynomial outside the groups raises
+    MissingParameterError, the first one in order of appearance.
+    """
+
+    __slots__ = ("scale", "_denominator", "_width", "_tables", "_opens",
+                 "_terms")
+
+    def __init__(self, poly: Polynomial,
+                 groups: Sequence[Sequence[ParamId]], denominator: int):
+        flat = [p for group in groups for p in group]
+        position = {p: j for j, p in enumerate(flat)}
+        plan = poly._compiled()
+        for p in plan.params:
+            if p not in position:
+                raise MissingParameterError(p)
+        tops = [0] * len(flat)
+        for p, top in zip(plan.params, plan.tops):
+            tops[position[p]] = top
+        # keys repacked with parameter j in field j, the first lowest
+        width = max(tops, default=0).bit_length() or 1
+        terms: dict[int, int] = {}
+        for c, exps in plan.rows:
+            key = 0
+            for p, e in zip(plan.params, exps):
+                key |= e << position[p] * width
+            terms[key] = terms.get(key, 0) + c
+        self.scale = plan.den * denominator ** sum(tops)
+        self._denominator = denominator
+        self._width = width
+        # parameter j's table, by exponent e, then value i
+        self._tables = [[[i ** e * denominator ** (top - e)
+                          for i in range(denominator + 1)]
+                         for e in range(top + 1)] for top in tops]
+        # whether parameter j starts a group, with the whole budget
+        self._opens = [j == 0 for group in groups for j in range(len(group))]
+        self._terms = terms
+
+    def __iter__(self) -> Iterator[int]:
+        if not self._tables:
+            return iter((self._terms.get(0, 0),))
+        return self._walk(self._terms, 0, self._denominator)
+
+    def _walk(self, terms: dict[int, int], level: int,
+              budget: int) -> Iterator[int]:
+        mask = (1 << self._width) - 1
+        by_exp: dict[int, list[tuple[int, int]]] = {}
+        for key, c in terms.items():
+            by_exp.setdefault(key & mask, []).append((key >> self._width, c))
+        table = self._tables[level]
+        if level + 1 == len(self._tables):
+            # one row of points: every remaining key is 0
+            values = [0] * (budget + 1)
+            for e, members in by_exp.items():
+                coeff = sum(c for _, c in members)
+                values = [v + coeff * t for v, t in zip(values, table[e])]
+            yield from values
+            return
+        opens = self._opens[level + 1]
+        for i in range(budget + 1):
+            folded: dict[int, int] = {}
+            get = folded.get
+            for e, members in by_exp.items():
+                f = table[e][i]
+                if f:
+                    for rest, c in members:
+                        folded[rest] = get(rest, 0) + c * f
+            yield from self._walk(folded, level + 1,
+                                  self._denominator if opens else budget - i)
 
 
 class RationalFunction:

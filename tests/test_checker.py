@@ -415,12 +415,8 @@ def test_monte_carlo_agreement_spot(ball):
     assert abs(est.mean - float(exact.evaluate(v))) <= 4 * est.stderr
 
 
-def test_simplex_grid_order_and_cap(monkeypatch):
-    # two scopes: A has three actions (two free parameters), B has two
-    from respgames import checker
-    from respgames.checker import simplex_grid
-    from respgames.model import build_psmas, parse_model
-    m = build_psmas(parse_model("""
+# two scopes: A has three actions (two free parameters), B has two
+TWO_SCOPES = """
 agents: A B
 states: s
 init: s
@@ -432,7 +428,14 @@ trans s (b, a) -> { s: 1 }
 trans s (b, b) -> { s: 1 }
 trans s (c, a) -> { s: 1 }
 trans s (c, b) -> { s: 1 }
-"""))
+"""
+
+
+def test_simplex_grid_order_and_cap(monkeypatch):
+    from respgames import checker
+    from respgames.checker import simplex_grid
+    from respgames.model import build_psmas, parse_model
+    m = build_psmas(parse_model(TWO_SCOPES))
     scopes = m.scopes()
     free = [m.free_params(scope) for scope in scopes]
     assert [len(params) for params in free] == [2, 1]
@@ -452,3 +455,151 @@ trans s (c, b) -> { s: 1 }
     monkeypatch.setattr(checker, "MAX_GRID_POINTS", 74)
     with pytest.raises(UnsupportedQueryError, match="75 points"):
         simplex_grid(m, scopes, n)
+
+
+def _fraction_scan(m, coalition, ctx, quantity, cmp, bound):
+    """The coalition search as it was before the integer grid walk: one
+    Fraction valuation per grid point (the reference of
+    `test_integer_walk_matches_fraction_scan`)."""
+    from respgames.checker import CheckResult, _refine, simplex_grid
+    from respgames.errors import InadmissibleError
+    from respgames.logic import CompareOp
+    from respgames.model import AdmissibilityReport, scope_violations
+    scopes = [s for s in m.scopes() if s[0] in coalition]
+    owned = {p for s in scopes
+             for p in (*m.free_params(s), m.table[s].dependent)}
+    fixed = {p: v for p, v in ctx.valuation.items() if p not in owned}
+    report = AdmissibilityReport.of(
+        [v for s in m.scopes() if s[0] not in coalition
+         for v in scope_violations(m, s, fixed)])
+    if not report.ok:
+        raise InadmissibleError(report)
+    warnings = tuple(
+        f"{p.name} belongs to the coalition: the search ranges over it, "
+        f"not its bound value" for p in ctx.valuation if p in owned)
+
+    def test(value):
+        if value is None:
+            return cmp in (CompareOp.GE, CompareOp.GT)
+        return cmp.holds(value, bound)
+
+    best_point = best_value = None
+    maximize = cmp in (CompareOp.GE, CompareOp.GT)
+    for own in simplex_grid(m, scopes, ctx.grid_denominator):
+        point = dict(fixed)
+        point.update(own)
+        value = quantity(point)
+        if test(value):
+            return CheckResult(holds=True, witness=point, warnings=warnings)
+        if value is None:
+            continue
+        if best_value is None or (value > best_value if maximize
+                                  else value < best_value):
+            best_value, best_point = value, point
+    if best_point is not None:
+        refined = _refine(m, scopes, fixed, best_point, quantity, maximize,
+                          Fraction(1, ctx.grid_denominator))
+        if test(quantity(refined)):
+            return CheckResult(holds=True, witness=refined,
+                               warnings=warnings)
+        best_point = refined
+    return CheckResult(holds=False, witness=best_point, warnings=warnings)
+
+
+def _outcome(search):
+    """(holds, witness, warnings) of a search, or its exception's type and
+    message."""
+    try:
+        result = search()
+    except Exception as exc:  # compared across the two searches
+        return type(exc), str(exc)
+    return result.holds, result.witness, result.warnings
+
+
+def test_integer_walk_matches_fraction_scan(monkeypatch):
+    from respgames import checker
+    from respgames.logic import CompareOp
+    from respgames.model import build_psmas, parse_model
+    from respgames.polyarith import ParamId
+    m = build_psmas(parse_model(TWO_SCOPES))
+    params = m.params
+    rng = random.Random(13)
+
+    def random_poly(vars_, terms):
+        poly = Polynomial.zero()
+        for _ in range(terms):
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            mono = Polynomial.one()
+            for p in vars_:
+                mono = mono * Polynomial.variable(p) ** rng.randint(0, 3)
+            poly = poly + mono * c
+        return poly
+
+    def valuation(coalition):
+        # admissible values outside the coalition, sometimes a binding of
+        # a coalition parameter (searched over, with a warning)
+        out = {}
+        for scope in m.scopes():
+            free = m.free_params(scope)
+            if scope[0] in coalition and rng.random() < 0.7:
+                continue
+            cuts = sorted(Fraction(rng.randint(0, 6), 6) for _ in free)
+            out.update(zip(free, (b - a for a, b in zip([0, *cuts], cuts))))
+        return out
+
+    def compare(value, cmp, bound, coalition, ctx, infinite=None):
+        def quantity(v):
+            if infinite is not None and infinite.evaluate(v) > 0:
+                return None
+            return value.evaluate(v)
+
+        old = _outcome(lambda: _fraction_scan(m, coalition, ctx, quantity,
+                                              cmp, bound))
+        new = _outcome(lambda: checker._exists_search(
+            m, coalition, ctx, value, cmp, bound, infinite=infinite))
+        if len(old) == 3 and old[0] is False:  # the new search says why
+            assert new[2][-1].startswith("this false verdict comes from a "
+                                         f"1/{ctx.grid_denominator} grid")
+            new = new[:2] + (new[2][:-1],)
+        assert new == old, (value, infinite, cmp, bound, coalition)
+        return old
+
+    verdicts = set()
+    for case in range(160):
+        # the empty coalition leaves a grid of one point, no parameter
+        coalition = rng.choice([frozenset("A"), frozenset("B"),
+                                frozenset("AB"), frozenset()])
+        ctx = QueryContext.evaluated(valuation(coalition),
+                                     grid_denominator=rng.choice((2, 3, 5)))
+        value = random_poly(params, rng.randint(1, 5))
+        infinite = None
+        if case % 2:  # a reward: infinite where this mass is positive
+            infinite = random_poly(params, rng.randint(0, 3))
+        cmp = rng.choice(list(CompareOp))
+        # a bound some grid point meets or, past every value, none does
+        points = list(checker.simplex_grid(m, m.scopes(), 4))
+        bound = rng.choice([value.evaluate(rng.choice(points)),
+                            Fraction(rng.choice((-1, 1)) * 1000)])
+        old = compare(value, cmp, bound, coalition, ctx, infinite)
+        verdicts.add(old[0])
+    assert verdicts == {True, False}
+
+    # a parameter outside the model, so missing from every point
+    stray = Polynomial.variable(ParamId("Z", None, "z"))
+    ctx = QueryContext.evaluated({}, grid_denominator=3)
+    for extra in (stray, stray * Polynomial.variable(params[0])):
+        old = compare(random_poly(params, 3) + extra, CompareOp.GE,
+                      Fraction(1000), frozenset("AB"), ctx)
+        assert old[0] is MissingParameterError and "x_Z_z" in old[1]
+    # B's parameter unbound outside the coalition
+    old = compare(random_poly(params, 3), CompareOp.LE, Fraction(0),
+                  frozenset("A"), ctx, random_poly(params, 2))
+    assert old == (MissingParameterError,
+                   "no value assigned to parameter x_B_s_a")
+    # the cap: 15 * 5 points at step 1/4
+    ctx = QueryContext.evaluated({}, grid_denominator=4)
+    monkeypatch.setattr(checker, "MAX_GRID_POINTS", 74)
+    old = compare(random_poly(params, 3), CompareOp.GT, Fraction(1000),
+                  frozenset("AB"), ctx)
+    assert old == (UnsupportedQueryError,
+                   "grid has 75 points, over the 74 cap")

@@ -483,10 +483,11 @@ EVAL = ["eval", "--model", BALL, "--formula", "X collision",
     (EVAL + ["--agent", "A1"], "--agent"),
     (SIM + ["--coalition", "A1"], "--coalition"),
     (SIM + ["--agent", "A1", "--plan", "pi_catch"], "--agent"),
+    (["ne", "--model", BALL, "--horizon", "1", "--theta", "5"], "--theta"),
 ], ids=["simulate-horizon", "check-symbolic-bind", "check-symbolic-grid",
         "ne-payoff-plan", "ne-payoff-formula", "eval-plan-without-kind",
         "eval-agent-without-kind", "simulate-coalition-without-kind",
-        "simulate-agent-without-kind"])
+        "simulate-agent-without-kind", "ne-payoff-theta"])
 def test_unread_flag_refused(capsys, argv, flag):
     # each of these flags used to be accepted and left unread
     assert main(argv) == 2
@@ -535,3 +536,45 @@ def test_check_witness_leaves_out_bound_coalition_parameters(capsys):
                              "witness": {"x1": "0", "x2": "0"}}
     assert env["warnings"] == ["x_A1_catch belongs to the coalition: the "
                                "search ranges over it, not its bound value"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (EVAL[:-4] + ["--bind", "x1"], "--bind expects NAME=VALUE, got 'x1'"),
+    (EVAL + ["--bind", "y=1/2"], "unknown parameter 'y'"),
+    (EVAL + ["--state", "nowhere"], "unknown state 'nowhere'"),
+    (EVAL + ["--kind", "CPR", "--agent", "A1", "--plan", "pi_catch",
+             "--coalition", "A1,A9"], "unknown agent 'A9'"),
+    (EVAL[:-4] + ["--bind", "x1=1/0"], "bad rational '1/0' for x1"),
+    (["eval", "--model", BALL, "--bind", "x1=1/2", "--bind", "x2=1/2"],
+     "eval needs --formula or --formula-file"),
+    (EVAL + ["--formula-file", BALL], "give --formula or --formula-file, "
+                                      "not both"),
+    (EVAL + ["--kind", "CAR", "--agent", "A1"],
+     "--kind needs --agent and --plan"),
+    (["ne", "--model", BALL, "--horizon", "1", "--lambda2", "1"],
+     "responsibility-weighted utilities need --plan and --formula"),
+], ids=["bind-syntax", "unknown-parameter", "unknown-state", "unknown-agent",
+        "bad-rational", "needs-formula", "not-both", "kind-needs",
+        "weighted-needs"])
+def test_usage_error_names_no_formula_location(capsys, argv, message):
+    # these errors are about flags, not formula text: no <formula>:1:1:
+    code, env = run_json(capsys, *argv)
+    assert code == 2
+    assert env["result"] == {"error": message}
+
+
+def test_false_check_verdict_says_it_is_no_proof(capsys):
+    code, env = run_json(capsys, "check", "--model", ROUNDS, "--grid", "10",
+                         "--formula", "<A1,A2> P>1 [ F<=2 score1 ]")
+    assert (code, env["result"]["verdict"]) == (1, False)
+    assert env["warnings"] == [
+        "this false verdict comes from a 1/10 grid search with local "
+        "refinement, not from a proof; the witness is the best point found"]
+    # every point has an infinite reward, so no point is best
+    code, env = run_json(capsys, "check", "--model", BALL, "--grid", "20",
+                         "--bind", "x2=1/2", "--formula",
+                         "<A1> R<=2 [ F<=3 collision @ A1 ]")
+    assert (code, env["result"]) == (1, {"verdict": False})
+    assert env["warnings"] == [
+        "this false verdict comes from a 1/20 grid search with local "
+        "refinement, not from a proof"]

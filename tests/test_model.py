@@ -7,8 +7,9 @@ from conftest import MODELS, ball_valuation, var
 
 from respgames.errors import MissingParameterError, ModelError
 from respgames.model import (AdmissibilityReport, build_psmas,
-                             check_admissible, parse_model, scope_violations)
-from respgames.polyarith import Polynomial
+                             check_admissible, load_model, parse_model,
+                             scope_violations)
+from respgames.polyarith import ParamId, Polynomial
 
 TINY = """
 agents: A B
@@ -229,3 +230,22 @@ def test_plan_validation_catches_bad_action():
     with pytest.raises(ModelError) as err:
         parse_model(text)
     assert "stay" in str(err.value) and "not available" in str(err.value)
+
+
+def test_second_load_evaluates_without_parameter_equality(monkeypatch):
+    # the free parameters are interned: a plan compiled on one load finds
+    # the valuation of another load by identity, not by ParamId.__eq__
+    first = build_psmas(load_model(MODELS / "ball_rounds.game"))
+    poly = first.transition_poly("start", ("catch", "catch"), "s1")
+    assert not poly.is_constant
+    poly.evaluate({p: Fraction(1, 3) for p in first.params})  # compiles
+    second = build_psmas(load_model(MODELS / "ball_rounds.game"))
+    assert [p is q for p, q in zip(first.params, second.params)] == [
+        True] * len(first.params)
+    calls = []
+    equal = ParamId.__eq__
+    monkeypatch.setattr(ParamId, "__eq__",
+                        lambda a, b: calls.append(1) or equal(a, b))
+    value = poly.evaluate({p: Fraction(1, 3) for p in second.params})
+    assert value == poly.evaluate({p: Fraction(1, 3) for p in first.params})
+    assert calls == []
