@@ -20,8 +20,8 @@ witness sets are filtered by plan-compatibility classes, the kappa guard is
 decided exactly (a count-only pass), and the result is the ratio of the two
 probability polynomials as a rational function.  Queries either stay
 symbolic (answers in the strategy parameters) or are evaluated at a bound
-valuation; coalition quantifiers in evaluated mode are resolved by a grid
-search with local refinement.
+valuation; evaluated P and R resolve their coalition quantifier by a grid
+search with local refinement, and evaluated D is decided at the valuation.
 """
 
 from __future__ import annotations
@@ -32,13 +32,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import (DegenerateQueryError, InadmissibleError,
-                     UnsupportedQueryError)
+from .errors import DegenerateQueryError, UnsupportedQueryError, UsageError
 from .logic import (And, Atom, CoalitionDegree, CoalitionProb,
                     CoalitionReward, CompareOp, DegreeKind, Next, Not,
                     PathFormula, StateFormula, TrueFormula, Until, horizon)
-from .model import (AdmissibilityReport, Psmas, RewardStructure, Scope,
-                    scope_violations)
+from .model import Psmas, RewardStructure, Scope, require_admissible
 from .polyarith import GridWalk, ParamId, Polynomial, RationalFunction
 from .trace import CompatTags, History, Plan, check_work, plan_from_model
 
@@ -52,7 +50,7 @@ class QueryContext:
 
     mode: str = SYMBOLIC
     valuation: Mapping[ParamId, Fraction] | None = None
-    grid_denominator: int = 50
+    grid_denominator: int | None = None  # evaluated: search step 1/this
 
     @staticmethod
     def symbolic() -> "QueryContext":
@@ -60,8 +58,9 @@ class QueryContext:
 
     @staticmethod
     def evaluated(valuation: Mapping[ParamId, Fraction],
-                  grid_denominator: int = 50) -> "QueryContext":
-        return QueryContext(EVALUATED, dict(valuation), grid_denominator)
+                  grid_denominator: int | None = None) -> "QueryContext":
+        grid = 50 if grid_denominator is None else grid_denominator
+        return QueryContext(EVALUATED, dict(valuation), grid)
 
     @property
     def is_evaluated(self) -> bool:
@@ -391,6 +390,40 @@ def check_reward(m: Psmas, state: str, f: CoalitionReward,
 # -- degree operators --------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class DegreeQuery:
+    """A degree query resolved once, by `degree_setup`: the outcome, the
+    plan cut to its horizon, the coalition, the witnesses the degree
+    counts (satisfying for CAR, violating for CPR) and the agents whose
+    plan actions the numerator's class keeps (the agent for CAR, the rest
+    of the coalition for CPR)."""
+
+    psi: PathFormula
+    plan: Plan
+    coalition: frozenset[str]
+    counts_sat: bool
+    kept: frozenset[str]
+
+
+def degree_setup(m: Psmas, agent: str, plan: Plan, psi: PathFormula,
+                 kind: DegreeKind, coalition: Iterable[str] | None = None
+                 ) -> DegreeQuery:
+    """Resolve a degree query; the coalition defaults to every agent.
+    Refuses an agent outside the coalition (UsageError) and a plan shorter
+    than the outcome's horizon."""
+    coalition = frozenset(m.base.agents if coalition is None else coalition)
+    if agent not in coalition:
+        raise UsageError(f"degree agent {agent} must belong to the coalition")
+    depth = horizon(psi)
+    if len(plan.steps) < depth:
+        raise UnsupportedQueryError(
+            f"plan has {len(plan.steps)} steps but the outcome needs "
+            f"{depth}")
+    active = kind is DegreeKind.CAR
+    return DegreeQuery(psi, plan.truncated(depth), coalition, active,
+                       frozenset({agent}) if active else coalition - {agent})
+
+
 def car_degree(m: Psmas, state: str, agent: str, plan: Plan,
                psi: PathFormula, coalition: Iterable[str] | None = None,
                ctx: QueryContext | None = None) -> DegreeResult:
@@ -401,13 +434,8 @@ def car_degree(m: Psmas, state: str, agent: str, plan: Plan,
     exactly when some behaviour violates the outcome (avoidability); a false
     kappa forces the zero function.
     """
-    ctx = ctx or QueryContext.symbolic()
-    plan, coalition = degree_setup(m, agent, plan, psi, coalition)
-    sums = _witness_pass(m, state, psi, ctx, CompatTags(m, plan, {agent}))
-    numerator, sats = sums[True, True], _either(sums, True)
-    kappa = _either(sums, False).paths > 0
-    return _degree_result(numerator.mass, sats.mass, kappa,
-                          numerator.paths, sats.paths)
+    return _degree(m, state, degree_setup(m, agent, plan, psi,
+                                          DegreeKind.CAR, coalition), ctx)
 
 
 def cpr_degree(m: Psmas, state: str, agent: str, plan: Plan,
@@ -420,39 +448,35 @@ def cpr_degree(m: Psmas, state: str, agent: str, plan: Plan,
     kappa is 1 exactly when the outcome is achievable by plans that agree
     with the anchor on the whole coalition.
     """
+    return _degree(m, state, degree_setup(m, agent, plan, psi,
+                                          DegreeKind.CPR, coalition), ctx)
+
+
+def _degree(m: Psmas, state: str, q: DegreeQuery,
+            ctx: QueryContext | None) -> DegreeResult:
+    """The degree of a resolved query, from one tagged pass (CAR's kappa
+    too; CPR's comes from `degree_guard`)."""
     ctx = ctx or QueryContext.symbolic()
-    plan, coalition = degree_setup(m, agent, plan, psi, coalition)
-    others = CompatTags(m, plan, coalition - {agent})
-    full = CompatTags(m, plan, coalition)
-    sums = _witness_pass(m, state, psi, ctx, others)
-    numerator, viols = sums[False, True], _either(sums, False)
-    kappa = _achievable(m, state, psi, ctx, full)
-    return _degree_result(numerator.mass, viols.mass, kappa,
-                          numerator.paths, viols.paths)
+    sums = _witness_pass(m, state, q.psi, ctx, CompatTags(m, q.plan, q.kept))
+    numerator, den = sums[q.counts_sat, True], _either(sums, q.counts_sat)
+    kappa = (_either(sums, False).paths > 0 if q.counts_sat
+             else degree_guard(m, state, q, ctx))
+    return _degree_result(numerator.mass, den.mass, kappa, numerator.paths,
+                          den.paths)
 
 
-def _achievable(m: Psmas, state: str, psi: PathFormula, ctx: QueryContext,
-                full: CompatTags) -> bool:
-    """CPR's kappa: does some satisfying witness agree with the plans of
-    the whole coalition's class?  Counts only."""
-    return _witness_pass(m, state, psi, ctx, full, weigh=False)[
-        True, True].paths > 0
-
-
-def degree_guard(m: Psmas, state: str, plan: Plan, psi: PathFormula,
-                 kind: DegreeKind,
-                 coalition: Iterable[str] | None = None,
+def degree_guard(m: Psmas, state: str, q: DegreeQuery,
                  ctx: QueryContext | None = None) -> bool:
-    """The kappa flag of a CAR or CPR degree alone, from counts only.
-
-    Rejects plans shorter than the outcome's horizon like the degrees do.
-    """
+    """The kappa flag of a resolved degree query alone, from counts only:
+    does some witness violate the outcome (CAR), or does some satisfying
+    witness agree with the plans of the whole coalition's class (CPR)?"""
     ctx = ctx or QueryContext.symbolic()
-    plan, coalition = degree_setup(m, None, plan, psi, coalition)
-    if kind is DegreeKind.CAR:
-        sums = _witness_pass(m, state, psi, ctx, weigh=False)
+    if q.counts_sat:
+        sums = _witness_pass(m, state, q.psi, ctx, weigh=False)
         return _either(sums, False).paths > 0
-    return _achievable(m, state, psi, ctx, CompatTags(m, plan, coalition))
+    full = CompatTags(m, q.plan, q.coalition)
+    return _witness_pass(m, state, q.psi, ctx, full, weigh=False)[
+        True, True].paths > 0
 
 
 def responsibility_degree(m: Psmas, state: str, agent: str, plan: Plan,
@@ -462,24 +486,6 @@ def responsibility_degree(m: Psmas, state: str, agent: str, plan: Plan,
     """The CAR or CPR degree, as `kind` says."""
     fn = car_degree if kind is DegreeKind.CAR else cpr_degree
     return fn(m, state, agent, plan, psi, coalition, ctx)
-
-
-def degree_setup(m: Psmas, agent: str | None, plan: Plan, psi: PathFormula,
-                 coalition: Iterable[str] | None
-                 ) -> tuple[Plan, frozenset[str]]:
-    """The plan cut to psi's horizon and the coalition (default: every
-    agent) of a degree query; refuses a shorter plan, and an agent outside
-    the coalition (None for a guard, which names no agent)."""
-    coalition = frozenset(m.base.agents if coalition is None else coalition)
-    if agent is not None and agent not in coalition:
-        raise UnsupportedQueryError(
-            f"degree agent {agent} must belong to the coalition")
-    depth = horizon(psi)
-    if len(plan.steps) < depth:
-        raise UnsupportedQueryError(
-            f"plan has {len(plan.steps)} steps but the outcome needs "
-            f"{depth}")
-    return plan.truncated(depth), coalition
 
 
 def _degree_result(num: Polynomial, den: Polynomial, kappa: bool,
@@ -516,13 +522,19 @@ def degree_at(result: DegreeResult, valuation: Mapping[ParamId, Fraction]
 
 def check_degree(m: Psmas, state: str, f: CoalitionDegree,
                  ctx: QueryContext) -> CheckResult:
-    """Decide `<A> D cmp d [ CAR/CPR(i, plan, psi) ]` (or return the region)."""
+    """Decide `<A> D cmp d [ CAR/CPR(i, plan, psi) ]` (or return the region);
+    evaluated, at the context valuation, whose bound scopes must be
+    admissible, searching no coalition parameter."""
     result = responsibility_degree(m, state, f.agent,
                                    plan_from_model(m, f.plan), f.body,
                                    f.kind, f.coalition, ctx)
     if not ctx.is_evaluated:
         return CheckResult(holds=None,
                            region=Region(result.value, f.cmp, f.bound))
+    require_admissible(m, ctx.valuation,
+                       [s for s, space in m.table.items()
+                        if ctx.valuation.keys() & {*space.free,
+                                                   space.dependent}])
     value, notes = degree_at(result, ctx.valuation)
     return CheckResult(holds=f.cmp.holds(value, f.bound),
                        witness=dict(ctx.valuation), warnings=notes)
@@ -614,11 +626,8 @@ def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
     owned = {p for s in scopes
              for p in (*m.free_params(s), m.table[s].dependent)}
     fixed = {p: v for p, v in ctx.valuation.items() if p not in owned}
-    report = AdmissibilityReport.of(
-        [v for s in m.scopes() if s[0] not in coalition
-         for v in scope_violations(m, s, fixed)])
-    if not report.ok:
-        raise InadmissibleError(report)
+    require_admissible(m, fixed, [s for s in m.scopes()
+                                  if s[0] not in coalition])
     warnings = tuple(
         f"{p.name} belongs to the coalition: the search ranges over it, "
         f"not its bound value" for p in ctx.valuation if p in owned)

@@ -24,11 +24,10 @@ from fractions import Fraction
 
 from .checker import (QueryContext, check_formula, degree_at, path_sat_prob,
                       responsibility_degree)
-from .errors import (FormulaError, InadmissibleError, MissingParameterError,
-                     ModelError, RespgamesError, UnsupportedQueryError,
-                     UsageError)
+from .errors import (FormulaError, MissingParameterError, ModelError,
+                     RespgamesError, UnsupportedQueryError, UsageError)
 from .logic import DegreeKind, parse_formula, parse_path_formula
-from .model import build_psmas, check_admissible, load_model
+from .model import build_psmas, load_model, require_admissible
 from .oracle import SimConfig, estimate_degree, estimate_path_prob
 from .synth import ResponsibilitySpec, UtilityConfig, find_equilibria
 from .trace import plan_from_model
@@ -197,12 +196,15 @@ def _formula_text(args) -> str | None:
     return args.formula or None
 
 
-def _query_text(args) -> str:
+def _formula(args, m, path: bool):
+    """The query's formula, read from --formula or --formula-file and
+    parsed as a path formula or a state formula; errors name its source."""
     text = _formula_text(args)
     if text is None:
         raise UsageError(
             f"{args.subcommand} needs --formula or --formula-file")
-    return text
+    parse = parse_path_formula if path else parse_formula
+    return parse(text, m, source=args.formula_file or "<formula>")
 
 
 def _bindings(args, m) -> dict:
@@ -239,12 +241,6 @@ def _state(args, m) -> str:
     return state
 
 
-def _require_admissible(m, binds) -> None:
-    report = check_admissible(m, binds)
-    if not report.ok:
-        raise InadmissibleError(report)
-
-
 def _dispatch(args, warnings) -> tuple[int, dict]:
     handler = {
         "check": _cmd_check,
@@ -258,16 +254,14 @@ def _dispatch(args, warnings) -> tuple[int, dict]:
 
 def _cmd_check(args, warnings) -> tuple[int, dict]:
     m = _load(args)
-    phi = parse_formula(_query_text(args), m,
-                        source=args.formula_file or "<formula>")
+    phi = _formula(args, m, path=False)
     state = _state(args, m)
     if args.symbolic:
         result = check_formula(m, state, phi, QueryContext.symbolic())
         if result.region is not None:
             return 0, {"verdict": None, "region": result.region.render()}
         return (0 if result.holds else 1), {"verdict": result.holds}
-    ctx = QueryContext.evaluated(_bindings(args, m),
-                                 grid_denominator=args.grid or 50)
+    ctx = QueryContext.evaluated(_bindings(args, m), args.grid)
     result = check_formula(m, state, phi, ctx)
     warnings.extend(result.warnings)
     payload = {"verdict": result.holds}
@@ -291,8 +285,7 @@ def _degree_query(args, m):
 
 def _cmd_degree(args, warnings) -> tuple[int, dict]:
     m = _load(args)
-    psi = parse_path_formula(_query_text(args), m,
-                             source=args.formula_file or "<formula>")
+    psi = _formula(args, m, path=True)
     plan, coalition, kind = _degree_query(args, m)
     state = _state(args, m)
     binds = _bindings(args, m)
@@ -309,7 +302,7 @@ def _cmd_degree(args, warnings) -> tuple[int, dict]:
     if not result.kappa:
         warnings.append("kappa is 0: the degree is 0 by definition")
     if binds:
-        _require_admissible(m, binds)
+        require_admissible(m, binds)
         value, notes = degree_at(result, binds)
         warnings.extend(notes)
         payload["exact"] = str(value)
@@ -323,12 +316,11 @@ def _cmd_ne(args, warnings) -> tuple[int, dict]:
     cfg = UtilityConfig(args.lambda1, args.lambda2, theta)
     resp_spec = None
     if cfg.lambda2 != 0:
-        text = _formula_text(args)
-        if not (text and args.plan):
+        if not args.plan:
             raise UsageError(
                 "responsibility-weighted utilities need --plan and --formula")
         resp_spec = ResponsibilitySpec(plan_from_model(m, args.plan),
-                                       parse_path_formula(text, m))
+                                       _formula(args, m, path=True))
     state = _state(args, m)
     solutions = find_equilibria(
         m, args.horizon, cfg, resp_spec, state=state,
@@ -353,8 +345,7 @@ def _cmd_ne(args, warnings) -> tuple[int, dict]:
 def _cmd_simulate(args, warnings) -> tuple[int, dict]:
     m = _load(args)
     binds = _bindings(args, m)
-    _require_admissible(m, binds)
-    psi = parse_path_formula(_query_text(args), m)
+    psi = _formula(args, m, path=True)
     query = _degree_query(args, m)
     cfg = SimConfig(samples=args.samples, seed=args.seed, valuation=binds,
                     start=_state(args, m))
@@ -371,25 +362,18 @@ def _cmd_eval(args, warnings) -> tuple[int, dict]:
     m = _load(args)
     binds = _bindings(args, m)
     state = _state(args, m)
-    text = _query_text(args)
-    _require_admissible(m, binds)  # every parameter bound, admissibly
+    psi = _formula(args, m, path=True)
+    require_admissible(m, binds)  # every parameter bound, admissibly
     query = _degree_query(args, m)
     ctx = QueryContext.evaluated(binds)
     if query is not None:
         plan, coalition, kind = query
-        result = responsibility_degree(m, state, args.agent, plan,
-                                       parse_path_formula(text, m), kind,
+        result = responsibility_degree(m, state, args.agent, plan, psi, kind,
                                        coalition, ctx)
         value, notes = degree_at(result, binds)
         warnings.extend(notes)
         symbolic = result.value.render()
     else:
-        try:
-            psi = parse_path_formula(text, m)
-        except FormulaError:
-            result = check_formula(m, state, parse_formula(text, m), ctx)
-            warnings.extend(result.warnings)
-            return (0 if result.holds else 1), {"verdict": result.holds}
         rf = path_sat_prob(m, state, psi, ctx)
         value = rf.evaluate(binds)
         symbolic = rf.render()

@@ -36,8 +36,8 @@ class FormulaError(RespgamesError):
 
 
 class UsageError(RespgamesError):
-    """A command line whose flags are missing, conflicting or name unknown
-    things; unlike FormulaError it points at no formula text."""
+    """A query whose flags or arguments are missing, conflicting or name
+    unknown things; unlike FormulaError it points at no formula text."""
 
 
 class MissingParameterError(RespgamesError):

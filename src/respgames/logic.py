@@ -352,7 +352,10 @@ class _Parser:
             k = self.parse_nat()
             return Until(TrueFormula(), k, self.parse_unary())
         left = self.parse_state()
-        self.take("U")
+        if not self.at("U"):
+            self.error("expected 'U': a path formula is X phi, F<=k phi or "
+                       "phi U<=k psi")
+        self.take()
         self.take("<=")
         k = self.parse_nat()
         right = self.parse_state()

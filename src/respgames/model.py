@@ -38,9 +38,9 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import MissingParameterError, ModelError
+from .errors import InadmissibleError, MissingParameterError, ModelError
 from .polyarith import ParamId, Polynomial, intern
 
 JointAction = tuple[str, ...]
@@ -346,9 +346,11 @@ def scope_violations(m: Psmas, scope: Scope,
     return violations
 
 
-def check_admissible(m: Psmas, valuation: Mapping[ParamId, Fraction]
+def check_admissible(m: Psmas, valuation: Mapping[ParamId, Fraction],
+                     scopes: Iterable[Scope] | None = None
                      ) -> AdmissibilityReport:
-    """Check the three admissibility conditions exactly.
+    """Check the three admissibility conditions exactly, at every scope or
+    only at `scopes`.
 
     Condition 1: every instantiated transition value lies in [0,1].
     Conditions 2 and 3 hold at every scope (`scope_violations`).
@@ -357,11 +359,12 @@ def check_admissible(m: Psmas, valuation: Mapping[ParamId, Fraction]
     of one action probability per agent, each in [0,1] once its scope's
     conditions hold, times a kernel entry, which `Csg` keeps in [0,1].  So
     the transitions are evaluated only when some scope is violated, to
-    report the transitions its values break.
+    report the transitions its values break, and only when every scope is
+    checked, since they read the parameters of every scope.
     """
-    violations = [v for scope in m.table
+    violations = [v for scope in (m.table if scopes is None else scopes)
                   for v in scope_violations(m, scope, valuation)]
-    if not violations:
+    if not violations or scopes is not None:
         return AdmissibilityReport.of(violations)
     free_only = {p: Fraction(valuation[p]) for p in m.params}
     for (state, joint, target), poly in m.transition.items():
@@ -370,6 +373,16 @@ def check_admissible(m: Psmas, valuation: Mapping[ParamId, Fraction]
             where = f"trans {state} ({', '.join(joint)}) -> {target}"
             violations.append((1, where, value))
     return AdmissibilityReport.of(violations)
+
+
+def require_admissible(m: Psmas, valuation: Mapping[ParamId, Fraction],
+                       scopes: Iterable[Scope] | None = None) -> None:
+    """The admissibility gate of every query: InadmissibleError unless
+    `valuation` is admissible at every scope or at `scopes`, and
+    MissingParameterError if it leaves a free parameter of one unbound."""
+    report = check_admissible(m, valuation, scopes)
+    if not report.ok:
+        raise InadmissibleError(report)
 
 
 # -- model file parsing -------------------------------------------------

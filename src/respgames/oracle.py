@@ -24,10 +24,10 @@ import numpy as np
 
 from .checker import (QueryContext, degree_guard, degree_setup, sat_state,
                       simplex_grid)
-from .errors import (InadmissibleError, MissingParameterError,
-                     ResourceLimitError, UndefinedEstimateError)
+from .errors import (MissingParameterError, ResourceLimitError,
+                     UndefinedEstimateError)
 from .logic import DegreeKind, Next, PathFormula, horizon
-from .model import JointAction, Psmas, check_admissible
+from .model import JointAction, Psmas, require_admissible
 from .polyarith import ParamId
 from .synth import UtilityParts
 from .trace import CompatTags, Plan
@@ -75,9 +75,7 @@ class _Sampler:
     """
 
     def __init__(self, m: Psmas, valuation: Mapping[ParamId, Fraction]):
-        report = check_admissible(m, valuation)
-        if not report.ok:
-            raise InadmissibleError(report)
+        require_admissible(m, valuation)
         self.states = list(m.base.states)
         self.index = {s: i for i, s in enumerate(self.states)}
         self.joints: list[JointAction] = []
@@ -249,25 +247,21 @@ def estimate_degree(m: Psmas, cfg: SimConfig, agent: str, plan: Plan,
     agent and the plan are checked like the exact degrees do, also when
     kappa is false.
     """
-    plan, coalition = degree_setup(m, agent, plan, psi, coalition)
-    pick_sat = kind is DegreeKind.CAR
-    compat = CompatTags(m, plan, {agent} if pick_sat
-                        else coalition - {agent})
+    q = degree_setup(m, agent, plan, psi, kind, coalition)
+    compat = CompatTags(m, q.plan, q.kept)
     sampler = _Sampler(m, cfg.valuation)
     hold, goal = _sat_tables(m, sampler, psi, cfg.valuation)
     state = _start(m, cfg)
     start = sampler.index[state]
 
-    ctx = QueryContext.evaluated(cfg.valuation)
-    kappa = degree_guard(m, state, plan, psi, kind, coalition, ctx)
-    if not kappa:
+    if not degree_guard(m, state, q, QueryContext.evaluated(cfg.valuation)):
         return Estimate(mean=0.0, stderr=0.0, samples=cfg.samples)
 
     num = den = 0
     for _, count, rng in _blocks(cfg):
         states, picks = sampler.sample_block(start, count, horizon(psi), rng)
         sat_step, viol_step = _witness_steps(psi, states, hold, goal)
-        steps = sat_step if pick_sat else viol_step
+        steps = sat_step if q.counts_sat else viol_step
         chosen = steps >= 0
         den += int(chosen.sum())
         num += _admitted(compat, sampler.joints, steps[chosen],

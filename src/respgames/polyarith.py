@@ -264,11 +264,6 @@ class Polynomial:
         return not self._terms or (len(self._terms) == 1
                                    and 0 in self._terms)
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError("polynomial is not constant")
-        return Fraction(self._terms.get(0, 0), self._den)
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in monomial order, leading term first."""
         keys = list(self._terms)
@@ -701,20 +696,9 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @staticmethod
-    def constant(value) -> "RationalFunction":
-        return RationalFunction(Polynomial.constant(value))
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    @property
-    def is_constant(self) -> bool:
-        return self.num.is_constant and self.den.is_constant
-
-    def constant_value(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * other.den + other.num * self.den,

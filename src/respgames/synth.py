@@ -29,6 +29,10 @@ from .model import Psmas, RewardStructure, Scope, check_admissible
 from .polyarith import ParamId, Polynomial, RationalFunction
 from .trace import Plan, total_payoff
 
+# The most support combinations `find_equilibria` enumerates; more exit 3
+# before any system is built.
+MAX_SUPPORTS = 4096
+
 
 @dataclass(frozen=True)
 class UtilityConfig:
@@ -422,8 +426,8 @@ def verify_ne(m: Psmas, parts: Sequence[UtilityParts],
 def find_equilibria(m: Psmas, horizon: int, cfg: UtilityConfig,
                     resp_spec: ResponsibilitySpec | None = None,
                     state: str | None = None, seeds: int = 24, seed: int = 0,
-                    residual_tol: float = 1e-9, epsilon: float = 1e-6,
-                    max_supports: int = 4096) -> list[NeSolution]:
+                    residual_tol: float = 1e-9, epsilon: float = 1e-6
+                    ) -> list[NeSolution]:
     """Enumerate supports, solve each restricted system, verify, deduplicate.
 
     Every returned solution is admissible, meets the residual tolerance on
@@ -434,9 +438,9 @@ def find_equilibria(m: Psmas, horizon: int, cfg: UtilityConfig,
                   for subset in itertools.combinations(space.actions, size)]
                  for space in m.table.values()]
     combos = math.prod(len(subsets) for subsets in per_scope)
-    if combos > max_supports:
+    if combos > MAX_SUPPORTS:
         raise UnsupportedQueryError(
-            f"{combos} support combinations exceed the limit {max_supports}")
+            f"{combos} support combinations exceed the limit {MAX_SUPPORTS}")
 
     parts = tuple(utility_parts(m, agent, cfg, horizon, resp_spec, state)
                   for agent in m.base.agents)

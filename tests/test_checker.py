@@ -7,8 +7,9 @@ import pytest
 from conftest import ball_valuation, brute_force_histories, var
 
 from respgames.checker import (QueryContext, _witnesses, car_degree,
-                               check_formula, cpr_degree, degree_guard,
-                               degree_at, path_sat_prob, reward_value)
+                               check_formula, cpr_degree, degree_at,
+                               degree_guard, degree_setup, path_sat_prob,
+                               reward_value)
 from respgames.errors import (DegenerateQueryError, MissingParameterError,
                               UnsupportedQueryError)
 from respgames.logic import DegreeKind, parse_formula, parse_path_formula
@@ -328,7 +329,8 @@ def test_path_prob_respects_enumeration_limit(ball, monkeypatch):
     short = parse_path_formula("F<=2 collision", ball)
     plan = plan_from_model(ball, "pi1")
     with pytest.raises(ResourceLimitError, match="expansions, over the 10"):
-        degree_guard(ball, "s0", plan, short, DegreeKind.CAR)
+        degree_guard(ball, "s0",
+                     degree_setup(ball, "A1", plan, short, DegreeKind.CAR))
 
 
 def test_pass_work_counts_term_pairs_multiplied(rounds, monkeypatch):

@@ -578,3 +578,85 @@ def test_false_check_verdict_says_it_is_no_proof(capsys):
     assert env["warnings"] == [
         "this false verdict comes from a 1/20 grid search with local "
         "refinement, not from a proof"]
+
+
+CPR_CHECK = "<A1,A2> D>=1/2 [ CPR(A1, pi_catch, X collision) ]"
+
+
+def test_evaluated_degree_check_refuses_inadmissible_binding(capsys):
+    # D is decided at the bound valuation, which `degree` refuses at x1=2;
+    # `check` used to answer true with the witness x1: 2
+    argv = ["--model", BALL, "--bind", "x1=2", "--bind", "x2=1/2"]
+    assert main(["degree", *argv, "--kind", "CPR", "--agent", "A1",
+                 "--plan", "pi_catch", "--formula", "X collision"]) == 3
+    capsys.readouterr()
+    code, env = run_json(capsys, "check", *argv, "--formula", CPR_CHECK)
+    assert code == 3
+    assert env["result"]["error"] == (
+        "inadmissible valuation: condition 2 violated at x1 (value 2)")
+
+
+def test_evaluated_degree_check_reads_only_its_bound_scopes(capsys):
+    # CAR of A1 under pi_skip for X (dropped | score2) is the constant 1,
+    # so it is decided without bindings; a degree that reads x1 and x2
+    # still needs them
+    code, env = run_json(
+        capsys, "check", "--model", BALL, "--formula",
+        "<A1,A2> D>=1/2 [ CAR(A1, pi_skip, X (dropped | score2)) ]")
+    assert (code, env["result"]) == (0, {"verdict": True, "witness": {}})
+    code, env = run_json(capsys, "check", "--model", BALL,
+                         "--bind", "x1=1/2", "--formula", CPR_CHECK)
+    assert (code, env["result"]) == (
+        2, {"error": "no value assigned to parameter x2"})
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", BALL, "--bind", "x1=1/2", "--bind", "x2=1/2"],
+    ["eval", "--model", BALL, "--bind", "x1=1/2", "--bind", "x2=1/2"],
+    ["ne", "--model", ROUNDS, "--horizon", "1", "--lambda2", "1",
+     "--plan", "pi_mix"],
+    ["degree", "--model", BALL, "--kind", "CAR", "--agent", "A1",
+     "--plan", "pi_catch"],
+], ids=["simulate", "eval", "ne", "degree"])
+def test_formula_file_errors_name_the_file(tmp_path, capsys, argv):
+    path = tmp_path / "typo.rpatl"
+    path.write_text("F<=2 colision\n")
+    code, env = run_json(capsys, *argv, "--formula-file", str(path))
+    assert code == 2
+    assert env["result"]["error"] == (
+        f"{path}:1:6: unknown proposition 'colision'")
+
+
+def test_eval_reports_a_typo_where_it_is(capsys):
+    # eval used to retry a failed path formula as a state formula and
+    # report the retry's error, at 'F'
+    code, env = run_json(capsys, *EVAL[:3], "--formula", "F<=2 colision",
+                         *EVAL[5:])
+    assert code == 2
+    assert env["result"]["error"] == (
+        "<formula>:1:6: unknown proposition 'colision'")
+
+
+def test_eval_refuses_a_state_formula(capsys):
+    # state formulas go to `check`, which also gives the witness
+    code, env = run_json(capsys, *EVAL[:3], "--formula",
+                         "<A1> P>=1 [ X collision ]", *EVAL[5:])
+    assert code == 2
+    assert env["result"]["error"] == (
+        "<formula>:1:26: expected 'U': a path formula is X phi, F<=k phi "
+        "or phi U<=k psi")
+
+
+@pytest.mark.parametrize("subcommand", ["degree", "simulate", "eval"])
+def test_degree_agent_outside_flag_coalition_exit_two(capsys, subcommand):
+    # the formula parser refuses <A2> D>=1/2 [ CPR(A1, ...) ] with exit 2;
+    # the same query from flags used to exit 3
+    code, env = run_json(capsys, subcommand, "--model", BALL, "--kind",
+                         "CPR", "--agent", "A1", "--plan", "pi_catch",
+                         "--coalition", "A2", "--formula", "X collision",
+                         "--bind", "x1=1/2", "--bind", "x2=1/2")
+    assert code == 2
+    assert env["result"] == {
+        "error": "degree agent A1 must belong to the coalition"}
+    assert main(["check", "--model", BALL, "--formula",
+                 "<A2> D>=1/2 [ CPR(A1, pi_catch, X collision) ]"]) == 2

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from respgames.checker import (QueryContext, _reward_parts,
                                _witnesses, car_degree, cpr_degree,
-                               degree_guard, path_sat_prob)
+                               degree_guard, degree_setup, path_sat_prob)
 from respgames.errors import DegenerateQueryError, ModelError
 from respgames.logic import (And, Atom, DegreeKind, Next, Not, TrueFormula,
                              Until, horizon)
@@ -157,7 +157,8 @@ def check_degree(m, state, agent, plan, psi, kind, coalition):
                    m, state, agent, plan, psi, coalition)
     ref = outcome(reference_degree, m, state, agent, plan, psi, kind,
                   coalition)
-    guard = outcome(degree_guard, m, state, plan, psi, kind, coalition)
+    guard = outcome(lambda: degree_guard(
+        m, state, degree_setup(m, agent, plan, psi, kind, coalition)))
     if isinstance(ref, tuple) and isinstance(ref[0], type):
         assert ours == ref  # the same ModelError
         if kind is DegreeKind.CPR:  # CAR's guard does not read the plan

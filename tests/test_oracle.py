@@ -11,7 +11,8 @@ from conftest import ball_valuation
 from test_engine import AGENTS, queries
 
 from respgames.checker import (QueryContext, car_degree, cpr_degree,
-                               degree_at, degree_guard, path_sat_prob)
+                               degree_at, degree_guard, degree_setup,
+                               path_sat_prob)
 from respgames.errors import (InadmissibleError, ModelError,
                               RespgamesError, UndefinedEstimateError)
 from respgames.logic import DegreeKind, horizon, parse_path_formula
@@ -281,7 +282,8 @@ def reference_degree(m, cfg, agent, plan, psi, kind, coalition):
     pick_sat = kind is DegreeKind.CAR
     compat = CompatTags(m, plan, {agent} if pick_sat
                         else coalition - {agent})
-    if not degree_guard(m, cfg.start, plan, psi, kind, coalition, ctx):
+    query = degree_setup(m, agent, plan, psi, kind, coalition)
+    if not degree_guard(m, cfg.start, query, ctx):
         return Estimate(0.0, 0.0, cfg.samples)
     admitted = functools.cache(functools.partial(admits, compat))
     num = den = 0
@@ -405,3 +407,25 @@ def test_degree_classifier_on_hand_made_prefixes(text):
         est = estimate_degree(*args)
         assert est == reference_degree(*args)
         assert abs(est.mean - float(exact)) <= 4 * est.stderr
+
+
+def test_degree_estimate_resolves_its_query_once(ball, monkeypatch):
+    # the kappa guard reads the estimate's resolved query; it used to
+    # resolve the plan and the coalition again
+    from respgames import checker, oracle
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = checker.degree_setup
+    monkeypatch.setattr(checker, "degree_setup", counted)
+    monkeypatch.setattr(oracle, "degree_setup", counted)
+    v = ball_valuation(ball, Fraction(1, 2), Fraction(1, 2))
+    psi = parse_path_formula("X collision", ball)
+    for kind in DegreeKind:
+        calls.clear()
+        estimate_degree(ball, SimConfig(100, 0, v), "A1",
+                        plan_from_model(ball, "pi_catch"), psi, kind)
+        assert len(calls) == 1, kind
