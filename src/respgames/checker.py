@@ -531,10 +531,7 @@ def check_degree(m: Psmas, state: str, f: CoalitionDegree,
     if not ctx.is_evaluated:
         return CheckResult(holds=None,
                            region=Region(result.value, f.cmp, f.bound))
-    require_admissible(m, ctx.valuation,
-                       [s for s, space in m.table.items()
-                        if ctx.valuation.keys() & {*space.free,
-                                                   space.dependent}])
+    require_admissible(m, ctx.valuation, m.bound_scopes(ctx.valuation))
     value, notes = degree_at(result, ctx.valuation)
     return CheckResult(holds=f.cmp.holds(value, f.bound),
                        witness=dict(ctx.valuation), warnings=notes)

@@ -302,7 +302,7 @@ def _cmd_degree(args, warnings) -> tuple[int, dict]:
     if not result.kappa:
         warnings.append("kappa is 0: the degree is 0 by definition")
     if binds:
-        require_admissible(m, binds)
+        require_admissible(m, binds, m.bound_scopes(binds))
         value, notes = degree_at(result, binds)
         warnings.extend(notes)
         payload["exact"] = str(value)

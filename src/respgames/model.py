@@ -221,6 +221,13 @@ class Psmas:
     def agent_scopes(self, agent: str) -> list[Scope]:
         return [s for s in self.table if s[0] == agent]
 
+    def bound_scopes(self, valuation: Mapping[ParamId, Fraction]
+                     ) -> list[Scope]:
+        """The scopes that `valuation` binds a parameter of, free or
+        dependent: the ones a query at a partial valuation admits."""
+        return [s for s, space in self.table.items()
+                if valuation.keys() & {*space.free, space.dependent}]
+
     def scope_actions(self, scope: Scope) -> tuple[str, ...]:
         return self.table[scope].actions
 

@@ -3,14 +3,20 @@
 Sampling draws i.i.d. bounded histories from the instantiated model.  The
 generator family is numpy's PCG64; block b of 10k samples draws from
 SeedSequence(seed, spawn_key=(b,)), so the stream is fixed by the seed and
-the sample count.  Each step of a block draws one uniform per sample and
-picks every sample's outcome with one lookup in per-state tables padded to
-the widest row.  Satisfaction and witness steps are classified exactly per
-sample; plan-class membership moves compatibility tags (`CompatTags`) step
-by step, once per distinct (tag, joint action), not once per sample.  kappa
-guards come from the checker's forward pass (`checker.degree_guard`), never
-from sampling.  The grid oracle scans an agent's parameter simplex
-exhaustively with exact rational utility evaluation.
+the sample count.  Each step of a block draws one uniform u per sample and
+picks every sample's outcome with a guide table (Chen and Asau's indexed
+search): u * 2^bits is exact, its integer part names a bucket of the
+state's table, and one lookup gives the outcome and the successor, except
+for the few draws whose bucket holds a cumulative boundary, which are
+counted exactly against the state's row.  A step thus costs the draw and
+about eight passes over the block's paths, and every pick equals the count
+of cumulative entries at or below u, as it always has.  Witness steps are
+classified exactly per sample, one table lookup per step; plan-class
+membership moves compatibility tags (`CompatTags`) step by step, once per
+distinct (tag, joint action), not once per sample.  kappa guards come from
+the checker's forward pass (`checker.degree_guard`), never from sampling.
+The grid oracle scans an agent's parameter simplex exhaustively with exact
+rational utility evaluation.
 """
 
 from __future__ import annotations
@@ -37,6 +43,15 @@ BLOCK = 10_000
 # outcome matrices take 16 bytes a cell, and a larger block exits 3 before
 # they are allocated.
 MAX_BLOCK_CELLS = 10_000_000
+# The pick table cuts [0, 1) into at most 2^PICK_BITS buckets per state and
+# holds at most MAX_PICK_CELLS buckets in all: a model with more states gets
+# fewer bits, down to one bucket a state, where every draw at a state with
+# a cumulative boundary inside (0, 1) is counted exactly.
+PICK_BITS = 12
+MAX_PICK_CELLS = 1 << 18
+# The most (tag, joint action) cells that the degree estimator relabels
+# by counting; beyond it, it sorts.
+MAX_RELABEL_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -72,6 +87,12 @@ class _Sampler:
     holds their cumulative probabilities (padded with 2.0, which no draw in
     [0, 1) reaches), `succ` the successor index and `joint` the joint
     action's index in `joints`; `last[s]` is the last valid slot.
+
+    The pick of a draw u at state s is the count of s's cumulative entries
+    at or below u, capped at `last[s]`.  `pick_table` cuts [0, 1) into
+    2^bits buckets per state: bucket b of state s holds the pick of every
+    u in [b/2^bits, (b+1)/2^bits) (and `succ_table` its successor) when no
+    entry of s lies in (b/2^bits, (b+1)/2^bits), and -1 when one does.
     """
 
     def __init__(self, m: Psmas, valuation: Mapping[ParamId, Fraction]):
@@ -106,37 +127,93 @@ class _Sampler:
             self.cum[:len(row), s] = cum
             self.succ[:len(row), s] = succ
             self.joint[:len(row), s] = joint
+        self._pick_tables()
+        self._buffers: tuple[np.ndarray, ...] | None = None
+
+    def _pick_tables(self) -> None:
+        """Build `pick_table` and `succ_table`, flat over (state, bucket),
+        by counting entries at the bucket edges, not by `searchsorted`: a
+        row's last entry is forced to 1.0 and may sit below a float-dust
+        entry before it.
+
+        With B buckets, an entry c is at or below edge e/B from
+        e = ceil(c*B) on and below it from e = floor(c*B) + 1 on (c*B is
+        exact); entries of 1 or more fall past the last edge.
+        """
+        n = len(self.states)
+        self.bits = min(PICK_BITS,
+                        max(0, (MAX_PICK_CELLS // n).bit_length() - 1))
+        buckets = 1 << self.bits
+        scaled = self.cum * buckets
+        offset = np.arange(n) * (buckets + 2)
+
+        def at_edges(first_edge):
+            cells = np.minimum(first_edge, buckets + 1).astype(np.int64)
+            counts = np.bincount((cells + offset).ravel(),
+                                 minlength=n * (buckets + 2))
+            return counts.reshape(n, buckets + 2).cumsum(axis=1)
+
+        low = at_edges(np.ceil(scaled))[:, :buckets]
+        high = at_edges(np.floor(scaled) + 1)[:, 1:buckets + 1]
+        picks = np.minimum(low, self.last[:, None])
+        settled = low == high
+        succ = self.succ[picks, np.arange(n)[:, None]]
+        self.pick_table = np.where(settled, picks, -1).ravel()
+        self.succ_table = np.where(settled, succ, -1).ravel()
 
     def sample_block(self, start: int, count: int, depth: int,
                      rng: np.random.Generator
                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Sample `count` paths of `depth` steps; returns state and outcome
-        matrices, one row per path (an outcome is a slot of the padded
-        tables).
+        """Sample `count` paths of `depth` steps; returns the state and
+        outcome matrices, one row per step and one column per path (an
+        outcome is a slot of the padded tables).  They are views of the
+        sampler's buffers, which the next call overwrites.
 
-        A pick counts the state's cumulative entries at or below the draw,
-        which on a nondecreasing row is `searchsorted(side="right")`.
+        A step draws one uniform u per path.  u * 2^bits is exact, so its
+        integer part is u's bucket, and one lookup in each table gives the
+        pick and the successor.  A draw in a -1 bucket counts its state's
+        cumulative entries at or below u, which on a nondecreasing row is
+        `searchsorted(side="right")`.
         """
         cells = (depth + 1) * count
         if cells > MAX_BLOCK_CELLS:
             raise ResourceLimitError(
                 f"a block of {count} paths of {depth} steps has {cells} "
                 f"cells, over the {MAX_BLOCK_CELLS} cap")
-        states = np.empty((depth + 1, count), dtype=np.int64)
+        if (self._buffers is None or len(self._buffers[1]) != depth
+                or self._buffers[0].shape[1] < count):
+            self._buffers = (np.empty((depth + 1, count), dtype=np.int64),
+                             np.empty((depth, count), dtype=np.int64),
+                             np.empty(count), np.empty(count, dtype=np.int64),
+                             np.empty(count, dtype=np.int64))
+        states, picks, scaled, cell, base = (
+            buf[..., :count] for buf in self._buffers)
         states[0] = start
-        picks = np.empty((depth, count), dtype=np.int64)
-        for step in range(depth):
-            here = states[step]
+        for here, pick, after in zip(states, picks, states[1:]):
             u = rng.random(count)
-            k = (self.cum.take(here, axis=1) <= u).sum(axis=0)
-            np.minimum(k, self.last.take(here), out=picks[step])
-            states[step + 1] = self.succ.take(picks[step] * len(self.states)
-                                              + here)
-        return states.T, picks.T
+            np.multiply(u, 1 << self.bits, out=scaled)
+            np.copyto(cell, scaled, casting="unsafe")
+            np.left_shift(here, self.bits, out=base)
+            cell += base
+            # every cell is in range, and "wrap" takes the fastest path
+            self.pick_table.take(cell, out=pick, mode="wrap")
+            self.succ_table.take(cell, out=after, mode="wrap")
+            unsettled = np.flatnonzero(pick < 0)
+            if unsettled.size:
+                at = here[unsettled]
+                k = (self.cum.take(at, axis=1) <= u[unsettled]).sum(axis=0)
+                k = np.minimum(k, self.last.take(at))
+                pick[unsettled] = k
+                after[unsettled] = self.succ[k, at]
+        return states, picks
 
     def joint_ids(self, states: np.ndarray, picks: np.ndarray) -> np.ndarray:
-        """Joint-action indices of sampled steps, one row per path."""
-        return self.joint.take(picks * len(self.states) + states[:, :-1])
+        """Joint-action indices of sampled steps, one row per step."""
+        out = np.empty_like(picks)
+        for here, pick, row in zip(states, picks, out):
+            self.joint.take(pick * len(self.states) + here, out=row,
+                            mode="wrap")
+        return out
 
 
 def _blocks(cfg: SimConfig) -> Iterator[tuple[int, int, np.random.Generator]]:
@@ -160,7 +237,7 @@ def simulate_paths(m: Psmas, cfg: SimConfig, depth: int
     for _, count, rng in _blocks(cfg):
         states, picks = sampler.sample_block(start, count, depth, rng)
         joints = sampler.joint_ids(states, picks)
-        for st, acts in zip(states.tolist(), joints.tolist()):
+        for st, acts in zip(states.T.tolist(), joints.T.tolist()):
             yield (tuple(sampler.states[i] for i in st),
                    tuple(sampler.joints[j] for j in acts))
 
@@ -189,33 +266,27 @@ def _sat_tables(m: Psmas, sampler: _Sampler, psi: PathFormula,
 
 def _witness_steps(psi: PathFormula, states: np.ndarray, hold: np.ndarray,
                    goal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample minimal witness steps.
+    """Per-sample minimal witness steps, from a state matrix with one row
+    per step.
 
     Returns (sat_step, viol_step): the step index at which satisfaction /
     certain violation is first established, or -1.  Mirrors the checker's
-    cylinder accounting exactly.
+    cylinder accounting exactly: `X phi` is settled at step 1, and
+    `phi U<=k psi` at the first step j <= k whose state satisfies psi
+    (satisfied) or fails phi, or at step k (violated).
     """
-    n = len(states)
-    sat_step = np.full(n, -1, dtype=np.int64)
-    viol_step = np.full(n, -1, dtype=np.int64)
-    if isinstance(psi, Next):
-        ok = goal[states[:, 1]]
-        sat_step[ok] = 1
-        viol_step[~ok] = 1
-        return sat_step, viol_step
-    k = psi.k
-    open_mask = np.ones(n, dtype=bool)
-    for j in range(0, k + 1):
-        here = states[:, j]
-        g = goal[here] & open_mask
-        sat_step[g] = j
-        open_mask &= ~g
-        stuck = open_mask & (~hold[here] | (j == k))
-        viol_step[stuck] = j
-        open_mask &= ~stuck
-        if not open_mask.any():
-            break
-    return sat_step, viol_step
+    # A path's status is 0 while open, j + 1 once satisfied at step j and
+    # -(j + 1) once violated there.  A rule is +1, 0 or -1 per state:
+    # satisfied, open or violated on reaching it.
+    last = horizon(psi)
+    final = np.where(goal, 1, -1)
+    before = (np.zeros_like(final) if isinstance(psi, Next)
+              else np.where(goal, 1, np.where(hold, 0, -1)))
+    status = np.zeros(states.shape[1], dtype=np.int64)
+    for j, here in enumerate(states[:last + 1]):
+        rule = final if j == last else before
+        status = np.where(status, status, (rule * (j + 1)).take(here))
+    return np.maximum(status, 0) - 1, np.maximum(-status, 0) - 1
 
 
 def estimate_path_prob(m: Psmas, cfg: SimConfig, psi: PathFormula) -> Estimate:
@@ -250,6 +321,7 @@ def estimate_degree(m: Psmas, cfg: SimConfig, agent: str, plan: Plan,
     q = degree_setup(m, agent, plan, psi, kind, coalition)
     compat = CompatTags(m, q.plan, q.kept)
     sampler = _Sampler(m, cfg.valuation)
+    members = _PlanClass(compat, sampler.joints)
     hold, goal = _sat_tables(m, sampler, psi, cfg.valuation)
     state = _start(m, cfg)
     start = sampler.index[state]
@@ -262,10 +334,8 @@ def estimate_degree(m: Psmas, cfg: SimConfig, agent: str, plan: Plan,
         states, picks = sampler.sample_block(start, count, horizon(psi), rng)
         sat_step, viol_step = _witness_steps(psi, states, hold, goal)
         steps = sat_step if q.counts_sat else viol_step
-        chosen = steps >= 0
-        den += int(chosen.sum())
-        num += _admitted(compat, sampler.joints, steps[chosen],
-                         sampler.joint_ids(states[chosen], picks[chosen]))
+        den += int((steps >= 0).sum())
+        num += members.count(steps, sampler.joint_ids(states, picks))
     if den == 0:
         raise UndefinedEstimateError(
             "no sampled path fell in the denominator event")
@@ -274,37 +344,67 @@ def estimate_degree(m: Psmas, cfg: SimConfig, agent: str, plan: Plan,
                     samples=cfg.samples)
 
 
-def _admitted(compat: CompatTags, joints: list[JointAction],
-              steps: np.ndarray, prefixes: np.ndarray) -> int:
-    """How many rows' action prefixes lie in the plan class: row i's prefix
-    is its first `steps[i]` joint-action indices (into `joints`).
+class _PlanClass:
+    """Membership of sampled action prefixes in a plan class.
 
-    Every row carries a tag id, tags numbered as they appear.  Each depth
-    moves every distinct (tag, joint action) pair once through
-    `CompatTags.step`, and membership asks `CompatTags.live` once per
-    distinct (tag, prefix length), so the work grows with the number of
-    distinct tags, not of rows.
+    A prefix's tag (`CompatTags`) moves with each joint action.  Tags are
+    numbered as they appear, and each move (tag, depth, joint action) and
+    each membership (tag, prefix length) is asked of `CompatTags` once per
+    estimate, so a block's work is numpy passes over its paths plus
+    dictionary lookups over its distinct (tag, joint action) pairs.
     """
-    tags, ids = [compat.start], {compat.start: 0}
-    tag = np.zeros(len(steps), dtype=np.int64)
-    width, longest = len(joints), int(steps.max(initial=0))
-    for depth in range(longest):
-        rows = np.nonzero(steps > depth)[0]
-        pairs, inverse = np.unique(tag[rows] * width + prefixes[rows, depth],
-                                   return_inverse=True)
-        moved = []
-        for pair in pairs.tolist():
-            after = compat.step(tags[pair // width], depth,
-                                joints[pair % width])
-            if after not in ids:
-                ids[after] = len(tags)
-                tags.append(after)
-            moved.append(ids[after])
-        tag[rows] = np.array(moved, dtype=np.int64)[inverse]
-    span = longest + 1
-    ends, counts = np.unique(tag * span + steps, return_counts=True)
-    return sum(n for end, n in zip(ends.tolist(), counts.tolist())
-               if compat.live(tags[end // span], end % span))
+
+    def __init__(self, compat: CompatTags, joints: list[JointAction]):
+        self.compat, self.joints = compat, joints
+        self.tags, self.ids = [compat.start], {compat.start: 0}
+        self.moves: dict[tuple[int, int, int], tuple[int, bool]] = {}
+
+    def _move(self, tag: int, depth: int, joint: int) -> tuple[int, bool]:
+        """The tag id after the move and whether a prefix of depth + 1
+        steps with that tag lies in the class."""
+        key = (tag, depth, joint)
+        if key not in self.moves:
+            after = self.compat.step(self.tags[tag], depth,
+                                     self.joints[joint])
+            if after not in self.ids:
+                self.ids[after] = len(self.tags)
+                self.tags.append(after)
+            self.moves[key] = (self.ids[after],
+                               self.compat.live(after, depth + 1))
+        return self.moves[key]
+
+    def count(self, steps: np.ndarray, prefixes: np.ndarray) -> int:
+        """How many paths' witness prefixes lie in the class: path i's
+        prefix is its first `steps[i]` joint-action indices, column i of
+        `prefixes` (one row per step); paths with step -1 are left out.
+
+        Every path moves to its full depth, and the paths whose witness
+        ends at a depth are counted there.
+        """
+        width = len(self.joints)
+        tag = np.zeros(len(steps), dtype=np.int64)
+        admitted = (int((steps == 0).sum())
+                    if self.compat.live(self.compat.start, 0) else 0)
+        for depth in range(int(steps.max(initial=0))):
+            pairs, inverse = _relabel(tag * width + prefixes[depth],
+                                      len(self.tags) * width)
+            moved, live = zip(*(self._move(pair // width, depth, pair % width)
+                                for pair in pairs.tolist()))
+            tag = np.array(moved, dtype=np.int64).take(inverse)
+            ends = steps == depth + 1
+            ends &= np.array(live).take(inverse)
+            admitted += int(np.count_nonzero(ends))
+        return admitted
+
+
+def _relabel(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of `keys`, naturals below `size`, in increasing
+    order, and each key's index among them; by counting when `size` is at
+    most MAX_RELABEL_CELLS, else by sorting."""
+    if size > MAX_RELABEL_CELLS:
+        return np.unique(keys, return_inverse=True)
+    present = np.bincount(keys, minlength=size) > 0
+    return np.flatnonzero(present), (np.cumsum(present) - 1).take(keys)
 
 
 @dataclass(frozen=True)

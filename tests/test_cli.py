@@ -610,6 +610,31 @@ def test_evaluated_degree_check_reads_only_its_bound_scopes(capsys):
         2, {"error": "no value assigned to parameter x2"})
 
 
+def test_degree_and_check_admit_the_same_partial_binding(capsys):
+    # with x1 bound alone, both commands admit A1's scope only: the CAR
+    # degree 1 reads no parameter, so both answer it; the CPR degree reads
+    # x2, which both name
+    car = ("--kind", "CAR", "--agent", "A1", "--plan", "pi_skip",
+           "--formula", "X (dropped | score2)")
+    code, env = run_json(capsys, "degree", "--model", BALL, *car,
+                         "--bind", "x1=1/2")
+    assert code == 0
+    assert (env["result"]["exact"], env["result"]["mode"]) == ("1",
+                                                               "evaluated")
+    code, env = run_json(
+        capsys, "check", "--model", BALL, "--bind", "x1=1/2", "--formula",
+        "<A1,A2> D>=1/2 [ CAR(A1, pi_skip, X (dropped | score2)) ]")
+    assert (code, env["result"]["verdict"]) == (0, True)
+    missing = (2, {"error": "no value assigned to parameter x2"})
+    code, env = run_json(capsys, "degree", "--model", BALL, "--kind", "CPR",
+                         "--agent", "A1", "--plan", "pi_catch",
+                         "--formula", "X collision", "--bind", "x1=1/2")
+    assert (code, env["result"]) == missing
+    code, env = run_json(capsys, "check", "--model", BALL,
+                         "--bind", "x1=1/2", "--formula", CPR_CHECK)
+    assert (code, env["result"]) == missing
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--model", BALL, "--bind", "x1=1/2", "--bind", "x2=1/2"],
     ["eval", "--model", BALL, "--bind", "x1=1/2", "--bind", "x2=1/2"],

@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 from conftest import ball_valuation
 from test_engine import AGENTS, queries
 
+from respgames import oracle
 from respgames.checker import (QueryContext, car_degree, cpr_degree,
                                degree_at, degree_guard, degree_setup,
                                path_sat_prob)
 from respgames.errors import (InadmissibleError, ModelError,
                               RespgamesError, UndefinedEstimateError)
-from respgames.logic import DegreeKind, horizon, parse_path_formula
+from respgames.logic import (Atom, DegreeKind, Next, Not, TrueFormula, Until,
+                             horizon, parse_path_formula)
 from respgames.model import build_psmas, parse_model
-from respgames.oracle import (BLOCK, Estimate, SimConfig, _sat_tables,
-                              _witness_steps, estimate_degree,
+from respgames.oracle import (BLOCK, PICK_BITS, Estimate, SimConfig,
+                              _Sampler, _sat_tables, estimate_degree,
                               estimate_path_prob, grid_best_response,
                               simulate_paths)
 from respgames.synth import ResponsibilitySpec, UtilityConfig, utility_parts
@@ -252,14 +254,29 @@ def reference_paths(m, cfg, depth):
             yield tuple(sampler.states[i] for i in here), acts
 
 
+def witness_steps(psi, hold, goal):
+    """(sat_step, viol_step) of one path of states, by walking it: the step
+    at which its outcome is settled, and -1 on the other side."""
+    @functools.cache
+    def settle(path):
+        if isinstance(psi, Next):
+            return (1, -1) if goal[path[1]] else (-1, 1)
+        for j, s in enumerate(path[:psi.k + 1]):
+            if goal[s]:
+                return j, -1
+            if not hold[s] or j == psi.k:
+                return -1, j
+    return settle
+
+
 def reference_path_prob(m, cfg, psi):
     sampler = ReferenceSampler(m, cfg.valuation)
-    hold, goal = _sat_tables(m, sampler, psi, cfg.valuation)
+    settle = witness_steps(psi, *_sat_tables(m, sampler, psi, cfg.valuation))
     hits = 0
     for count, rng in reference_blocks(cfg):
         states, _ = sampler.sample_block(sampler.index[cfg.start], count,
                                          horizon(psi), rng)
-        hits += int((_witness_steps(psi, states, hold, goal)[0] >= 0).sum())
+        hits += sum(settle(tuple(path))[0] >= 0 for path in states.tolist())
     mean = hits / cfg.samples
     return Estimate(mean, sqrt(mean * (1 - mean) / cfg.samples), cfg.samples)
 
@@ -273,11 +290,12 @@ def admits(compat, actions):
 
 
 def reference_degree(m, cfg, agent, plan, psi, kind, coalition):
-    """Classify each chosen row by `admits` of its witness prefix."""
+    """Classify each sample by walking it: its witness step, then `admits`
+    of its witness prefix."""
     depth = horizon(psi)
     plan = plan.truncated(depth)
     sampler = ReferenceSampler(m, cfg.valuation)
-    hold, goal = _sat_tables(m, sampler, psi, cfg.valuation)
+    settle = witness_steps(psi, *_sat_tables(m, sampler, psi, cfg.valuation))
     ctx = QueryContext.evaluated(cfg.valuation)
     pick_sat = kind is DegreeKind.CAR
     compat = CompatTags(m, plan, {agent} if pick_sat
@@ -290,18 +308,142 @@ def reference_degree(m, cfg, agent, plan, psi, kind, coalition):
     for count, rng in reference_blocks(cfg):
         states, picks = sampler.sample_block(sampler.index[cfg.start], count,
                                              depth, rng)
-        sat_step, viol_step = _witness_steps(psi, states, hold, goal)
-        steps = sat_step if pick_sat else viol_step
-        rows = steps >= 0
-        den += int(rows.sum())
-        prefixes = sampler.actions(states[rows].tolist(),
-                                   picks[rows].tolist(), steps[rows].tolist())
-        num += sum(map(admitted, prefixes))
+        states, picks = states.tolist(), picks.tolist()
+        for path, outs in zip(states, picks):
+            sat_step, viol_step = settle(tuple(path))
+            step = sat_step if pick_sat else viol_step
+            if step >= 0:
+                den += 1
+                num += admitted(next(sampler.actions([path], [outs],
+                                                     [step])))
     if den == 0:
         raise UndefinedEstimateError("no sampled path fell in the "
                                      "denominator event")
     mean = num / den
     return Estimate(mean, sqrt(mean * (1 - mean) / den), cfg.samples)
+
+
+@pytest.mark.parametrize("psi", [
+    Next(Atom("g")), Until(TrueFormula(), 0, Atom("g")),
+    Until(Atom("p"), 1, Atom("g")), Until(Not(Atom("g")), 4, Atom("p"))],
+    ids=["X g", "F<=0 g", "p U<=1 g", "!g U<=4 p"])
+def test_witness_steps_equal_per_path_walks(psi):
+    # random paths over random hold and goal tables: paths settle at every
+    # step, and many reach the horizon open, where they are violated
+    rng = np.random.default_rng(7)
+    hold, goal = rng.random(6) < 0.7, rng.random(6) < 0.2
+    states = rng.integers(0, 6, (horizon(psi) + 1, 5_000))
+    settle = witness_steps(psi, hold, goal)
+    want = [settle(tuple(path)) for path in states.T.tolist()]
+    got = oracle._witness_steps(psi, states, hold, goal)
+    assert np.stack(got).T.tolist() == [list(w) for w in want]
+
+
+# -- the pick table at its edges, against the per-state searchsorted ---------
+
+
+class Draws:
+    """A generator stand-in: each `random(count)` call returns the next row
+    of crafted draws."""
+
+    def __init__(self, *rows):
+        self.rows = iter(rows)
+
+    def random(self, count):
+        row = np.array(next(self.rows))
+        assert row.shape == (count,)
+        return row
+
+
+def edge_draws(sampler, s):
+    """Draws at state s's cumulative entries and at the edges of the
+    buckets that hold them, each with its neighbouring floats, and the
+    ends of [0, 1)."""
+    buckets = 2 ** sampler.bits
+    cum = sampler.cum[:, s]
+    points = [0.0, np.nextafter(1.0, 0.0)]
+    for c in cum[cum < 1]:
+        low = np.floor(c * buckets) / buckets
+        points += [c, low, low + 1 / buckets]
+    near = [np.nextafter(x, end) for x in points for end in (0.0, 1.0)]
+    return sorted({x for x in points + near if 0 <= x < 1})
+
+
+def assert_picks_match(m, valuation):
+    """Every state's edge draws, one step from it, then all of them over
+    three steps from the first state, pick as `ReferenceSampler` picks."""
+    sampler, reference = _Sampler(m, valuation), ReferenceSampler(m,
+                                                                  valuation)
+    pool = []
+    for s in range(len(sampler.states)):
+        draws = edge_draws(sampler, s)
+        pool += draws
+        got = sampler.sample_block(s, len(draws), 1, Draws(draws))
+        want = reference.sample_block(s, len(draws), 1, Draws(draws))
+        assert [a.T.tolist() for a in got] == [a.tolist() for a in want]
+    rows = (pool, pool[::-1], pool[len(pool) // 2:] + pool[:len(pool) // 2])
+    got = sampler.sample_block(0, len(pool), 3, Draws(*rows))
+    want = reference.sample_block(0, len(pool), 3, Draws(*rows))
+    assert [a.T.tolist() for a in got] == [a.tolist() for a in want]
+    return sampler
+
+
+@pytest.mark.parametrize("x1, x2", [
+    (Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(0), Fraction(1, 3)), (Fraction(1), Fraction(1, 2)),
+    (Fraction(1), Fraction(0))])
+def test_pick_table_edges_on_ball(ball, x1, x2):
+    # a draw equal to a cumulative entry moves past it (side="right");
+    # x = 1/2 puts every entry on a bucket edge, 0 and 1 shorten the rows
+    sampler = assert_picks_match(ball, ball_valuation(ball, x1, x2))
+    dyadic = x1.denominator <= 2 and x2.denominator <= 2
+    assert (sampler.pick_table < 0).any() != dyadic
+
+
+def test_pick_table_absorbs_float_dust():
+    # 9/28 + 9/14 + (1/28 - 1e-17) sums to 1.0000000000000002 in floats,
+    # above the last entry, forced to 1.0
+    tiny = Fraction(1, 10 ** 17)
+    dust = Fraction(1, 28) - tiny
+    m = build_psmas(parse_model(f"""
+agents: A
+states: s t0 t1 t2 t3
+init: s
+actions A @ s: a
+actions A @ t0: a
+actions A @ t1: a
+actions A @ t2: a
+actions A @ t3: a
+trans s (a) -> {{ t0: 9/28, t1: 9/14, t2: {dust}, t3: {tiny} }}
+trans t0 (a) -> {{ t0: 1 }}
+trans t1 (a) -> {{ t1: 1 }}
+trans t2 (a) -> {{ t2: 1 }}
+trans t3 (a) -> {{ t3: 1 }}
+"""))
+    sampler = assert_picks_match(m, {})
+    assert sampler.cum[2, 0] > 1.0 == sampler.cum[3, 0]
+
+
+def chain(n):
+    """A model of n states, each with two actions over two successors."""
+    lines = ["agents: A", "states: " + " ".join(f"q{i}" for i in range(n)),
+             "init: q0"]
+    lines += [f"actions A @ q{i}: a b" for i in range(n)]
+    for i in range(n):
+        lines.append(f"trans q{i} (a) -> {{ q{(i + 1) % n}: 1/3, "
+                     f"q{(i + 2) % n}: 2/3 }}")
+        lines.append(f"trans q{i} (b) -> {{ q{i}: 1/7, q{(i + 3) % n}: 6/7 }}")
+    return build_psmas(parse_model("\n".join(lines) + "\n"))
+
+
+def test_pick_table_at_reduced_resolution(monkeypatch):
+    m = chain(100)
+    valuation = {p: Fraction(2, 5) for p in m.params}
+    assert assert_picks_match(m, valuation).bits == 11 < PICK_BITS
+    # one bucket a state: every draw is counted exactly
+    monkeypatch.setattr(oracle, "MAX_PICK_CELLS", 1)
+    sampler = assert_picks_match(m, valuation)
+    assert sampler.bits == 0 and (sampler.pick_table < 0).all()
 
 
 MIXES = (Fraction(1, 3), Fraction(1, 2), Fraction(0), Fraction(1),
@@ -407,6 +549,19 @@ def test_degree_classifier_on_hand_made_prefixes(text):
         est = estimate_degree(*args)
         assert est == reference_degree(*args)
         assert abs(est.mean - float(exact)) <= 4 * est.stderr
+
+
+def test_degree_classifier_sorts_past_its_counting_cap(monkeypatch):
+    # the (tag, joint action) relabelling sorts when its key space is over
+    # MAX_RELABEL_CELLS, with the same counts
+    m = build_psmas(parse_model(LOOP))
+    psi = parse_path_formula("F<=2 g", m)
+    cfg = SimConfig(10_050, 3, {p: Fraction(1, 2) for p in m.params},
+                    start="s")
+    args = (m, cfg, "A", plan_from_model(m, "pi"), psi, DegreeKind.CAR)
+    counted = estimate_degree(*args)
+    monkeypatch.setattr(oracle, "MAX_RELABEL_CELLS", 0)
+    assert estimate_degree(*args) == counted == reference_degree(*args, None)
 
 
 def test_degree_estimate_resolves_its_query_once(ball, monkeypatch):
