@@ -44,14 +44,12 @@ BLOCK = 10_000
 # they are allocated.
 MAX_BLOCK_CELLS = 10_000_000
 # The pick table cuts [0, 1) into at most 2^PICK_BITS buckets per state and
-# holds at most MAX_PICK_CELLS buckets in all: a model with more states gets
-# fewer bits, down to one bucket a state, where every draw at a state with
-# a cumulative boundary inside (0, 1) is counted exactly.
+# holds at most MAX_PICK_CELLS buckets in all, and no more than the draws
+# it will serve: a model with more states, or a request with fewer draws,
+# gets fewer bits, down to one bucket a state, where every draw at a state
+# with a cumulative boundary inside (0, 1) is counted exactly.
 PICK_BITS = 12
 MAX_PICK_CELLS = 1 << 18
-# The most (tag, joint action) cells that the degree estimator relabels
-# by counting; beyond it, it sorts.
-MAX_RELABEL_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -93,9 +91,11 @@ class _Sampler:
     2^bits buckets per state: bucket b of state s holds the pick of every
     u in [b/2^bits, (b+1)/2^bits) (and `succ_table` its successor) when no
     entry of s lies in (b/2^bits, (b+1)/2^bits), and -1 when one does.
+    `draws` is how many draws the sampler will serve (samples x depth).
     """
 
-    def __init__(self, m: Psmas, valuation: Mapping[ParamId, Fraction]):
+    def __init__(self, m: Psmas, valuation: Mapping[ParamId, Fraction],
+                 draws: int):
         require_admissible(m, valuation)
         self.states = list(m.base.states)
         self.index = {s: i for i, s in enumerate(self.states)}
@@ -127,22 +127,24 @@ class _Sampler:
             self.cum[:len(row), s] = cum
             self.succ[:len(row), s] = succ
             self.joint[:len(row), s] = joint
-        self._pick_tables()
+        self._pick_tables(draws)
         self._buffers: tuple[np.ndarray, ...] | None = None
 
-    def _pick_tables(self) -> None:
+    def _pick_tables(self, draws: int) -> None:
         """Build `pick_table` and `succ_table`, flat over (state, bucket),
         by counting entries at the bucket edges, not by `searchsorted`: a
         row's last entry is forced to 1.0 and may sit below a float-dust
-        entry before it.
+        entry before it.  Building costs a few passes over the table, and
+        a lookup saves about that much over counting a draw, so the table
+        holds at most `draws` buckets.
 
         With B buckets, an entry c is at or below edge e/B from
         e = ceil(c*B) on and below it from e = floor(c*B) + 1 on (c*B is
         exact); entries of 1 or more fall past the last edge.
         """
         n = len(self.states)
-        self.bits = min(PICK_BITS,
-                        max(0, (MAX_PICK_CELLS // n).bit_length() - 1))
+        per_state = min(MAX_PICK_CELLS, draws) // n
+        self.bits = min(PICK_BITS, max(0, per_state.bit_length() - 1))
         buckets = 1 << self.bits
         scaled = self.cum * buckets
         offset = np.arange(n) * (buckets + 2)
@@ -180,6 +182,8 @@ class _Sampler:
             raise ResourceLimitError(
                 f"a block of {count} paths of {depth} steps has {cells} "
                 f"cells, over the {MAX_BLOCK_CELLS} cap")
+        # The buffers outlive the call: a caller must be done with one
+        # block's rows before it asks for the next.
         if (self._buffers is None or len(self._buffers[1]) != depth
                 or self._buffers[0].shape[1] < count):
             self._buffers = (np.empty((depth + 1, count), dtype=np.int64),
@@ -232,11 +236,12 @@ def simulate_paths(m: Psmas, cfg: SimConfig, depth: int
                                        tuple[JointAction, ...]]]:
     """Stream sampled histories of `depth` steps as (states, joint actions)
     tuples."""
-    sampler = _Sampler(m, cfg.valuation)
+    sampler = _Sampler(m, cfg.valuation, cfg.samples * depth)
     start = sampler.index[_start(m, cfg)]
     for _, count, rng in _blocks(cfg):
         states, picks = sampler.sample_block(start, count, depth, rng)
         joints = sampler.joint_ids(states, picks)
+        # copied out by `tolist` before the next block overwrites `states`
         for st, acts in zip(states.T.tolist(), joints.T.tolist()):
             yield (tuple(sampler.states[i] for i in st),
                    tuple(sampler.joints[j] for j in acts))
@@ -291,8 +296,8 @@ def _witness_steps(psi: PathFormula, states: np.ndarray, hold: np.ndarray,
 
 def estimate_path_prob(m: Psmas, cfg: SimConfig, psi: PathFormula) -> Estimate:
     """Empirical frequency of a path formula under the valuation."""
-    sampler = _Sampler(m, cfg.valuation)
     depth = horizon(psi)
+    sampler = _Sampler(m, cfg.valuation, cfg.samples * depth)
     hold, goal = _sat_tables(m, sampler, psi, cfg.valuation)
     start = sampler.index[_start(m, cfg)]
     hits = 0
@@ -320,7 +325,7 @@ def estimate_degree(m: Psmas, cfg: SimConfig, agent: str, plan: Plan,
     """
     q = degree_setup(m, agent, plan, psi, kind, coalition)
     compat = CompatTags(m, q.plan, q.kept)
-    sampler = _Sampler(m, cfg.valuation)
+    sampler = _Sampler(m, cfg.valuation, cfg.samples * horizon(psi))
     members = _PlanClass(compat, sampler.joints)
     hold, goal = _sat_tables(m, sampler, psi, cfg.valuation)
     state = _start(m, cfg)
@@ -399,9 +404,14 @@ class _PlanClass:
 
 def _relabel(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of `keys`, naturals below `size`, in increasing
-    order, and each key's index among them; by counting when `size` is at
-    most MAX_RELABEL_CELLS, else by sorting."""
-    if size > MAX_RELABEL_CELLS:
+    order, and each key's index among them.
+
+    Counting makes a few passes over `size` cells and sorting about
+    log2(len(keys)) passes over the keys; counting is the faster while
+    `size` is at most twice the number of keys (measured at 100 to 10k
+    keys), so it counts there and sorts beyond.
+    """
+    if size > 2 * len(keys):
         return np.unique(keys, return_inverse=True)
     present = np.bincount(keys, minlength=size) > 0
     return np.flatnonzero(present), (np.cumsum(present) - 1).take(keys)

@@ -19,10 +19,10 @@ from respgames.errors import (InadmissibleError, ModelError,
 from respgames.logic import (Atom, DegreeKind, Next, Not, TrueFormula, Until,
                              horizon, parse_path_formula)
 from respgames.model import build_psmas, parse_model
-from respgames.oracle import (BLOCK, PICK_BITS, Estimate, SimConfig,
-                              _Sampler, _sat_tables, estimate_degree,
-                              estimate_path_prob, grid_best_response,
-                              simulate_paths)
+from respgames.oracle import (BLOCK, MAX_PICK_CELLS, PICK_BITS, Estimate,
+                              SimConfig, _relabel, _Sampler, _sat_tables,
+                              estimate_degree, estimate_path_prob,
+                              grid_best_response, simulate_paths)
 from respgames.synth import ResponsibilitySpec, UtilityConfig, utility_parts
 from respgames.trace import CompatTags, Plan, plan_from_model
 
@@ -369,11 +369,12 @@ def edge_draws(sampler, s):
     return sorted({x for x in points + near if 0 <= x < 1})
 
 
-def assert_picks_match(m, valuation):
+def assert_picks_match(m, valuation, budget=MAX_PICK_CELLS):
     """Every state's edge draws, one step from it, then all of them over
-    three steps from the first state, pick as `ReferenceSampler` picks."""
-    sampler, reference = _Sampler(m, valuation), ReferenceSampler(m,
-                                                                  valuation)
+    three steps from the first state, pick as `ReferenceSampler` picks;
+    the sampler's table is sized for `budget` draws."""
+    sampler = _Sampler(m, valuation, budget)
+    reference = ReferenceSampler(m, valuation)
     pool = []
     for s in range(len(sampler.states)):
         draws = edge_draws(sampler, s)
@@ -436,13 +437,14 @@ def chain(n):
     return build_psmas(parse_model("\n".join(lines) + "\n"))
 
 
-def test_pick_table_at_reduced_resolution(monkeypatch):
+def test_pick_table_at_reduced_resolution():
     m = chain(100)
     valuation = {p: Fraction(2, 5) for p in m.params}
     assert assert_picks_match(m, valuation).bits == 11 < PICK_BITS
+    # the table holds no more buckets than the draws it serves
+    assert assert_picks_match(m, valuation, 100 * 2 ** 5 + 99).bits == 5
     # one bucket a state: every draw is counted exactly
-    monkeypatch.setattr(oracle, "MAX_PICK_CELLS", 1)
-    sampler = assert_picks_match(m, valuation)
+    sampler = assert_picks_match(m, valuation, 199)
     assert sampler.bits == 0 and (sampler.pick_table < 0).all()
 
 
@@ -551,17 +553,47 @@ def test_degree_classifier_on_hand_made_prefixes(text):
         assert abs(est.mean - float(exact)) <= 4 * est.stderr
 
 
-def test_degree_classifier_sorts_past_its_counting_cap(monkeypatch):
-    # the (tag, joint action) relabelling sorts when its key space is over
-    # MAX_RELABEL_CELLS, with the same counts
+@pytest.mark.parametrize("size, count, sorts", [
+    (12, 6, False), (13, 6, True), (1, 5, False), (4_000, 10_000, False),
+    (50_000, 300, True)])
+def test_relabel_counts_or_sorts_like_unique(size, count, sorts,
+                                             monkeypatch):
+    # counting up to twice as many cells as keys, sorting past that
+    keys = np.random.default_rng(size).integers(0, size, count)
+    want = np.unique(keys, return_inverse=True)
+    calls = []
+
+    def unique(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = np.unique
+    monkeypatch.setattr(np, "unique", unique)
+    got = _relabel(keys, size)
+    assert bool(calls) == sorts
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+def test_degree_classifier_counts_and_sorts(monkeypatch):
+    # LOOP's 4 joint actions and the estimate's tags give key spaces of 4
+    # to 12 cells: the 10k-path block relabels on the counting side, the
+    # 5-path block after it on the sorting side, and both agree with the
+    # per-path walk
     m = build_psmas(parse_model(LOOP))
     psi = parse_path_formula("F<=2 g", m)
-    cfg = SimConfig(10_050, 3, {p: Fraction(1, 2) for p in m.params},
+    cfg = SimConfig(10_005, 3, {p: Fraction(1, 2) for p in m.params},
                     start="s")
     args = (m, cfg, "A", plan_from_model(m, "pi"), psi, DegreeKind.CAR)
-    counted = estimate_degree(*args)
-    monkeypatch.setattr(oracle, "MAX_RELABEL_CELLS", 0)
-    assert estimate_degree(*args) == counted == reference_degree(*args, None)
+    sides = []
+
+    def relabel(keys, size):
+        sides.append((len(keys), size <= 2 * len(keys)))
+        return real(keys, size)
+
+    real = oracle._relabel
+    monkeypatch.setattr(oracle, "_relabel", relabel)
+    assert estimate_degree(*args) == reference_degree(*args, None)
+    assert set(sides) == {(10_000, True), (5, False)}
 
 
 def test_degree_estimate_resolves_its_query_once(ball, monkeypatch):
