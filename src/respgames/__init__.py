@@ -6,8 +6,7 @@ from .errors import (DegenerateQueryError, FormulaError, InadmissibleError,
                      ResourceLimitError, RespgamesError,
                      UndefinedEstimateError, UnsupportedQueryError,
                      UsageError, ZeroDenominatorError)
-from .polyarith import (Monomial, ParamId, Polynomial, RationalFunction,
-                        parse_polynomial, rf_equal_on_box)
+from .polyarith import Monomial, ParamId, Polynomial, RationalFunction
 from .model import (AdmissibilityReport, Csg, Psmas, RewardStructure,
                     build_psmas, check_admissible, load_model, parse_model)
 from .logic import (CompareOp, DegreeKind, PathFormula, StateFormula,
@@ -21,7 +20,6 @@ from .checker import (CheckResult, DegreeResult, ExtendedValue, QueryContext,
 from .synth import (NeSolution, NeSystem, ResponsibilitySpec, UtilityConfig,
                     build_ne_system, find_equilibria, payoff_valuation,
                     solve_ne, utility_parts, verify_ne)
-from .oracle import (BestResponse, Estimate, SimConfig, estimate_degree,
-                     estimate_path_prob, grid_best_response, simulate_paths)
+from .oracle import Estimate, SimConfig, estimate_degree, estimate_path_prob
 
 __version__ = "0.1.0"

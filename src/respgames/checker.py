@@ -374,10 +374,7 @@ def _reward_parts(m: Psmas, state: str, target: StateFormula, k: int,
 def check_reward(m: Psmas, state: str, f: CoalitionReward,
                  ctx: QueryContext) -> CheckResult:
     """Decide `<A> R cmp q [ F<=k phi @ agent ]` (or return the region)."""
-    r = m.base.rewards.get(f.agent)
-    if r is None:
-        r = RewardStructure(agent=f.agent,
-                            agent_index=m.base.agent_index(f.agent))
+    r = m.base.rewards[f.agent]
     if not ctx.is_evaluated:
         value = reward_value(m, state, f.target, f.k, r, ctx)
         return CheckResult(holds=None, region=Region(value, f.cmp, f.bound))
@@ -573,21 +570,6 @@ def _grid_axes(m: Psmas, scopes: Sequence[Scope], denominator: int
             f"grid has {total} points, over the {MAX_GRID_POINTS} cap")
     return [list(_bounded_tuples(len(params), denominator))
             for params in free]
-
-
-def simplex_grid(m: Psmas, scopes: Sequence[Scope], denominator: int
-                 ) -> Iterator[dict[ParamId, Fraction]]:
-    """The grid points of the scopes' free parameters at step 1/denominator.
-
-    Per scope the free parameters sum to at most 1; points come in
-    lexicographic order, scope by scope, capped as `_grid_axes` says.
-    """
-    grids = [[tuple(Fraction(i, denominator) for i in combo)
-              for combo in axis]
-             for axis in _grid_axes(m, scopes, denominator)]
-    flat = [p for scope in scopes for p in m.free_params(scope)]
-    return (dict(zip(flat, itertools.chain.from_iterable(combo)))
-            for combo in itertools.product(*grids))
 
 
 def _bounded_tuples(length: int, budget: int) -> Iterator[tuple[int, ...]]:

@@ -90,6 +90,11 @@ class Csg:
     def __post_init__(self):
         if self.initial not in self.states:
             raise ModelError(f"initial state {self.initial} not declared")
+        # an agent without declared rewards earns 0 everywhere
+        self.rewards = {
+            agent: self.rewards.get(agent)
+            or RewardStructure(agent=agent, agent_index=index)
+            for index, agent in enumerate(self.agents)}
         for agent in self.agents:
             for state in self.states:
                 acts = self.available.get((agent, state))
@@ -199,8 +204,6 @@ class Psmas:
                             for p in space.free)
         self.dependent_params = tuple(space.dependent
                                       for space in self.table.values())
-        self.dependent = {scope: space.dependent.action
-                          for scope, space in self.table.items()}
         self.param_table = {p.name: p for p in self.params}
         self.param_table.update({p.name: p for p in self.dependent_params})
         self.transition: dict[tuple[str, JointAction, str], Polynomial] = {}

@@ -1,4 +1,4 @@
-"""Independent validation backends: simulation and exhaustive grid search.
+"""Monte-Carlo estimates of path probabilities and responsibility degrees.
 
 Sampling draws i.i.d. bounded histories from the instantiated model.  The
 generator family is numpy's PCG64; block b of 10k samples draws from
@@ -15,8 +15,6 @@ classified exactly per sample, one table lookup per step; plan-class
 membership moves compatibility tags (`CompatTags`) step by step, once per
 distinct (tag, joint action), not once per sample.  kappa guards come from
 the checker's forward pass (`checker.degree_guard`), never from sampling.
-The grid oracle scans an agent's parameter simplex exhaustively with exact
-rational utility evaluation.
 """
 
 from __future__ import annotations
@@ -28,14 +26,11 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .checker import (QueryContext, degree_guard, degree_setup, sat_state,
-                      simplex_grid)
-from .errors import (MissingParameterError, ResourceLimitError,
-                     UndefinedEstimateError)
+from .checker import QueryContext, degree_guard, degree_setup, sat_state
+from .errors import ResourceLimitError, UndefinedEstimateError
 from .logic import DegreeKind, Next, PathFormula, horizon
 from .model import JointAction, Psmas, require_admissible
 from .polyarith import ParamId
-from .synth import UtilityParts
 from .trace import CompatTags, Plan
 
 BLOCK = 10_000
@@ -231,22 +226,6 @@ def _blocks(cfg: SimConfig) -> Iterator[tuple[int, int, np.random.Generator]]:
         block_no += 1
 
 
-def simulate_paths(m: Psmas, cfg: SimConfig, depth: int
-                   ) -> Iterator[tuple[tuple[str, ...],
-                                       tuple[JointAction, ...]]]:
-    """Stream sampled histories of `depth` steps as (states, joint actions)
-    tuples."""
-    sampler = _Sampler(m, cfg.valuation, cfg.samples * depth)
-    start = sampler.index[_start(m, cfg)]
-    for _, count, rng in _blocks(cfg):
-        states, picks = sampler.sample_block(start, count, depth, rng)
-        joints = sampler.joint_ids(states, picks)
-        # copied out by `tolist` before the next block overwrites `states`
-        for st, acts in zip(states.T.tolist(), joints.T.tolist()):
-            yield (tuple(sampler.states[i] for i in st),
-                   tuple(sampler.joints[j] for j in acts))
-
-
 def _start(m: Psmas, cfg: SimConfig) -> str:
     return cfg.start if cfg.start is not None else m.base.initial
 
@@ -415,46 +394,3 @@ def _relabel(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
         return np.unique(keys, return_inverse=True)
     present = np.bincount(keys, minlength=size) > 0
     return np.flatnonzero(present), (np.cumsum(present) - 1).take(keys)
-
-
-@dataclass(frozen=True)
-class BestResponse:
-    """Grid maximizers of one agent's utility against fixed opponents."""
-
-    maximizers: tuple[dict[ParamId, Fraction], ...]
-    utility: Fraction
-    resolution: Fraction
-
-
-def grid_best_response(m: Psmas, parts: UtilityParts,
-                       others: Mapping[ParamId, Fraction],
-                       resolution: Fraction = Fraction(1, 1000)
-                       ) -> BestResponse:
-    """Exhaustively scan the parameter grid of `parts.agent` for maximizers
-    of its utility `parts`.
-
-    Exact rational evaluation at every grid point; returns all maximizers
-    whose utility is within 1e-12 of the maximum.
-    """
-    scopes = m.agent_scopes(parts.agent)
-    own_params = [p for scope in scopes for p in m.free_params(scope)]
-    grid = simplex_grid(m, scopes, int(1 / resolution))
-
-    for p in m.params:
-        if p not in own_params and p not in others:
-            raise MissingParameterError(p)
-
-    best: Fraction | None = None
-    argmax: list[dict[ParamId, Fraction]] = []
-    slack = Fraction(1, 10 ** 12)
-    for own in grid:
-        point = {p: Fraction(v) for p, v in others.items()}
-        point.update(own)
-        value = parts.evaluate(point)
-        if best is None or value > best + slack:
-            best = value
-            argmax = [own]
-        elif value >= best - slack:
-            argmax.append(own)
-    return BestResponse(maximizers=tuple(argmax), utility=best,
-                        resolution=resolution)

@@ -264,14 +264,6 @@ class Polynomial:
         return not self._terms or (len(self._terms) == 1
                                    and 0 in self._terms)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in monomial order, leading term first."""
-        keys = list(self._terms)
-        fields = _fields(keys)
-        return [(_monomial(k, fields), Fraction(self._terms[k], self._den))
-                for _, k in sorted(zip(_ranks(keys, fields), keys),
-                                   reverse=True)]
-
     def _extreme(self, pick) -> Fraction:
         keys = list(self._terms)
         _, key = pick(zip(_ranks(keys, _fields(keys)), keys))
@@ -759,132 +751,3 @@ def _remove_content(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomia
         return a, b
     inv = 1 / content
     return a * inv, b * inv
-
-
-def parse_polynomial(text: str, params: Mapping[str, ParamId]) -> Polynomial:
-    """Parse the rendered polynomial grammar back into a Polynomial.
-
-    `params` maps parameter display names to their ids; unknown names raise
-    ValueError.  Accepts exactly what render() emits, plus parentheses and
-    decimal literals (converted exactly).
-    """
-    tokens = _tokenize_poly(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(kind=None):
-        nonlocal pos
-        tok = peek()
-        if tok is None or (kind is not None and tok[0] != kind):
-            raise ValueError(f"unexpected token at offset "
-                             f"{tok[2] if tok else len(text)} in polynomial")
-        pos += 1
-        return tok
-
-    def parse_expr() -> Polynomial:
-        sign = 1
-        tok = peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
-            take()
-            sign = -1 if tok[1] == "-" else 1
-        acc = parse_term() * sign
-        while True:
-            tok = peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                take()
-                nxt = parse_term()
-                acc = acc + (nxt if tok[1] == "+" else -nxt)
-            else:
-                return acc
-
-    def parse_term() -> Polynomial:
-        acc = parse_factor()
-        while True:
-            tok = peek()
-            if tok and tok[0] == "op" and tok[1] == "*":
-                take()
-                acc = acc * parse_factor()
-            else:
-                return acc
-
-    def parse_factor() -> Polynomial:
-        tok = peek()
-        if tok is None:
-            raise ValueError("truncated polynomial text")
-        if tok[0] == "op" and tok[1] == "(":
-            take()
-            inner = parse_expr()
-            closing = take("op")
-            if closing[1] != ")":
-                raise ValueError("expected ')' in polynomial text")
-            return _parse_power(inner)
-        if tok[0] == "number":
-            take()
-            value = Fraction(tok[1])
-            nxt = peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "/":
-                take()
-                den = take("number")
-                value /= Fraction(den[1])
-            return _parse_power(Polynomial.constant(value))
-        if tok[0] == "ident":
-            take()
-            if tok[1] not in params:
-                raise ValueError(f"unknown parameter name '{tok[1]}'")
-            return _parse_power(Polynomial.variable(params[tok[1]]))
-        raise ValueError(f"unexpected token '{tok[1]}' in polynomial")
-
-    def _parse_power(base: Polynomial) -> Polynomial:
-        tok = peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            take()
-            exp = take("number")
-            return base ** int(exp[1])
-        return base
-
-    result = parse_expr()
-    if pos != len(tokens):
-        raise ValueError("trailing junk in polynomial text")
-    return result
-
-
-def _tokenize_poly(text: str) -> list[tuple[str, str, int]]:
-    out: list[tuple[str, str, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < len(text)
-                            and text[i + 1].isdigit()):
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            out.append(("number", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            out.append(("op", ch, i))
-            i += 1
-            continue
-        raise ValueError(f"bad character {ch!r} at offset {i} in polynomial")
-    return out
-
-
-def rf_equal_on_box(a: RationalFunction, b: RationalFunction) -> bool:
-    """Decide a == b as functions via the cross-multiplied difference.
-
-    The difference is in canonical form, so the test is exact; it is sound
-    and complete for identity on the parameter box (the box has interior).
-    """
-    return (a.num * b.den - b.num * a.den).is_zero

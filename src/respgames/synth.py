@@ -63,10 +63,7 @@ def payoff_valuation(m: Psmas, plan_or_horizon: Plan | int, agent: str,
     counted once per history through it (see `trace.total_payoff`).
     """
     if r is None:
-        r = m.base.rewards.get(agent)
-        if r is None:
-            r = RewardStructure(agent=agent,
-                                agent_index=m.base.agent_index(agent))
+        r = m.base.rewards[agent]
     if isinstance(plan_or_horizon, Plan):
         plan = plan_or_horizon
         total = total_payoff(m, r, plan.start, len(plan), plan)
@@ -400,8 +397,9 @@ def verify_ne(m: Psmas, parts: Sequence[UtilityParts],
     """Check that no agent gains more than epsilon by a pure deviation.
 
     Pure deviations at each scope suffice for utilities linear in the
-    agent's own parameters (the monotone-mixture argument); the grid oracle
-    covers interior deviations independently.  `parts` holds one utility
+    agent's own parameters (the monotone-mixture argument); nothing here
+    tries interior deviations, so with responsibility weights a passing
+    candidate need not be an equilibrium.  `parts` holds one utility
     per agent.  Returns (True, the largest gain, at least 0) when every
     gain is at most epsilon; otherwise (False, the first gain over
     epsilon), without trying the deviations after it.

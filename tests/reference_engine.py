@@ -1,0 +1,80 @@
+"""References the tests compare the package against, which no query runs.
+
+- `simulate_paths` streams the sampler's histories one by one, as tuples
+  of state and joint-action names.
+- `simplex_grid` lists the grid points of a coalition's strategy simplices
+  by filtering a box, sharing no code with `checker._grid_axes` and
+  `polyarith.GridWalk`.
+- `grid_best_response` scans an agent's grid exhaustively with exact
+  utility evaluation, the check that `ne`'s pure-deviation verifier does
+  not make.
+"""
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+
+from respgames.errors import MissingParameterError
+from respgames.oracle import _blocks, _Sampler, _start
+
+
+def simulate_paths(m, cfg, depth):
+    """Stream sampled histories of `depth` steps as (states, joint actions)
+    tuples, in the stream order of the estimators."""
+    sampler = _Sampler(m, cfg.valuation, cfg.samples * depth)
+    start = sampler.index[_start(m, cfg)]
+    for _, count, rng in _blocks(cfg):
+        states, picks = sampler.sample_block(start, count, depth, rng)
+        joints = sampler.joint_ids(states, picks)
+        # copied out by `tolist` before the next block overwrites `states`
+        for st, acts in zip(states.T.tolist(), joints.T.tolist()):
+            yield (tuple(sampler.states[i] for i in st),
+                   tuple(sampler.joints[j] for j in acts))
+
+
+def simplex_grid(m, scopes, denominator):
+    """The grid points of the scopes' free parameters at step
+    1/denominator: per scope the free parameters sum to at most 1, and the
+    points come in lexicographic order, scope by scope."""
+    steps = range(denominator + 1)
+    per_scope = [[combo for combo in itertools.product(
+        steps, repeat=len(m.free_params(scope)))
+        if sum(combo) <= denominator] for scope in scopes]
+    flat = [p for scope in scopes for p in m.free_params(scope)]
+    for combo in itertools.product(*per_scope):
+        yield {p: Fraction(i, denominator)
+               for p, i in zip(flat, itertools.chain(*combo))}
+
+
+@dataclass(frozen=True)
+class BestResponse:
+    """Grid maximizers of one agent's utility against fixed opponents."""
+
+    maximizers: tuple
+    utility: Fraction
+
+
+def grid_best_response(m, parts, others, resolution=Fraction(1, 1000)):
+    """Scan the parameter grid of `parts.agent` for the maximizers of its
+    utility `parts`, with the other parameters fixed by `others`.
+
+    Evaluation is exact at every grid point; every point within 1e-12 of
+    the maximum is returned.
+    """
+    scopes = m.agent_scopes(parts.agent)
+    own = {p for scope in scopes for p in m.free_params(scope)}
+    for p in m.params:
+        if p not in own and p not in others:
+            raise MissingParameterError(p)
+
+    fixed = {p: Fraction(v) for p, v in others.items()}
+    best = None
+    argmax = []
+    slack = Fraction(1, 10 ** 12)
+    for point in simplex_grid(m, scopes, int(1 / resolution)):
+        value = parts.evaluate({**fixed, **point})
+        if best is None or value > best + slack:
+            best, argmax = value, [point]
+        elif value >= best - slack:
+            argmax.append(point)
+    return BestResponse(maximizers=tuple(argmax), utility=best)

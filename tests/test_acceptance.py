@@ -13,13 +13,13 @@ from fractions import Fraction
 
 from conftest import (BALL_VALUATIONS, ball_valuation, brute_force_histories,
                       var)
+from reference_engine import grid_best_response
 
 from respgames.checker import (car_degree, cpr_degree, degree_at,
                                path_sat_prob, reward_value)
 from respgames.logic import DegreeKind, parse_formula, parse_path_formula
 from respgames.model import check_admissible
-from respgames.oracle import (SimConfig, estimate_degree, estimate_path_prob,
-                              grid_best_response)
+from respgames.oracle import SimConfig, estimate_degree, estimate_path_prob
 from respgames.polyarith import (Monomial, ParamId, Polynomial,
                                  RationalFunction)
 from respgames.synth import (NeSystem, ResponsibilitySpec, UtilityConfig,

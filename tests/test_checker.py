@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import ball_valuation, brute_force_histories, var
+from reference_engine import simplex_grid
 
 from respgames.checker import (QueryContext, _witnesses, car_degree,
                                check_formula, cpr_degree, degree_at,
@@ -131,15 +132,14 @@ def test_example_nine_car_numerators(rounds):
 
 
 def test_two_step_outcome_mass_matches_quoted_expansion(rounds):
-    # the enumerated two-round outcome probability agrees with its known
-    # expanded form, compared through the cross-multiplication identity test
-    from respgames.polyarith import parse_polynomial, rf_equal_on_box
+    # the two-round outcome probability agrees with its known expanded
+    # form, compared through the cross-multiplied difference
+    x1, x2 = var(rounds, "x1"), var(rounds, "x2")
     psi = parse_path_formula("F<=2 (collision | dropped)", rounds)
     enumerated = path_sat_prob(rounds, "start", psi)
-    printed = parse_polynomial(
-        "1 + 4*x1*x2^2 - 4*x1^2*x2^2 - x1^2 - x2^2 - 2*x1*x2 + 4*x1^2*x2",
-        rounds.param_table)
-    assert rf_equal_on_box(enumerated, RationalFunction(printed))
+    quoted = (1 + 4 * x1 * x2 ** 2 - 4 * x1 ** 2 * x2 ** 2 - x1 ** 2
+              - x2 ** 2 - 2 * x1 * x2 + 4 * x1 ** 2 * x2)
+    assert (enumerated - RationalFunction(quoted)).is_zero
 
 
 def test_degree_range_on_fixtures(ball, rounds):
@@ -435,7 +435,6 @@ trans s (c, b) -> { s: 1 }
 
 def test_simplex_grid_order_and_cap(monkeypatch):
     from respgames import checker
-    from respgames.checker import simplex_grid
     from respgames.model import build_psmas, parse_model
     m = build_psmas(parse_model(TWO_SCOPES))
     scopes = m.scopes()
@@ -452,18 +451,22 @@ def test_simplex_grid_order_and_cap(monkeypatch):
     points = list(simplex_grid(m, scopes, n))
     assert points == expected and len(points) == 15 * 5
     assert [list(p) for p in points] == [flat] * len(points)
+    # the search's axes walk the same points in the same order
+    axes = checker._grid_axes(m, scopes, n)
+    assert [dict(zip(flat, (Fraction(i, n) for i in itertools.chain(*combo))))
+            for combo in itertools.product(*axes)] == expected
     monkeypatch.setattr(checker, "MAX_GRID_POINTS", 75)
-    assert len(list(simplex_grid(m, scopes, n))) == 75
+    assert checker._grid_axes(m, scopes, n) == axes
     monkeypatch.setattr(checker, "MAX_GRID_POINTS", 74)
     with pytest.raises(UnsupportedQueryError, match="75 points"):
-        simplex_grid(m, scopes, n)
+        checker._grid_axes(m, scopes, n)
 
 
 def _fraction_scan(m, coalition, ctx, quantity, cmp, bound):
     """The coalition search as it was before the integer grid walk: one
     Fraction valuation per grid point (the reference of
     `test_integer_walk_matches_fraction_scan`)."""
-    from respgames.checker import CheckResult, _refine, simplex_grid
+    from respgames.checker import CheckResult, _refine
     from respgames.errors import InadmissibleError
     from respgames.logic import CompareOp
     from respgames.model import AdmissibilityReport, scope_violations
@@ -579,7 +582,7 @@ def test_integer_walk_matches_fraction_scan(monkeypatch):
             infinite = random_poly(params, rng.randint(0, 3))
         cmp = rng.choice(list(CompareOp))
         # a bound some grid point meets or, past every value, none does
-        points = list(checker.simplex_grid(m, m.scopes(), 4))
+        points = list(simplex_grid(m, m.scopes(), 4))
         bound = rng.choice([value.evaluate(rng.choice(points)),
                             Fraction(rng.choice((-1, 1)) * 1000)])
         old = compare(value, cmp, bound, coalition, ctx, infinite)
@@ -598,10 +601,11 @@ def test_integer_walk_matches_fraction_scan(monkeypatch):
                   frozenset("A"), ctx, random_poly(params, 2))
     assert old == (MissingParameterError,
                    "no value assigned to parameter x_B_s_a")
-    # the cap: 15 * 5 points at step 1/4
+    # the cap: 15 * 5 points at step 1/4, refused before any is scanned
     ctx = QueryContext.evaluated({}, grid_denominator=4)
     monkeypatch.setattr(checker, "MAX_GRID_POINTS", 74)
-    old = compare(random_poly(params, 3), CompareOp.GT, Fraction(1000),
-                  frozenset("AB"), ctx)
-    assert old == (UnsupportedQueryError,
-                   "grid has 75 points, over the 74 cap")
+    with pytest.raises(UnsupportedQueryError,
+                       match="grid has 75 points, over the 74 cap"):
+        checker._exists_search(m, frozenset("AB"), ctx,
+                               random_poly(params, 3), CompareOp.GT,
+                               Fraction(1000))

@@ -1,14 +1,16 @@
 """Differential tests: the checker's forward witness pass against history
-enumeration on random small games.
+enumeration and against Monte-Carlo sampling on random small games.
 
 The reference side lists every witness history (`_witnesses`), filters it
 with `compatible_plans(...).contains_action_prefix` and sums payoffs over
 `enumerate_histories` / `plan_histories` — the definitions the pass must
-reproduce exactly, counts and errors included.
+reproduce exactly, counts and errors included.  At interior points the
+sampled frequency of the outcome must agree with the pass's probability.
 """
 
 import itertools
 from fractions import Fraction
+from math import sqrt
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from respgames.errors import DegenerateQueryError, ModelError
 from respgames.logic import (And, Atom, DegreeKind, Next, Not, TrueFormula,
                              Until, horizon)
 from respgames.model import build_psmas, parse_model
+from respgames.oracle import SimConfig, estimate_path_prob
 from respgames.polyarith import Polynomial, RationalFunction
 from respgames.synth import payoff_valuation
 from respgames.trace import (Plan, compatible_plans, enumerate_histories,
@@ -40,10 +43,10 @@ GOALS = (Atom("g"), Not(Atom("p")), And(Atom("p"), Not(Atom("g"))))
 
 
 @st.composite
-def games(draw):
-    """Model text of a random game: 2-4 states, 2 agents, 1-2 actions per
-    (agent, state), rows over 1-2 successors with random weights, labels
-    from {p, g} and small integer rewards."""
+def games(draw, pools=POOLS):
+    """Model text of a random game: 2-4 states, 2 agents, actions per
+    (agent, state) from `pools`, rows over 1-2 successors with random
+    weights, labels from {p, g} and small integer rewards."""
     states = [f"q{i}" for i in range(draw(st.integers(2, 4)))]
     lines = ["agents: A B", "states: " + " ".join(states), "init: q0"]
     labels = []
@@ -53,7 +56,7 @@ def games(draw):
     available = {}
     for agent in AGENTS:
         for s in states:
-            available[agent, s] = draw(st.sampled_from(POOLS))
+            available[agent, s] = draw(st.sampled_from(pools))
             lines.append(f"actions {agent} @ {s}: "
                          + " ".join(available[agent, s]))
     for s in states:
@@ -73,12 +76,13 @@ def games(draw):
     return "\n".join(lines) + "\n"
 
 
-def plans(m, draw, length):
-    """Mostly valid plans: each step picks actions available at every state
-    the prefix can reach; one step in eight is any joint action, which can
-    make the plan invalid."""
+def plans(m, draw, length, start=None):
+    """Mostly valid plans, from `start` or a drawn state: each step picks
+    actions available at every state the prefix can reach; one step in
+    eight is any joint action, which can make the plan invalid."""
     game = m.base
-    start = draw(st.sampled_from(game.states))
+    if start is None:
+        start = draw(st.sampled_from(game.states))
     reachable, steps = {start}, []
     for _ in range(length):
         pools = [sorted(set.intersection(*(set(game.available[agent, s])
@@ -96,15 +100,27 @@ def plans(m, draw, length):
     return Plan(start, tuple(steps))
 
 
+def interior_valuation(m, draw):
+    """A valuation that gives every action of every scope a positive
+    probability: weights 1-4 per action, normalised per scope."""
+    valuation = {}
+    for space in m.table.values():
+        weights = {a: draw(st.integers(1, 4)) for a in space.actions}
+        total = sum(weights.values())
+        valuation.update({p: Fraction(weights[p.action], total)
+                          for p in space.free})
+    return valuation
+
+
 @st.composite
-def queries(draw):
+def queries(draw, pools=POOLS):
     """A game, a start state, a path formula of horizon <= 4 and a plan at
     least as long.
 
     The horizon is cut to keep the reference's enumeration to at most
     VOLUME histories (branches per step to the horizon's power).
     """
-    m = build_psmas(parse_model(draw(games())))
+    m = build_psmas(parse_model(draw(games(pools))))
     state = draw(st.sampled_from(m.base.states))
     goal = draw(st.sampled_from(GOALS))
     branches = max(sum(len(m.successors(s, joint))
@@ -217,3 +233,24 @@ def test_forward_pass_equals_enumeration(query):
         ours = outcome(payoff_valuation, m, plan, agent)
         ref = outcome(lambda: reference_payoff(plan_histories(m, plan), r))
         assert ours == ref
+
+
+SAMPLES = 4_000
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(queries(), st.integers(0, 2 ** 32), st.data())
+def test_sampled_frequency_agrees_with_forward_pass(query, seed, data):
+    # Within 4 sigma of the exact p, sigma taken from p.  Where p is 0 or
+    # 1 the estimate equals it: at an interior point every sampled path
+    # has positive probability, so it lies in the outcome's support.
+    m, state, psi, _ = query
+    valuation = interior_valuation(m, data.draw)
+    p = path_sat_prob(m, state, psi).evaluate(valuation)
+    est = estimate_path_prob(m, SimConfig(SAMPLES, seed, valuation,
+                                          start=state), psi)
+    if p in (0, 1):
+        assert est.mean == p
+    else:
+        assert abs(est.mean - p) <= 4 * sqrt(p * (1 - p) / SAMPLES)

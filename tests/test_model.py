@@ -6,9 +6,9 @@ import pytest
 from conftest import MODELS, ball_valuation, var
 
 from respgames.errors import MissingParameterError, ModelError
-from respgames.model import (AdmissibilityReport, build_psmas,
-                             check_admissible, load_model, parse_model,
-                             scope_violations)
+from respgames.model import (AdmissibilityReport, RewardStructure,
+                             build_psmas, check_admissible, load_model,
+                             parse_model, scope_violations)
 from respgames.polyarith import ParamId, Polynomial
 
 TINY = """
@@ -35,6 +35,14 @@ def test_parse_sections(ball):
     assert g.available[("A1", "s0")] == ("catch", "skip")
     assert g.rewards["A1"].action_reward["catch"] == 2
     assert g.plans["pi1"] == ("s0", (("catch", "skip"), ("skip", "catch")))
+
+
+def test_every_agent_has_a_reward_structure():
+    # B declares no rewards and earns 0; A keeps its declared ones
+    g = parse_model(TINY + "reward A state v: 3\n")
+    assert g.rewards == {
+        "A": RewardStructure("A", 0, state_reward={"v": Fraction(3)}),
+        "B": RewardStructure("B", 1)}
 
 
 def test_parse_error_carries_position():
@@ -68,7 +76,7 @@ def test_build_psmas_shared_example(ball):
     assert ball.transition_poly("s0", ("skip", "catch"), "s3") \
         == x1 * (one - x2)
     assert [p.name for p in ball.params] == ["x1", "x2"]
-    assert ball.dependent[("A1", None)] == "catch"
+    assert ball.table[("A1", None)].dependent.action == "catch"
 
 
 def test_build_psmas_per_state_defaults():
@@ -77,8 +85,8 @@ def test_build_psmas_per_state_defaults():
     # action is the dependent one
     names = sorted(p.name for p in m.params)
     assert names == ["x_A_u_go", "x_B_v_go"]
-    assert m.dependent[("A", "u")] == "stay"
-    assert m.dependent[("A", "v")] == "go"
+    assert m.table[("A", "u")].dependent.action == "stay"
+    assert m.table[("A", "v")].dependent.action == "go"
 
 
 def test_single_action_scope_transition_is_constant(relay):

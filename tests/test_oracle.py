@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import ball_valuation
-from test_engine import AGENTS, queries
+from reference_engine import grid_best_response, simulate_paths
+from test_engine import ACTIONS, AGENTS, interior_valuation, plans, queries
 
 from respgames import oracle
 from respgames.checker import (QueryContext, car_degree, cpr_degree,
@@ -21,8 +22,7 @@ from respgames.logic import (Atom, DegreeKind, Next, Not, TrueFormula, Until,
 from respgames.model import build_psmas, parse_model
 from respgames.oracle import (BLOCK, MAX_PICK_CELLS, PICK_BITS, Estimate,
                               SimConfig, _relabel, _Sampler, _sat_tables,
-                              estimate_degree, estimate_path_prob,
-                              grid_best_response, simulate_paths)
+                              estimate_degree, estimate_path_prob)
 from respgames.synth import ResponsibilitySpec, UtilityConfig, utility_parts
 from respgames.trace import CompatTags, Plan, plan_from_model
 
@@ -459,6 +459,24 @@ def result_or_error(fn, *args):
         return type(exc), str(exc)
 
 
+@st.composite
+def interior_queries(draw):
+    """A query on a game where every agent has both actions at every
+    state, with a plan from the start state (playable, as every action is
+    available) and a valuation that gives every action a positive
+    probability."""
+    m, state, psi, _ = draw(queries(pools=(ACTIONS,)))
+    valuation = interior_valuation(m, draw)
+    return m, state, psi, plans(m, draw, horizon(psi), state), valuation
+
+
+def open_outcome(case):
+    """Both sides of the case's outcome are possible at its valuation, so
+    the degrees have samples to classify."""
+    m, state, psi, _, valuation = case
+    return 0 < path_sat_prob(m, state, psi).evaluate(valuation) < 1
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=25,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.filter_too_much])
@@ -466,24 +484,26 @@ def result_or_error(fn, *args):
        st.integers(0, 2 ** 32), st.sampled_from(AGENTS), st.data())
 def test_vectorised_sampler_equals_per_sample_loops(query, samples, extra,
                                                     seed, agent, data):
-    # Parameters at 0 or 1 drop outcomes, so rows differ in width.  Both
-    # sides of the outcome are kept possible, so the degrees have samples
-    # to classify.
-    m, state, psi, plan = query
-    valuation = {p: data.draw(st.sampled_from(MIXES)) for p in m.params}
-    assume(0 < path_sat_prob(m, state, psi).evaluate(valuation) < 1)
-    cfg = SimConfig(samples, seed, valuation, start=state)
+    # Two sources per example.  The first sets parameters at 0 or 1, which
+    # drop outcomes, so rows differ in width.  The second, at interior
+    # points, makes fewer degrees errors, 0 or 1.
+    m, state, psi, _ = query
+    mixed = (*query, {p: data.draw(st.sampled_from(MIXES)) for p in m.params})
+    assume(open_outcome(mixed))
+    interior = data.draw(interior_queries().filter(open_outcome))
+    cfg = SimConfig(samples, seed, mixed[-1], start=state)
     depth = horizon(psi) + extra
     assert (list(simulate_paths(m, cfg, depth))
             == list(reference_paths(m, cfg, depth)))
-    assert estimate_path_prob(m, cfg, psi) == reference_path_prob(m, cfg,
-                                                                  psi)
-    for coalition in ({agent}, AGENTS):
-        for kind in DegreeKind:
-            args = (m, cfg, agent, plan, psi, kind, frozenset(coalition))
-            assert result_or_error(estimate_degree, *args) == \
-                result_or_error(reference_degree, *args)
-
+    for m, state, psi, plan, valuation in (mixed, interior):
+        cfg = SimConfig(samples, seed, valuation, start=state)
+        assert estimate_path_prob(m, cfg, psi) == reference_path_prob(
+            m, cfg, psi)
+        for coalition in ({agent}, AGENTS):
+            for kind in DegreeKind:
+                args = (m, cfg, agent, plan, psi, kind, frozenset(coalition))
+                assert result_or_error(estimate_degree, *args) == \
+                    result_or_error(reference_degree, *args)
 
 
 # The 1-step witness s -(a,b)-> u keeps A's plan so far, but A cannot play

@@ -15,13 +15,11 @@ from respgames import polyarith
 from respgames.errors import (MissingParameterError, ResourceLimitError,
                               ZeroDenominatorError)
 from respgames.polyarith import (MAX_EXPONENT, Monomial, ParamId,
-                                 Polynomial, RationalFunction,
-                                 parse_polynomial, rf_equal_on_box)
+                                 Polynomial, RationalFunction)
 
 X1 = ParamId("A1", None, "skip", label="x1")
 X2 = ParamId("A2", None, "skip", label="x2")
 X3 = ParamId("A3", None, "skip", label="x3")
-NAMES = {"x1": X1, "x2": X2, "x3": X3}
 
 x1 = Polynomial.variable(X1)
 x2 = Polynomial.variable(X2)
@@ -142,24 +140,17 @@ def test_rf_zero_denominator_rejected():
 def test_rf_equal_cross_multiplication():
     a = RationalFunction(x1 * x1, x1)
     b = RationalFunction(x1)
-    assert rf_equal_on_box(a, b)
+    assert (a - b).is_zero
 
 
 def test_rf_equal_partition_of_unity():
     a = RationalFunction(one)
     b = RationalFunction(x1 + (one - x1))
-    assert rf_equal_on_box(a, b)
+    assert (a - b).is_zero
 
 
 def test_rf_unequal():
-    assert not rf_equal_on_box(RationalFunction(x1), RationalFunction(x2))
-
-
-def test_render_and_parse_round_trip():
-    rng = random.Random(11)
-    for _ in range(60):
-        p = rand_poly(rng)
-        assert parse_polynomial(p.render(), NAMES) == p
+    assert not (RationalFunction(x1) - RationalFunction(x2)).is_zero
 
 
 def test_render_examples():
@@ -169,16 +160,10 @@ def test_render_examples():
     assert (x1 ** 3).render() == "x1^3"
 
 
-def test_parse_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        parse_polynomial("x1 + y9", NAMES)
-
-
 def test_monomial_order_graded_lex():
     # degree first, then lexicographic on the parameter order
-    terms = (x1 * x1 + x1 * x2 + x2 + one).sorted_terms()
-    assert [m.exps for m, _ in terms] == [((X1, 2),), ((X1, 1), (X2, 1)),
-                                         ((X2, 1),), ()]
+    poly = one + x2 + x1 * x2 + x1 * x1
+    assert poly.render() == "x1^2 + x1*x2 + x2 + 1"
 
 
 def test_term_limit_guard(monkeypatch):
@@ -567,7 +552,6 @@ def test_packed_kernel_matches_fraction_kernel(case):
     stranger = ParamId("Z", None, "never_seen")
     for p in params + [stranger]:
         same(pa.derivative(p), ref_derivative(a, p))
-    assert pa.sorted_terms() == ref_sorted_terms(a)
     ordered = ref_sorted_terms(a) or [(None, 0)]
     assert pa.leading_coefficient() == ordered[0][1]
     assert pa.trailing_coefficient() == ordered[-1][1]

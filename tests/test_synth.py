@@ -57,6 +57,15 @@ def test_payoff_valuation_zero_rewards(ball):
     assert payoff_valuation(ball, 2, "A1", r=empty) == Polynomial.zero()
 
 
+def test_payoff_valuation_of_an_agent_without_rewards():
+    # the model gives M the zero reward structure
+    silent = "\n".join(line for line in COIN.splitlines()
+                       if not line.startswith("reward"))
+    m = build_psmas(parse_model(silent))
+    assert payoff_valuation(m, 3, "M") == Polynomial.zero()
+    assert not payoff_valuation(build_psmas(parse_model(COIN)), 3, "M").is_zero
+
+
 def test_payoff_valuation_mixed_horizon_two(ball):
     # pinned by brute force below: 16 - 8*x1 for A1 and 8 + 8*x2 for A2
     x1, x2 = var(ball, "x1"), var(ball, "x2")
