@@ -9,25 +9,32 @@ cylinders are pairwise disjoint, so their probabilities sum to at most 1 at
 every admissible valuation, and summing full-depth extensions reproduces the
 same polynomials.
 
-Witnesses are not listed one by one: a forward pass over cells (state,
+Witnesses are not listed one by one: a forward pass over cells (block,
 compatibility tag) at each depth sums their probabilities, counts them and,
 for rewards, weighs them, merging the histories that share a cell.  The
-pass counts its work and stops past `trace.MAX_PASS_WORK`.  `_witnesses`
-keeps the history-by-history enumeration as the unguarded test reference.
+blocks lump the states that the pass cannot tell apart (`_Reduced`), and a
+pass without tags or reward sums each state's entries over its joint
+actions.  The pass counts its work and stops past `trace.MAX_PASS_WORK`.
+`_witnesses` keeps the history-by-history enumeration as the unguarded
+test reference.
 
 Degrees follow the two enumeration algorithms: the satisfying (violating)
 witness sets are filtered by plan-compatibility classes, the kappa guard is
 decided exactly (a count-only pass), and the result is the ratio of the two
 probability polynomials as a rational function.  Queries either stay
 symbolic (answers in the strategy parameters) or are evaluated at a bound
-valuation; evaluated P and R resolve their coalition quantifier by a grid
-search with local refinement, and evaluated D is decided at the valuation.
+valuation; evaluated P and R substitute the bound parameters outside the
+coalition into the model before their pass and resolve the coalition
+quantifier by a grid search with local refinement, and evaluated D is
+decided at the valuation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -36,7 +43,8 @@ from .errors import DegenerateQueryError, UnsupportedQueryError, UsageError
 from .logic import (And, Atom, CoalitionDegree, CoalitionProb,
                     CoalitionReward, CompareOp, DegreeKind, Next, Not,
                     PathFormula, StateFormula, TrueFormula, Until, horizon)
-from .model import Psmas, RewardStructure, Scope, require_admissible
+from .model import (JointAction, Psmas, RewardStructure, Scope,
+                    require_admissible)
 from .polyarith import GridWalk, ParamId, Polynomial, RationalFunction
 from .trace import CompatTags, History, Plan, check_work, plan_from_model
 
@@ -221,46 +229,50 @@ _Sums = dict[tuple[bool, bool], _Sum]
 
 def _witness_pass(m: Psmas, state: str, psi: PathFormula, ctx: QueryContext,
                   tags: CompatTags | None = None, weigh: bool = True,
-                  r: RewardStructure | None = None) -> _Sums:
+                  r: RewardStructure | None = None,
+                  fixed: Mapping[ParamId, Fraction] | None = None) -> _Sums:
     """Sums over the minimal witnesses of psi from state, in one forward pass.
 
-    A cell is (state, tag) at one depth, where the tag is the `tags`
-    compatibility tag of the action prefix (None without tags).  It holds
-    the `_Sum` of the open histories that reach it; histories sharing a cell
-    continue alike, so they merge by addition.  Returns the witness sums
-    keyed (satisfied, compatible); without tags every witness is
-    compatible.  `weigh=False` counts histories only, and `r` adds the
-    reward-weighted mass.  Equal to summing `_witnesses` one by one.
+    The pass walks the `_Reduced` model of the query, with `fixed` (bound
+    parameters) substituted into its entries.  A cell is (block, tag) at
+    one depth, where the tag is the `tags` compatibility tag of the action
+    prefix (None without tags).  It holds the `_Sum` of the open histories
+    that reach it; histories sharing a cell continue alike, so they merge
+    by addition.  Returns the witness sums keyed (satisfied, compatible);
+    without tags every witness is compatible.  `weigh=False` counts
+    histories only, and `r` adds the reward-weighted mass.  Equal to
+    summing `_witnesses` one by one, with `fixed` substituted.
 
     The work is the term pairs the products multiply, or the expansions
-    (cell, joint action, successor) of a count-only pass; past
-    `trace.MAX_PASS_WORK` the pass raises ResourceLimitError.  The pass
-    ends at the first depth with no open cell.
+    (cell, row, entry) of a count-only pass; past `trace.MAX_PASS_WORK`
+    the pass raises ResourceLimitError.  The pass ends at the first depth
+    with no open cell.
     """
-    classify, k = _classifier(m, psi, ctx)
+    kind, classify, k = _classifier(m, psi, ctx)
+    model = _Reduced(m, state, kind, classify, r,
+                     collapse=tags is None and r is None, fixed=fixed)
     work, unit = 0, "term pairs" if weigh else "expansions"
     out = {key: _Sum() for key in itertools.product((True, False),
                                                     repeat=2)}
     start_tag = tags.start if tags is not None else None
-    cells = {(state, start_tag): _Sum(Polynomial.one(), 1)}
+    cells = {(model.start, start_tag): _Sum(Polynomial.one(), 1)}
     for depth in range(k + 1):
-        nxt: dict[tuple[str, frozenset[str] | None], _Sum] = {}
+        nxt: dict[tuple[int, frozenset[str] | None], _Sum] = {}
         for (here, tag), cell in cells.items():
-            verdict = classify(depth, here)
+            verdict = classify(depth, model.kinds[here])
             if verdict is not None:
                 compatible = tags is None or tags.live(tag, depth)
                 out[verdict, compatible].add(cell)
                 continue
-            # terms that multiply each successor entry
+            # terms that multiply each entry
             width = len(cell.mass.terms()) + (
                 len(cell.reward.terms()) if r is not None else 0)
-            for joint in m.base.joint_actions(here):
+            for joint, gain, entries in model.rows[here]:
                 nxt_tag = (tags.step(tag, depth, joint) if tags is not None
                            else None)
-                gain = r.step_reward(here, joint) if r is not None else 0
-                for target, poly in m.successors(here, joint):
+                for target, poly, count in entries:
                     into = nxt.setdefault((target, nxt_tag), _Sum())
-                    into.paths += cell.paths
+                    into.paths += cell.paths * count
                     if not weigh:
                         work += 1
                         continue
@@ -279,26 +291,121 @@ def _witness_pass(m: Psmas, state: str, psi: PathFormula, ctx: QueryContext,
     return out
 
 
+_Entry = tuple[int, Polynomial, int]  # (target block, summed entry, count)
+_Row = tuple[JointAction | None, Fraction, tuple[_Entry, ...]]
+
+
+class _Reduced:
+    """The model one witness pass walks: the states that the pass reaches
+    from `state`, lumped into blocks.
+
+    A state has rows when the pass goes on from it: when it is open at the
+    first depth that reaches it.  Its successor entries, specialised at
+    `fixed`, are grouped into rows: one per joint action with its step
+    reward under `r`, or, with `collapse` (a pass without tags or
+    reward), one row summed over the joint actions.  A row maps each
+    target block to the summed entry and to the number of successors
+    merged into it.  The partition is the coarsest one in which the states
+    of a block have the same classifier `kind` and the same rows: so the
+    histories of one block continue alike, the pass sums them as one cell,
+    and every mass, reward and history count stays exact.  Each block
+    keeps the `kind` and rows of its first state.  Built by splitting
+    blocks until no block splits.
+    """
+
+    def __init__(self, m: Psmas, state: str, kind: Callable[[str], object],
+                 classify: Callable[[int, object], bool | None],
+                 r: RewardStructure | None, collapse: bool,
+                 fixed: Mapping[ParamId, Fraction] | None):
+        constants = {p: Polynomial.constant(v)
+                     for p, v in (fixed or {}).items()}
+        local: dict[str, list[tuple[JointAction | None, Fraction,
+                                    list[tuple[str, Polynomial]]]]] = {
+            state: []}
+        frontier, depth = [state], 0
+        while frontier:
+            found = []
+            for here in frontier:
+                if classify(depth, kind(here)) is not None:
+                    continue  # so at every later depth too: no rows
+                for joint in m.base.joint_actions(here):
+                    entries = m.successors(here, joint)
+                    if constants:
+                        entries = [(t, poly.substitute(constants))
+                                   for t, poly in entries]
+                    gain = r.step_reward(here, joint) if r is not None else 0
+                    local[here].append((joint, gain, entries))
+                    for t, _ in entries:
+                        if t not in local:
+                            local[t] = []
+                            found.append(t)
+            frontier, depth = found, depth + 1
+        if collapse:
+            local = {s: [(None, 0, [e for _, _, entries in rows
+                                    for e in entries])] if rows else []
+                     for s, rows in local.items()}
+        states = [s for s in m.base.states if s in local]
+
+        blocks: dict[object, int] = {}
+        block = {s: blocks.setdefault(kind(s), len(blocks)) for s in states}
+        while True:
+            rows_of = {s: self._rows(local[s], block) for s in states}
+            split: dict[tuple[int, tuple[_Row, ...]], int] = {}
+            refined = {s: split.setdefault((block[s], rows_of[s]), len(split))
+                       for s in states}
+            if len(split) == len(blocks):
+                break
+            block, blocks = refined, split
+        # blocks are numbered in order of their first state
+        first = {}
+        for s in states:
+            first.setdefault(block[s], s)
+        self.start = block[state]
+        self.kinds = [kind(s) for s in first.values()]
+        self.rows = [rows_of[s] for s in first.values()]
+
+    @staticmethod
+    def _rows(rows, block: Mapping[str, int]) -> tuple[_Row, ...]:
+        """A state's rows over `block`'s blocks: per target block, in block
+        order, the summed entry and the number of successors summed."""
+        out = []
+        for joint, gain, entries in rows:
+            merged: dict[int, list[Polynomial]] = {}
+            for target, poly in entries:
+                merged.setdefault(block[target], []).append(poly)
+            out.append((joint, gain, tuple(
+                (b, functools.reduce(operator.add, polys), len(polys))
+                for b, polys in sorted(merged.items()))))
+        return tuple(out)
+
+
 def _classifier(m: Psmas, psi: PathFormula, ctx: QueryContext
-                ) -> tuple[Callable[[int, str], bool | None], int]:
-    """Where a prefix of psi becomes a witness: (depth, last state) ->
-    True (satisfying), False (violating) or None (still open), and the
-    deepest depth at which prefixes are classified."""
+                ) -> tuple[Callable[[str], object],
+                           Callable[[int, object], bool | None], int]:
+    """Where a prefix of psi becomes a witness, as a state's `kind` (all
+    the classification reads of its last state) and `classify`: (depth,
+    kind) -> True (satisfying), False (violating) or None (still open).
+    Also the deepest depth at which prefixes are classified.  A kind
+    closed at one depth stays closed at every later depth."""
     if isinstance(psi, Next):
         good = _sat_cache(m, psi.body, ctx)
-        return (lambda depth, here: None if depth == 0 else good(here)), 1
+        return good, (lambda depth, g: None if depth == 0 else g), 1
     if isinstance(psi, Until):
         hold = _sat_cache(m, psi.left, ctx)
         goal = _sat_cache(m, psi.right, ctx)
 
-        def classify(depth: int, here: str) -> bool | None:
+        def kind(here: str) -> bool | None:
+            """The verdict before the horizon."""
             if goal(here):
                 return True
-            if not hold(here) or depth == psi.k:
-                return False
-            return None
+            return None if hold(here) else False
 
-        return classify, psi.k
+        def classify(depth: int, verdict: bool | None) -> bool | None:
+            if verdict is None and depth == psi.k:
+                return False
+            return verdict
+
+        return kind, classify, psi.k
     raise TypeError(f"not a path formula: {psi!r}")
 
 
@@ -334,7 +441,8 @@ def check_prob(m: Psmas, state: str, f: CoalitionProb,
     if not ctx.is_evaluated:
         value = path_sat_prob(m, state, f.body, ctx)
         return CheckResult(holds=None, region=Region(value, f.cmp, f.bound))
-    mass = _witness_pass(m, state, f.body, ctx)[True, True].mass
+    fixed = _outside(m, f.coalition, ctx.valuation)
+    mass = _witness_pass(m, state, f.body, ctx, fixed=fixed)[True, True].mass
     return _exists_search(m, f.coalition, ctx, mass, f.cmp, f.bound)
 
 
@@ -362,12 +470,14 @@ def reward_value(m: Psmas, state: str, target: StateFormula, k: int,
 
 
 def _reward_parts(m: Psmas, state: str, target: StateFormula, k: int,
-                  r: RewardStructure,
-                  ctx: QueryContext) -> tuple[Polynomial, Polynomial]:
+                  r: RewardStructure, ctx: QueryContext,
+                  fixed: Mapping[ParamId, Fraction] | None = None
+                  ) -> tuple[Polynomial, Polynomial]:
     """The probability of missing the target within k steps, and the
-    reward-weighted probability of the reaching prefixes."""
+    reward-weighted probability of the reaching prefixes, with `fixed`
+    substituted."""
     sums = _witness_pass(m, state, Until(TrueFormula(), k, target), ctx,
-                         r=r)
+                         r=r, fixed=fixed)
     return sums[False, True].mass, sums[True, True].reward
 
 
@@ -379,7 +489,9 @@ def check_reward(m: Psmas, state: str, f: CoalitionReward,
         value = reward_value(m, state, f.target, f.k, r, ctx)
         return CheckResult(holds=None, region=Region(value, f.cmp, f.bound))
 
-    noreach, reach_reward = _reward_parts(m, state, f.target, f.k, r, ctx)
+    noreach, reach_reward = _reward_parts(
+        m, state, f.target, f.k, r, ctx,
+        _outside(m, f.coalition, ctx.valuation))
     return _exists_search(m, f.coalition, ctx, reach_reward, f.cmp, f.bound,
                           infinite=noreach)
 
@@ -583,6 +695,17 @@ def _bounded_tuples(length: int, budget: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
+def _outside(m: Psmas, coalition: frozenset[str],
+             valuation: Mapping[ParamId, Fraction]
+             ) -> dict[ParamId, Fraction]:
+    """The bindings of the parameters outside the coalition's scopes (free
+    or dependent): the ones an evaluated P or R substitutes before its
+    pass."""
+    owned = {p for s in m.scopes() if s[0] in coalition
+             for p in (*m.free_params(s), m.table[s].dependent)}
+    return {p: v for p, v in valuation.items() if p not in owned}
+
+
 def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
                    value: Polynomial, cmp: CompareOp, bound: Fraction,
                    infinite: Polynomial | None = None) -> CheckResult:
@@ -590,38 +713,34 @@ def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
 
     Where `infinite` (a reward's never-reaching mass) is positive the value
     is infinite, which satisfies >=/> bounds and fails <=/< bounds.
-    Non-coalition parameters must all be fixed by the context
-    (MissingParameterError otherwise), inside their scopes' simplices
-    (admissibility conditions 2 and 3; InadmissibleError otherwise), and
-    are substituted once.  A coalition parameter the context binds is
-    searched over all the same, with one warning each, and the witness
-    leaves its binding out.
+    `value` and `infinite` come from a pass specialised at the
+    non-coalition parameters (`_outside`), which must all be fixed by the
+    context (MissingParameterError otherwise) inside their scopes'
+    simplices (admissibility conditions 2 and 3; InadmissibleError
+    otherwise).  A coalition parameter the context binds is searched over
+    all the same, with one warning each, and the witness leaves its
+    binding out.
     Deterministic: a grid scan at the context resolution, in integers
     (`GridWalk`), returns the first point that meets the bound, else the
     first strictly best point is refined by bisection-style steps toward
     the bound.  A false verdict carries a warning that it is no proof.
     """
     scopes = [s for s in m.scopes() if s[0] in coalition]
-    owned = {p for s in scopes
-             for p in (*m.free_params(s), m.table[s].dependent)}
-    fixed = {p: v for p, v in ctx.valuation.items() if p not in owned}
+    fixed = _outside(m, coalition, ctx.valuation)
     require_admissible(m, fixed, [s for s in m.scopes()
                                   if s[0] not in coalition])
     warnings = tuple(
         f"{p.name} belongs to the coalition: the search ranges over it, "
-        f"not its bound value" for p in ctx.valuation if p in owned)
+        f"not its bound value" for p in ctx.valuation if p not in fixed)
 
     denominator = ctx.grid_denominator
     axes = _grid_axes(m, scopes, denominator)
     groups = [m.free_params(s) for s in scopes]
     flat = [p for params in groups for p in params]
-    constants = {p: Polynomial.constant(v) for p, v in fixed.items()}
     if infinite is not None:
-        infinite = infinite.substitute(constants)
         unreached: Iterable[int] = GridWalk(infinite, groups, denominator)
     else:
         unreached = itertools.repeat(0)
-    value = value.substitute(constants)
     walk = GridWalk(value, groups, denominator)
     maximize = cmp in (CompareOp.GE, CompareOp.GT)
 

@@ -681,10 +681,13 @@ class RationalFunction:
         # mass polynomials such as x1 + x2 - x1*x2 positively oriented.
         if den.trailing_coefficient() < 0:
             num, den = -num, -den
-        # Proportional pairs collapse to their constant ratio.
-        q = num.leading_coefficient() / den.leading_coefficient()
-        if (num - den * q).is_zero:
-            num, den = Polynomial.constant(q), Polynomial.one()
+        # Proportional pairs collapse to their constant ratio.  Over a
+        # constant denominator only a constant numerator is proportional,
+        # so a long numerator over one skips the test.
+        if num.is_constant or not den.is_constant:
+            q = num.leading_coefficient() / den.leading_coefficient()
+            if (num - den * q).is_zero:
+                num, den = Polynomial.constant(q), Polynomial.one()
         self.num = num
         self.den = den
 

@@ -25,13 +25,16 @@ import numpy as np
 from .checker import DegreeResult, car_degree, cpr_degree, degree_at
 from .errors import NoSolutionError, UnsupportedQueryError
 from .logic import PathFormula
-from .model import Psmas, RewardStructure, Scope, check_admissible
+from .model import Psmas, Scope, check_admissible
 from .polyarith import ParamId, Polynomial, RationalFunction
 from .trace import Plan, total_payoff
 
 # The most support combinations `find_equilibria` enumerates; more exit 3
 # before any system is built.
 MAX_SUPPORTS = 4096
+
+# Newton stops, converged, when no equation's float residual reaches this.
+_NEWTON_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,6 @@ class ResponsibilitySpec:
 
 
 def payoff_valuation(m: Psmas, plan_or_horizon: Plan | int, agent: str,
-                     r: RewardStructure | None = None,
                      state: str | None = None) -> Polynomial:
     """Expected payoff of a pure plan, or of the mixed-strategy setting.
 
@@ -62,8 +64,7 @@ def payoff_valuation(m: Psmas, plan_or_horizon: Plan | int, agent: str,
     its steps' transition entry times that step's reward, so a step is
     counted once per history through it (see `trace.total_payoff`).
     """
-    if r is None:
-        r = m.base.rewards[agent]
+    r = m.base.rewards[agent]
     if isinstance(plan_or_horizon, Plan):
         plan = plan_or_horizon
         total = total_payoff(m, r, plan.start, len(plan), plan)
@@ -261,6 +262,11 @@ def solve_ne(sys: NeSystem, seeds: int = 24, seed: int = 0,
         candidates = [dict(sys.pinned)]
         return _finish(sys, candidates, equations, residual_tol, verifier)
 
+    if any(eq.is_constant and abs(eq.evaluate_float({})) >= _NEWTON_TOL
+           for eq in equations):
+        # that equation's residual stays at its value: no start converges
+        return _finish(sys, [], equations, residual_tol, verifier)
+
     jacobian = [[eq.derivative(v) for v in variables] for eq in equations]
 
     def f_vec(x: list[float]) -> list[float]:
@@ -290,16 +296,17 @@ def _newton(f_vec, j_mat, x: list[float]) -> list[float] | None:
     """Damped Newton inside the box from x; None when it stalls.
 
     Each step solves J step = -f in the least-squares sense and is halved
-    until the max-norm residual shrinks.  The vectors hold at most six
-    floats, so outside `lstsq` the loop runs on Python floats: `_max_abs`
-    and `_clip` give what np.max(np.abs(v)) and np.clip give, bit for bit.
+    until the max-norm residual shrinks; x has converged once that
+    residual is below _NEWTON_TOL.  The vectors hold at most six floats,
+    so outside `lstsq` the loop runs on Python floats: `_max_abs` and
+    `_clip` give what np.max(np.abs(v)) and np.clip give, bit for bit.
     A residual or Jacobian that is not finite stalls before `lstsq`, whose
     LAPACK would print its complaint to standard output.
     """
     fx = f_vec(x)
     norm = _max_abs(fx)
     for _ in range(80):
-        if norm < 1e-13:
+        if norm < _NEWTON_TOL:
             return x
         jac = j_mat(x)
         if not (math.isfinite(norm) and np.isfinite(jac).all()):
@@ -321,8 +328,8 @@ def _newton(f_vec, j_mat, x: list[float]) -> list[float] | None:
                 x, fx, norm = trial, ft, nt
                 break
         else:
-            return x if norm < 1e-13 else None
-    return x if norm < 1e-13 else None
+            return x if norm < _NEWTON_TOL else None
+    return x if norm < _NEWTON_TOL else None
 
 
 def _max_abs(values: Sequence[float]) -> float:

@@ -326,11 +326,48 @@ def test_path_prob_respects_enumeration_limit(ball, monkeypatch):
         path_sat_prob(ball, "s0", psi)
     # a count-only pass counts expansions against the same cap
     monkeypatch.setattr(trace, "MAX_PASS_WORK", 10)
-    short = parse_path_formula("F<=2 collision", ball)
-    plan = plan_from_model(ball, "pi1")
+    short = parse_path_formula("F<=6 collision", ball)
+    plan = Plan("s0", plan_from_model(ball, "pi1").steps * 3)
     with pytest.raises(ResourceLimitError, match="expansions, over the 10"):
         degree_guard(ball, "s0",
                      degree_setup(ball, "A1", plan, short, DegreeKind.CAR))
+
+
+def test_reduced_model_of_rounds(rounds):
+    # under F score1 the four states without score1 continue alike, so
+    # they form one block; the pass walks two blocks, not five states
+    from respgames.checker import _classifier, _Reduced
+    x1, x2 = var(rounds, "x1"), var(rounds, "x2")
+    one = Polynomial.one()
+    psi = parse_path_formula("F<=3 score1", rounds)
+    kind, classify, _ = _classifier(rounds, psi, QueryContext.symbolic())
+
+    def reduce(collapse, fixed=None):
+        return _Reduced(rounds, "s1", kind, classify, None, collapse, fixed)
+
+    per_joint = reduce(collapse=False)
+    assert (per_joint.start, per_joint.kinds) == (0, [None, True])
+    assert [[(joint, [(b, n) for b, _, n in entries])
+             for joint, _, entries in rows] for rows in per_joint.rows] == [
+        [(("catch", "catch"), [(0, 1)]), (("catch", "skip"), [(1, 1)]),
+         (("skip", "catch"), [(0, 1)]), (("skip", "skip"), [(0, 1)])], []]
+    # summed over the joint actions: one row, three successors merged
+    (collapsed,), _ = reduce(collapse=True).rows
+    assert collapsed == (None, 0, (
+        (0, (one - x1) * (one - x2) + x1 * (one - x2) + x1 * x2, 3),
+        (1, (one - x1) * x2, 1)))
+    # specialised at x2 = 1/2 before lumping
+    half = {rounds.param_table["x2"]: Fraction(1, 2)}
+    (specialised,), _ = reduce(collapse=True, fixed=half).rows
+    assert specialised[2] == ((0, (one + x1) * Fraction(1, 2), 3),
+                              (1, (one - x1) * Fraction(1, 2), 1))
+    # X classifies every successor: only the query state has rows, and
+    # the other states lump by their verdict alone
+    nxt = parse_path_formula("X score1", rounds)
+    kind, classify, _ = _classifier(rounds, nxt, QueryContext.symbolic())
+    model = _Reduced(rounds, "start", kind, classify, None, True, None)
+    assert model.kinds == [False, False, True]
+    assert [len(rows) for rows in model.rows] == [1, 0, 0]
 
 
 def test_pass_work_counts_term_pairs_multiplied(rounds, monkeypatch):
@@ -560,8 +597,12 @@ def test_integer_walk_matches_fraction_scan(monkeypatch):
 
         old = _outcome(lambda: _fraction_scan(m, coalition, ctx, quantity,
                                               cmp, bound))
+        # the search takes what a pass specialised outside the coalition
+        fixed = {p: Polynomial.constant(v) for p, v in
+                 checker._outside(m, coalition, ctx.valuation).items()}
         new = _outcome(lambda: checker._exists_search(
-            m, coalition, ctx, value, cmp, bound, infinite=infinite))
+            m, coalition, ctx, value.substitute(fixed), cmp, bound,
+            infinite=None if infinite is None else infinite.substitute(fixed)))
         if len(old) == 3 and old[0] is False:  # the new search says why
             assert new[2][-1].startswith("this false verdict comes from a "
                                          f"1/{ctx.grid_denominator} grid")

@@ -133,6 +133,14 @@ def test_check_bound_coalition_parameter_warns(capsys):
     code, env = run_json(capsys, "check", "--model", BALL, "--bind", "x2=0",
                          "--formula", "<A1> P>=1 [ X collision ]")
     assert (code, env["warnings"]) == (0, [])
+    # the pass is specialised at x2 only: at x1 = 1 neither bound is met,
+    # and R is infinite everywhere, so the first grid point would answer
+    for formula, witness in (("<A1> P>=1 [ X collision ]", "0"),
+                             ("<A1> R>=3 [ F<=2 collision @ A1 ]", "1/50")):
+        code, env = run_json(capsys, "check", "--model", BALL, "--bind",
+                             "x1=1", "--bind", "x2=0", "--formula", formula)
+        assert code == 0
+        assert env["result"]["witness"] == {"x1": witness, "x2": "0"}
 
 
 def test_eval_missing_binding_exit_two(capsys):
@@ -198,6 +206,23 @@ def test_digest_covers_every_argument(capsys):
     from respgames.cli import _digest, build_parser
     human = build_parser().parse_args(first + ["--output", "human"])
     assert _digest(human) == a["digest"]
+
+
+def test_main_calls_share_no_parsed_state(capsys):
+    # every call parses with one parser: the --bind lists of one call
+    # neither reach the next nor change the default of a call without any
+    from respgames.cli import _parser
+    query = ["eval", "--model", BALL, "--formula", "X collision"]
+    _, a = run_json(capsys, *query, "--bind", "x1=1/2", "--bind", "x2=1/2")
+    _, b = run_json(capsys, *query, "--bind", "x1=1/3", "--bind", "x2=1/4")
+    assert (a["result"]["value"], b["result"]["value"]) == ("1/4", "1/2")
+    code = main(query + ["--bind", "x1=1/3"])
+    assert code == 2
+    assert "no value assigned to parameter x2" in capsys.readouterr().err
+    assert main(query) == 2  # nothing bound: not the previous bindings
+    assert "no value assigned to parameter x1" in capsys.readouterr().err
+    assert _parser() is _parser()
+    assert _parser().parse_args(query).bind == []
 
 
 def test_formula_file(tmp_path, capsys):

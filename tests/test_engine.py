@@ -4,18 +4,21 @@ enumeration and against Monte-Carlo sampling on random small games.
 The reference side lists every witness history (`_witnesses`), filters it
 with `compatible_plans(...).contains_action_prefix` and sums payoffs over
 `enumerate_histories` / `plan_histories` — the definitions the pass must
-reproduce exactly, counts and errors included.  At interior points the
-sampled frequency of the outcome must agree with the pass's probability.
+reproduce exactly, counts and errors included.  The pass walks a reduced
+model whose states lump only where they share a strategy, so one source
+of games has `params: shared` and rows from a small pool.  At interior
+points the sampled frequency of the outcome must agree with the pass's
+probability.
 """
 
 import itertools
 from fractions import Fraction
 from math import sqrt
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from respgames.checker import (QueryContext, _reward_parts,
+from respgames.checker import (QueryContext, _reward_parts, _witness_pass,
                                _witnesses, car_degree, cpr_degree,
                                degree_guard, degree_setup, path_sat_prob)
 from respgames.errors import DegenerateQueryError, ModelError
@@ -76,6 +79,45 @@ def games(draw, pools=POOLS):
     return "\n".join(lines) + "\n"
 
 
+def _row(draw, states):
+    """A distribution over 2-3 of the states, with weights 1-3."""
+    targets = draw(st.permutations(states))[:draw(st.integers(2, 3))]
+    weights = [draw(st.integers(1, 3)) for _ in targets]
+    return ", ".join(f"{t}: {Fraction(w, sum(weights))}"
+                     for t, w in zip(targets, weights))
+
+
+@st.composite
+def shared_games(draw):
+    """Model text of a random `params: shared` game whose states lump:
+    3-5 states where both agents have both actions, at most one label
+    each, and each state's rows one of two tables, whose rows come from a
+    pool of three.  Small integer action rewards, and a state reward at
+    one state."""
+    states = [f"q{i}" for i in range(draw(st.integers(3, 5)))]
+    lines = ["agents: A B", "states: " + " ".join(states), "init: q0",
+             "params: shared"]
+    lines.append("labels: " + " ".join(
+        f"{s} {{ {draw(st.sampled_from(('', 'p', 'g')))} }}"
+        for s in states))
+    lines.extend(f"actions {agent} @ {s}: a b"
+                 for agent in AGENTS for s in states)
+    joints = list(itertools.product(ACTIONS, repeat=2))
+    pool = [_row(draw, states) for _ in range(3)]
+    tables = [[draw(st.sampled_from(pool)) for _ in joints]
+              for _ in range(2)]
+    for s in states:
+        table = draw(st.sampled_from(tables))
+        lines.extend(f"trans {s} ({', '.join(joint)}) -> {{ {row} }}"
+                     for joint, row in zip(joints, table))
+    for agent in AGENTS:
+        for action in ACTIONS:
+            lines.append(f"reward {agent} action {action}: "
+                         f"{draw(st.integers(0, 3))}")
+    lines.append(f"reward A state {draw(st.sampled_from(states))}: 1")
+    return "\n".join(lines) + "\n"
+
+
 def plans(m, draw, length, start=None):
     """Mostly valid plans, from `start` or a drawn state: each step picks
     actions available at every state the prefix can reach; one step in
@@ -113,14 +155,16 @@ def interior_valuation(m, draw):
 
 
 @st.composite
-def queries(draw, pools=POOLS):
-    """A game, a start state, a path formula of horizon <= 4 and a plan at
-    least as long.
+def queries(draw, pools=POOLS, shared=False):
+    """A game (`shared_games` when `shared`, else `games` over `pools`),
+    a start state, a path formula of horizon <= 4 and a plan at least as
+    long.
 
     The horizon is cut to keep the reference's enumeration to at most
     VOLUME histories (branches per step to the horizon's power).
     """
-    m = build_psmas(parse_model(draw(games(pools))))
+    m = build_psmas(parse_model(draw(shared_games() if shared
+                                     else games(pools))))
     state = draw(st.sampled_from(m.base.states))
     goal = draw(st.sampled_from(GOALS))
     branches = max(sum(len(m.successors(s, joint))
@@ -199,11 +243,22 @@ def reference_payoff(histories, r):
     return total
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=120,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(queries())
-def test_forward_pass_equals_enumeration(query):
-    m, state, psi, plan = query
+def reference_reward_parts(m, state, target, k, r):
+    """The mass that misses the target within k steps, and the reaching
+    witnesses' probabilities times the reward accumulated before it."""
+    reach, miss = _witnesses(m, state, Until(TrueFormula(), k, target),
+                             QueryContext.symbolic())
+    weighted = Polynomial.zero()
+    for w in reach:
+        accum = sum(r.step_reward(w.states[j], joint)
+                    for j, joint in enumerate(w.actions))
+        weighted = weighted + w.probability * accum
+    return _mass(miss), weighted
+
+
+def assert_pass_equals_enumeration(m, state, psi, plan):
+    """P, CAR, CPR (values, path counts, kappa, errors), R's parts and the
+    payoffs of one query against the enumerating references."""
     ctx = QueryContext.symbolic()
     sats, viols = _witnesses(m, state, psi, ctx)
     assert path_sat_prob(m, state, psi) == RationalFunction(_mass(sats))
@@ -218,15 +273,8 @@ def test_forward_pass_equals_enumeration(query):
     for agent in AGENTS:
         r = m.base.rewards[agent]
         target = psi.right if isinstance(psi, Until) else psi.body
-        reach, miss = _witnesses(m, state, Until(TrueFormula(), k, target),
-                                 ctx)
-        weighted = Polynomial.zero()
-        for w in reach:
-            accum = sum(r.step_reward(w.states[j], joint)
-                        for j, joint in enumerate(w.actions))
-            weighted = weighted + w.probability * accum
-        assert _reward_parts(m, state, target, k, r, ctx) == (_mass(miss),
-                                                              weighted)
+        assert _reward_parts(m, state, target, k, r, ctx) == \
+            reference_reward_parts(m, state, target, k, r)
 
         assert payoff_valuation(m, k, agent, state=state) == \
             reference_payoff(enumerate_histories(m, state, k), r)
@@ -235,22 +283,70 @@ def test_forward_pass_equals_enumeration(query):
         assert ours == ref
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=120,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(queries())
+def test_forward_pass_equals_enumeration(query):
+    assert_pass_equals_enumeration(*query)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(queries(shared=True), st.data())
+def test_reduced_pass_equals_enumeration_on_shared_games(query, data):
+    m, state, psi, plan = query
+    # the pass goes on from the start, so it has states to lump
+    sats, viols = _witnesses(m, state, psi, QueryContext.symbolic())
+    assume(any(w.steps for w in sats + viols))
+    assert_pass_equals_enumeration(m, state, psi, plan)
+    # evaluated P and R substitute a partial binding before the pass
+    fixed = {p: data.draw(st.fractions(0, 1, max_denominator=4))
+             for p in m.params if data.draw(st.booleans())}
+    constants = {p: Polynomial.constant(v) for p, v in fixed.items()}
+    ctx = QueryContext.evaluated(fixed)
+    sats, _ = _witnesses(m, state, psi, ctx)
+    assert _witness_pass(m, state, psi, ctx, fixed=fixed)[True, True].mass \
+        == _mass(sats).substitute(constants)
+    target = psi.right if isinstance(psi, Until) else psi.body
+    for agent in AGENTS:
+        r = m.base.rewards[agent]
+        assert _reward_parts(m, state, target, horizon(psi), r, ctx,
+                             fixed) == tuple(
+            part.substitute(constants) for part in reference_reward_parts(
+                m, state, target, horizon(psi), r))
+
+
 SAMPLES = 4_000
 
 
+@st.composite
+def open_queries(draw):
+    """A query on a game where both agents have both actions at every
+    state, at an interior valuation where both outcomes are possible."""
+    m, state, psi, _ = draw(queries(pools=(ACTIONS,)))
+    valuation = interior_valuation(m, draw)
+    p = path_sat_prob(m, state, psi).evaluate(valuation)
+    assume(0 < p < 1)
+    return m, state, psi, valuation
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150,
-          suppress_health_check=[HealthCheck.too_slow])
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
 @given(queries(), st.integers(0, 2 ** 32), st.data())
 def test_sampled_frequency_agrees_with_forward_pass(query, seed, data):
     # Within 4 sigma of the exact p, sigma taken from p.  Where p is 0 or
     # 1 the estimate equals it: at an interior point every sampled path
     # has positive probability, so it lies in the outcome's support.
+    # Two sources: `queries()` mostly settles p at 0 or 1, the second
+    # leaves both outcomes possible.
     m, state, psi, _ = query
-    valuation = interior_valuation(m, data.draw)
-    p = path_sat_prob(m, state, psi).evaluate(valuation)
-    est = estimate_path_prob(m, SimConfig(SAMPLES, seed, valuation,
-                                          start=state), psi)
-    if p in (0, 1):
-        assert est.mean == p
-    else:
-        assert abs(est.mean - p) <= 4 * sqrt(p * (1 - p) / SAMPLES)
+    first = (m, state, psi, interior_valuation(m, data.draw))
+    for m, state, psi, valuation in (first, data.draw(open_queries())):
+        p = path_sat_prob(m, state, psi).evaluate(valuation)
+        est = estimate_path_prob(m, SimConfig(SAMPLES, seed, valuation,
+                                              start=state), psi)
+        if p in (0, 1):
+            assert est.mean == p
+        else:
+            assert abs(est.mean - p) <= 4 * sqrt(p * (1 - p) / SAMPLES)

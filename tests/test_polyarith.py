@@ -122,6 +122,18 @@ def test_rf_proportional_collapse():
     assert RationalFunction(num, num) == RationalFunction(one)
 
 
+def test_rf_constant_denominator(monkeypatch):
+    # over a constant only a constant is proportional: a polynomial
+    # numerator keeps its denominator without the leading-term test
+    assert RationalFunction(Polynomial.constant(Fraction(-3, 4)),
+                            Polynomial.constant(6)) == RationalFunction(
+        Polynomial.constant(Fraction(-1, 8)))
+    monkeypatch.setattr(Polynomial, "leading_coefficient", None)
+    r = RationalFunction(x1 * 3 - x2, Polynomial.constant(-6))
+    assert (r.num, r.den) == (x2 - x1 * 3, Polynomial.constant(6))
+    assert r.render() == "(-3*x1 + x2) / 6"
+
+
 def test_rf_content_removal():
     r = RationalFunction(2 * x1, Polynomial.constant(4))
     assert r.num == x1 and r.den == Polynomial.constant(2)

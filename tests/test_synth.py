@@ -51,12 +51,6 @@ def test_payoff_valuation_plan_example(ball):
     assert value == 2 * (one - x1) * x2 + x1 * (one - x2)
 
 
-def test_payoff_valuation_zero_rewards(ball):
-    from respgames.model import RewardStructure
-    empty = RewardStructure(agent="A1", agent_index=0)
-    assert payoff_valuation(ball, 2, "A1", r=empty) == Polynomial.zero()
-
-
 def test_payoff_valuation_of_an_agent_without_rewards():
     # the model gives M the zero reward structure
     silent = "\n".join(line for line in COIN.splitlines()
@@ -251,6 +245,36 @@ def test_solve_ne_infeasible_raises():
                    equations=(Polynomial.constant(8),), support={})
     with pytest.raises(NoSolutionError):
         solve_ne(sys, seeds=4, seed=0)
+
+
+def test_solve_ne_skips_newton_on_a_nonzero_constant(ball, monkeypatch):
+    # on ball at horizon 3, A2's payoffs from its two actions differ by 48
+    # whatever it mixes: its indifference equation is the constant -48, so
+    # no start can bring the residual below _NEWTON_TOL; Newton is not run
+    from respgames import synth
+    calls = [0]
+    real = synth._newton
+
+    def newton(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(synth, "_newton", newton)
+    parts = _parts(ball, UtilityConfig(Fraction(1), Fraction(0)), 3)
+    sys = build_ne_system(ball, parts, {("A1", None): ("catch",),
+                                        ("A2", None): ("catch", "skip")})
+    assert [eq.render() for eq in sys.equations] == ["-48"]
+    with pytest.raises(NoSolutionError) as err:
+        solve_ne(sys, seeds=24, seed=0)
+    assert err.value.best_residual == math.inf
+    assert calls[0] == 0
+    # a constant below the tolerance does not stop Newton
+    x = ParamId("solo", None, "x", label="x")
+    small = NeSystem(variables=(x,), equations=(
+        Polynomial.variable(x) - Fraction(1, 2),
+        Polynomial.constant(Fraction(1, 10 ** 14))), support={})
+    assert len(solve_ne(small, seeds=4, seed=0, residual_tol=1e-9)) == 1
+    assert calls[0] == 4
 
 
 def test_solve_ne_deterministic():
