@@ -622,11 +622,19 @@ def degree_at(result: DegreeResult, valuation: Mapping[ParamId, Fraction]
     """
     if not result.kappa:
         return Fraction(0), ()
-    den = result.value.den.evaluate(valuation)
-    if den == 0:
+    return mass_ratio(result.value.num, result.value.den, valuation)
+
+
+def mass_ratio(num: Polynomial, den: Polynomial,
+               valuation: Mapping[ParamId, Fraction]
+               ) -> tuple[Fraction, tuple[str, ...]]:
+    """num / den at a valuation, or 0 with the zero-mass note where den
+    vanishes: `degree_at` on a degree's numerator and denominator."""
+    d = den.evaluate(valuation)
+    if d == 0:
         return Fraction(0), ("the degree's denominator mass is zero at this "
                              "valuation, so the degree is 0 by convention",)
-    return result.value.num.evaluate(valuation) / den, ()
+    return num.evaluate(valuation) / d, ()
 
 
 def check_degree(m: Psmas, state: str, f: CoalitionDegree,

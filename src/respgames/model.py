@@ -34,7 +34,9 @@ share across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -108,7 +110,7 @@ class Csg:
                     raise ModelError(
                         f"no transition for state {state}, joint action "
                         f"({', '.join(joint)})")
-                total = Fraction(0)
+                total = 0
                 for target, prob in dist.items():
                     if target not in self.states:
                         raise ModelError(
@@ -192,29 +194,48 @@ class Psmas:
     scope (lexicographically last, unless the model declares parameter
     names) is replaced by 1 - (sum of the scope's free parameters), so
     every transition row sums to the constant 1 as a polynomial identity.
+
+    Each (scope, action) probability is built once per model, and each
+    product of one per agent once per tuple of them, multiplied left to
+    right in agent order.  Every (state, joint action) playing that tuple
+    shares the product (all states do under `params: shared`), scaled by
+    its kernel entry, so an entry has the terms, term order and
+    denominator of the product formed afresh.  Polynomials are immutable,
+    so sharing them is safe; `Polynomial.zero()` and `one()` are shared
+    values too.
     """
 
     def __init__(self, base: Csg, table: Mapping[Scope, ScopeSpace]):
         self.base = base
         self.table = dict(table)
-        self._at = {(scope[0], state): space
-                    for scope, space in self.table.items()
-                    for state in space.states}
+        self._scope_at = {(scope[0], state): scope
+                          for scope, space in self.table.items()
+                          for state in space.states}
         self.params = tuple(p for space in self.table.values()
                             for p in space.free)
         self.dependent_params = tuple(space.dependent
                                       for space in self.table.values())
         self.param_table = {p.name: p for p in self.params}
         self.param_table.update({p.name: p for p in self.dependent_params})
+        probability: dict[tuple[Scope, str], Polynomial] = {}
+        products: dict[tuple[tuple[Scope, str], ...], Polynomial] = {}
         self.transition: dict[tuple[str, JointAction, str], Polynomial] = {}
         for state in base.states:
             for joint in base.joint_actions(state):
-                mix = Polynomial.one()
-                for agent, action in zip(base.agents, joint):
-                    mix = mix * self.action_probability(agent, state, action)
+                plays = tuple((self._scope_at[agent, state], action)
+                              for agent, action in zip(base.agents, joint))
+                mix = products.get(plays)
+                if mix is None:
+                    for play in plays:
+                        if play not in probability:
+                            probability[play] = self.action_probability(
+                                play[0][0], state, play[1])
+                    mix = products[plays] = functools.reduce(
+                        operator.mul, (probability[play] for play in plays))
                 for target, prob in base.delta[(state, joint)].items():
                     if prob != 0:
-                        self.transition[(state, joint, target)] = mix * prob
+                        self.transition[(state, joint, target)] = (
+                            mix if prob == 1 else mix * prob)
 
     # -- scope helpers --------------------------------------------------
 
@@ -234,16 +255,19 @@ class Psmas:
     def scope_actions(self, scope: Scope) -> tuple[str, ...]:
         return self.table[scope].actions
 
+    def _space(self, agent: str, state: str) -> ScopeSpace:
+        return self.table[self._scope_at[agent, state]]
+
     def free_params(self, scope: Scope) -> tuple[ParamId, ...]:
         return self.table[scope].free
 
     def free_param(self, agent: str, state: str, action: str) -> ParamId | None:
-        return next((p for p in self._at[(agent, state)].free
+        return next((p for p in self._space(agent, state).free
                      if p.action == action), None)
 
     def action_probability(self, agent: str, state: str, action: str) -> Polynomial:
         """The (polynomial) probability of one agent action at a state."""
-        space = self._at[(agent, state)]
+        space = self._space(agent, state)
         if space.dependent.action == action:
             total = Polynomial.one()
             for p in space.free:
@@ -400,6 +424,14 @@ def require_admissible(m: Psmas, valuation: Mapping[ParamId, Fraction],
 _SECTION_ORDER = ["agents", "states", "init", "params", "param", "labels",
                   "actions", "trans", "reward", "plan"]
 
+_PARAM = re.compile(r"param\s+(\w+)\s*:\s*(\w+)\s+(\w+)(?:\s*@\s*(\w+))?")
+_LABEL = re.compile(r"(\w+)\s*\{([^}]*)\}")
+_ACTIONS = re.compile(r"actions\s+(\w+)\s*@\s*(\w+)\s*:\s*(.+)")
+_TRANS = re.compile(r"trans\s+(\w+)\s*\(([^)]*)\)\s*->\s*\{([^}]*)\}")
+_REWARD = re.compile(r"reward\s+(\w+)\s+(action|state)\s+(\w+)\s*:\s*(\S+)")
+_PLAN = re.compile(r"plan\s+(\w+)\s*@\s*(\w+)\s*:\s*(.+)")
+_STEP = re.compile(r"\(([^)]*)\)")
+
 
 def parse_model(text: str, source: str = "<model>") -> Csg:
     """Parse the model file format into a Csg."""
@@ -427,6 +459,8 @@ class _ModelParser:
         self.delta: dict[tuple[str, JointAction], dict[str, Fraction]] = {}
         self.rewards: dict[str, dict[str, dict[str, Fraction]]] = {}
         self.plans: dict[str, tuple[str, tuple[JointAction, ...]]] = {}
+        # each number text parsed so far, so a repeated `1/2` is parsed once
+        self.numbers: dict[str, Fraction] = {}
         self.section_rank = -1
 
     def error(self, msg: str, line_no: int, col: int = 1):
@@ -455,11 +489,11 @@ class _ModelParser:
                 agents=tuple(self.agents),
                 states=tuple(self.states),
                 initial=self.initial,
-                available=dict(self.available),
-                delta={k: dict(v) for k, v in self.delta.items()},
-                labels=dict(self.labels),
+                available=self.available,
+                delta=self.delta,
+                labels=self.labels,
                 rewards=rewards,
-                plans=dict(self.plans),
+                plans=self.plans,
                 shared_params=self.shared,
                 param_decls=tuple(self.param_decls),
             )
@@ -514,8 +548,7 @@ class _ModelParser:
         self.shared = mode == "shared"
 
     def on_param(self, line: str, line_no: int):
-        m = re.fullmatch(
-            r"param\s+(\w+)\s*:\s*(\w+)\s+(\w+)(?:\s*@\s*(\w+))?", line)
+        m = _PARAM.fullmatch(line)
         if not m:
             self.error("expected 'param NAME: AGENT ACTION [@ STATE]'",
                        line_no)
@@ -534,7 +567,7 @@ class _ModelParser:
 
     def on_labels(self, line: str, line_no: int):
         body = self._after_colon(line, line_no)
-        for m in re.finditer(r"(\w+)\s*\{([^}]*)\}", body):
+        for m in _LABEL.finditer(body):
             state, props = m.group(1), m.group(2).split()
             if state not in self.states:
                 self.error(f"unknown state '{state}' in labels", line_no)
@@ -543,7 +576,7 @@ class _ModelParser:
             self.labels.setdefault(state, frozenset())
 
     def on_actions(self, line: str, line_no: int):
-        m = re.fullmatch(r"actions\s+(\w+)\s*@\s*(\w+)\s*:\s*(.+)", line)
+        m = _ACTIONS.fullmatch(line)
         if not m:
             self.error("expected 'actions AGENT @ STATE: a b ...'", line_no)
         agent, state, acts = m.group(1), m.group(2), m.group(3).split()
@@ -556,6 +589,17 @@ class _ModelParser:
                        line_no)
         self.available[(agent, state)] = tuple(acts)
 
+    def number(self, text: str, what: str, line_no: int) -> Fraction:
+        """The exact value of a number text; a bad one is an error at
+        `line_no` naming `what`."""
+        value = self.numbers.get(text)
+        if value is None:
+            try:
+                value = self.numbers[text] = Fraction(text)
+            except (ValueError, ZeroDivisionError):
+                self.error(f"bad {what} '{text}'", line_no)
+        return value
+
     def _parse_joint(self, text: str, line_no: int) -> JointAction:
         joint = tuple(a.strip() for a in text.split(","))
         if len(joint) != len(self.agents):
@@ -565,8 +609,7 @@ class _ModelParser:
         return joint
 
     def on_trans(self, line: str, line_no: int):
-        m = re.fullmatch(
-            r"trans\s+(\w+)\s*\(([^)]*)\)\s*->\s*\{([^}]*)\}", line)
+        m = _TRANS.fullmatch(line)
         if not m:
             self.error("expected 'trans STATE (a, b) -> { s: p, ... }'",
                        line_no)
@@ -585,16 +628,15 @@ class _ModelParser:
             target, prob_text = (part.strip() for part in chunk.split(":", 1))
             if target not in self.states:
                 self.error(f"unknown target state '{target}'", line_no)
-            try:
-                prob = Fraction(prob_text)
-            except (ValueError, ZeroDivisionError):
-                self.error(f"bad probability '{prob_text}'", line_no)
-            dist[target] = dist.get(target, Fraction(0)) + prob
+            prob = self.number(prob_text, "probability", line_no)
+            if target in dist:
+                dist[target] += prob
+            else:
+                dist[target] = prob
         self.delta[(state, joint)] = dist
 
     def on_reward(self, line: str, line_no: int):
-        m = re.fullmatch(
-            r"reward\s+(\w+)\s+(action|state)\s+(\w+)\s*:\s*(\S+)", line)
+        m = _REWARD.fullmatch(line)
         if not m:
             self.error("expected 'reward AGENT action|state NAME: value'",
                        line_no)
@@ -603,14 +645,11 @@ class _ModelParser:
             self.error(f"unknown agent '{agent}'", line_no)
         if kind == "state" and name not in self.states:
             self.error(f"unknown state '{name}'", line_no)
-        try:
-            value = Fraction(value_text)
-        except (ValueError, ZeroDivisionError):
-            self.error(f"bad reward value '{value_text}'", line_no)
+        value = self.number(value_text, "reward value", line_no)
         self.rewards.setdefault(agent, {}).setdefault(kind, {})[name] = value
 
     def on_plan(self, line: str, line_no: int):
-        m = re.fullmatch(r"plan\s+(\w+)\s*@\s*(\w+)\s*:\s*(.+)", line)
+        m = _PLAN.fullmatch(line)
         if not m:
             self.error("expected 'plan NAME @ STATE: (a, b) (a, b) ...'",
                        line_no)
@@ -620,7 +659,7 @@ class _ModelParser:
         if name in self.plans:
             self.error(f"duplicate plan name '{name}'", line_no)
         steps = []
-        for step in re.finditer(r"\(([^)]*)\)", body):
+        for step in _STEP.finditer(body):
             steps.append(self._parse_joint(step.group(1), line_no))
         if not steps:
             self.error("plan needs at least one joint action", line_no)

@@ -29,8 +29,9 @@ ratio collapses to the constant.  Equality of rational functions is decided
 by the cross-multiplied difference in canonical form, never by multivariate
 GCDs.
 
-All values are immutable after construction and safe to share; operations
-allocate fresh results.
+All values are immutable after construction and safe to share: `zero()`
+and `one()` return one shared value each, and a sum with a zero operand
+returns the other operand.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ class Polynomial:
 
     @staticmethod
     def zero() -> "Polynomial":
-        return _new({}, 1)
+        return _ZERO
 
     @staticmethod
     def constant(value) -> "Polynomial":
@@ -244,7 +245,7 @@ class Polynomial:
 
     @staticmethod
     def one() -> "Polynomial":
-        return Polynomial.constant(1)
+        return _ONE
 
     @staticmethod
     def variable(param: ParamId) -> "Polynomial":
@@ -292,13 +293,17 @@ class Polynomial:
 
     # -- arithmetic ---------------------------------------------------
     #
+    # A number operand is told apart by `type(other) is not Polynomial`
+    # first: `Fraction`'s metaclass is ABCMeta, whose isinstance is slow.
+    #
     # Result terms appear in the order a {Monomial: Fraction} loop would
     # insert them, with a cancelled term dropped at the end of its call;
     # `evaluate` reports the first missing parameter, and `evaluate_float`
     # sums, in that order.
 
     def __add__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if (type(other) is not Polynomial
+                and isinstance(other, (int, Fraction))):
             other = Polynomial.constant(other)
         if self.is_zero:
             return other
@@ -320,7 +325,8 @@ class Polynomial:
         return _new({k: -c for k, c in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if (type(other) is not Polynomial
+                and isinstance(other, (int, Fraction))):
             other = Polynomial.constant(other)
         return self + (-other)
 
@@ -328,10 +334,12 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return _new({k: c * q.numerator for k, c in self._terms.items()},
-                        self._den * q.denominator)
+        if (type(other) is not Polynomial
+                and isinstance(other, (int, Fraction))):
+            # an int is its own numerator over 1
+            n = other.numerator
+            return _new({k: c * n for k, c in self._terms.items()},
+                        self._den * other.denominator)
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
         out: dict[int, int] = {}
@@ -515,6 +523,11 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<Polynomial {self.render()}>"
+
+
+# The values `zero()` and `one()` return, shared as every value is.
+_ZERO = _new({}, 1)
+_ONE = _new({0: 1}, 1)
 
 
 class _TermView(Mapping):

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .checker import DegreeResult, car_degree, cpr_degree, degree_at
+from .checker import DegreeResult, car_degree, cpr_degree, mass_ratio
 from .errors import NoSolutionError, UnsupportedQueryError
 from .logic import PathFormula
 from .model import Psmas, Scope, check_admissible
@@ -87,6 +87,9 @@ class UtilityParts:
     cfg: UtilityConfig
     _symbolic: RationalFunction | None = field(
         default=None, init=False, repr=False, compare=False)
+    # `_polys()` with the pure choice of (scope, action) substituted
+    _deviations: dict[tuple[Scope, str], tuple[Polynomial | None, ...]] = (
+        field(default_factory=dict, init=False, repr=False, compare=False))
 
     def symbolic(self) -> RationalFunction:
         """The utility as one rational function, built on the first call."""
@@ -106,15 +109,58 @@ class UtilityParts:
         return total
 
     def evaluate(self, valuation: Mapping[ParamId, Fraction]) -> Fraction:
-        total = self.cfg.lambda1 * self.payoff.evaluate(valuation)
+        return self._value(self._polys(), valuation)
+
+    def evaluate_deviation(self, m: Psmas, scope: Scope, action: str,
+                           valuation: Mapping[ParamId, Fraction]
+                           ) -> Fraction:
+        """The utility when `scope` plays `action` purely and every other
+        parameter takes its value in `valuation`.
+
+        Each part is read with the vertex already substituted, built on
+        the first call for (scope, action).  Substitution is a ring
+        homomorphism and keeps each degree's denominator unreduced, so
+        the value, the zero-mass decision included, is exactly `evaluate`
+        at the valuation with the vertex written over it.
+        """
+        polys = self._deviations.get((scope, action))
+        if polys is None:
+            vertex = _vertex(m, scope, action)
+            polys = self._deviations[scope, action] = tuple(
+                None if poly is None else poly.substitute(vertex)
+                for poly in self._polys())
+        return self._value(polys, valuation)
+
+    def _polys(self) -> tuple[Polynomial | None, ...]:
+        """The payoff, then CAR's and CPR's numerator and denominator,
+        None for a degree that is absent or whose guard fails."""
+        out = [self.payoff]
+        for degree in (self.car, self.cpr):
+            if degree is None or not degree.kappa:
+                out += (None, None)
+            else:
+                out += (degree.value.num, degree.value.den)
+        return tuple(out)
+
+    def _value(self, polys: tuple[Polynomial | None, ...],
+               valuation: Mapping[ParamId, Fraction]) -> Fraction:
+        payoff, car_num, car_den, cpr_num, cpr_den = polys
+        total = self.cfg.lambda1 * payoff.evaluate(valuation)
         if self.cfg.lambda2 != 0:
             resp = Fraction(0)
-            if self.car is not None:
-                resp += degree_at(self.car, valuation)[0]
-            if self.cpr is not None:
-                resp += self.cfg.theta * degree_at(self.cpr, valuation)[0]
+            if car_num is not None:
+                resp += mass_ratio(car_num, car_den, valuation)[0]
+            if cpr_num is not None:
+                resp += self.cfg.theta * mass_ratio(cpr_num, cpr_den,
+                                                    valuation)[0]
             total -= self.cfg.lambda2 * resp
         return total
+
+
+def _vertex(m: Psmas, scope: Scope, action: str) -> dict[ParamId, Polynomial]:
+    """The bindings that make `action` the pure choice at `scope`."""
+    return {p: Polynomial.constant(v)
+            for p, v in m.vertex_valuation(scope, action).items()}
 
 
 def utility_parts(m: Psmas, agent: str, cfg: UtilityConfig, horizon: int,
@@ -213,8 +259,7 @@ def build_ne_system(m: Psmas, parts: Sequence[UtilityParts],
                 continue
             plays = []
             for action in acts:
-                vertex = {p: Polynomial.constant(v) for p, v in
-                          m.vertex_valuation(scope, action).items()}
+                vertex = _vertex(m, scope, action)
                 plays.append((num.substitute(vertex),
                               den.substitute(vertex)))
             for (n_a, d_a), (n_b, d_b) in itertools.combinations(plays, 2):
@@ -407,18 +452,19 @@ def verify_ne(m: Psmas, parts: Sequence[UtilityParts],
     agent's own parameters (the monotone-mixture argument); nothing here
     tries interior deviations, so with responsibility weights a passing
     candidate need not be an equilibrium.  `parts` holds one utility
-    per agent.  Returns (True, the largest gain, at least 0) when every
-    gain is at most epsilon; otherwise (False, the first gain over
-    epsilon), without trying the deviations after it.
+    per agent; each deviation is read off the utility with its vertex
+    substituted (`UtilityParts.evaluate_deviation`).  Returns (True, the
+    largest gain, at least 0) when every gain is at most epsilon;
+    otherwise (False, the first gain over epsilon), without trying the
+    deviations after it.
     """
     max_gain = 0.0
     for u in parts:
         here = u.evaluate(candidate)
         for scope in m.agent_scopes(u.agent):
             for action in m.scope_actions(scope):
-                deviated = dict(candidate)
-                deviated.update(m.vertex_valuation(scope, action))
-                gain = float(u.evaluate(deviated) - here)
+                value = u.evaluate_deviation(m, scope, action, candidate)
+                gain = float(value - here)
                 if gain > epsilon:
                     return False, gain
                 max_gain = max(max_gain, gain)

@@ -8,14 +8,23 @@
 - `grid_best_response` scans an agent's grid exhaustively with exact
   utility evaluation, the check that `ne`'s pure-deviation verifier does
   not make.
+- `naive_transitions` multiplies the agents' action probabilities afresh
+  for every (state, joint action), as `Psmas` did before it shared each
+  product across states.
+- `verify_ne_by_valuation` evaluates every pure deviation at a copy of
+  the candidate with the vertex written over it, reading each degree by
+  `degree_at`, as `verify_ne` did before it substituted the vertex into
+  the utility's parts.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from respgames.checker import degree_at
 from respgames.errors import MissingParameterError
 from respgames.oracle import _blocks, _Sampler, _start
+from respgames.polyarith import Polynomial
 
 
 def simulate_paths(m, cfg, depth):
@@ -78,3 +87,50 @@ def grid_best_response(m, parts, others, resolution=Fraction(1, 1000)):
         elif value >= best - slack:
             argmax.append(point)
     return BestResponse(maximizers=tuple(argmax), utility=best)
+
+
+def naive_transitions(m):
+    """The transition table of `m`, each entry the product of one action
+    probability per agent, multiplied left to right from 1 for every
+    (state, joint action), times the kernel entry."""
+    base = m.base
+    out = {}
+    for state in base.states:
+        for joint in base.joint_actions(state):
+            mix = Polynomial.one()
+            for agent, action in zip(base.agents, joint):
+                mix = mix * m.action_probability(agent, state, action)
+            for target, prob in base.delta[(state, joint)].items():
+                if prob != 0:
+                    out[(state, joint, target)] = mix * prob
+    return out
+
+
+def utility_by_degrees(u, valuation):
+    """The utility `u` at a valuation, each degree read by `degree_at`."""
+    total = u.cfg.lambda1 * u.payoff.evaluate(valuation)
+    if u.cfg.lambda2 != 0:
+        resp = Fraction(0)
+        if u.car is not None:
+            resp += degree_at(u.car, valuation)[0]
+        if u.cpr is not None:
+            resp += u.cfg.theta * degree_at(u.cpr, valuation)[0]
+        total -= u.cfg.lambda2 * resp
+    return total
+
+
+def verify_ne_by_valuation(m, parts, candidate, epsilon=1e-6):
+    """`synth.verify_ne`, evaluating each deviation at the candidate with
+    the deviating scope's vertex written over it."""
+    max_gain = 0.0
+    for u in parts:
+        here = utility_by_degrees(u, candidate)
+        for scope in m.agent_scopes(u.agent):
+            for action in m.scope_actions(scope):
+                deviated = dict(candidate)
+                deviated.update(m.vertex_valuation(scope, action))
+                gain = float(utility_by_degrees(u, deviated) - here)
+                if gain > epsilon:
+                    return False, gain
+                max_gain = max(max_gain, gain)
+    return True, max_gain

@@ -1,9 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import MODELS, ball_valuation, var
+from reference_engine import naive_transitions
 
 from respgames.errors import MissingParameterError, ModelError
 from respgames.model import (AdmissibilityReport, RewardStructure,
@@ -58,10 +62,90 @@ def test_parse_rejects_unknown_directive():
 
 
 def test_distribution_must_sum_to_one():
-    text = TINY.replace("{ u: 1/2, v: 1/2 }", "{ u: 1/2, v: 1/3 }")
+    for row, total in (("{ u: 1/2, v: 1/3 }", "5/6"), ("{ }", "0")):
+        with pytest.raises(ModelError) as err:
+            parse_model(TINY.replace("{ u: 1/2, v: 1/2 }", row))
+        assert str(err.value) == (f"transition probabilities from u under "
+                                  f"(stay, go) sum to {total}, not 1")
+
+
+def test_duplicate_targets_sum():
+    g = parse_model(TINY.replace("{ u: 1/2, v: 1/2 }", "{ u: 1/2, u: 1/2 }"))
+    assert g.delta[("u", ("stay", "go"))] == {"u": Fraction(1)}
+
+
+@pytest.mark.parametrize("bad", ["1/0", "x"])
+def test_bad_number_is_reported_at_its_own_line(bad):
+    # earlier lines parsed 1 and 1/2; the bad text is still an error, at
+    # the line that holds it, for a probability and for a reward
+    line = "trans v (go, stay) -> { v: 1 }"
+    text = TINY.replace(line, line.replace("1", bad))
     with pytest.raises(ModelError) as err:
-        parse_model(text)
-    assert "sum" in str(err.value)
+        parse_model(text, source="t.game")
+    assert str(err.value) == f"t.game:13:1: bad probability '{bad}'"
+    with pytest.raises(ModelError) as err:
+        parse_model(TINY + f"reward A state v: 1/2\nreward B state v: {bad}\n",
+                    source="t.game")
+    assert str(err.value) == f"t.game:15:1: bad reward value '{bad}'"
+
+
+ACTION_POOLS = (("a", "b"), ("a", "b", "c"), ("a",), ("b", "c"))
+
+
+@st.composite
+def param_games(draw):
+    """Model text of a random game: 1-3 agents, 2-3 states, strategies
+    shared or per state, scopes of one to three actions, `param`
+    declarations that pick the dependent action of some scopes, and rows
+    over 1-3 successors."""
+    agents = [f"A{i}" for i in range(draw(st.integers(1, 3)))]
+    states = [f"q{i}" for i in range(draw(st.integers(2, 3)))]
+    shared = draw(st.booleans())
+    lines = ["agents: " + " ".join(agents), "states: " + " ".join(states),
+             "init: q0"]
+    available = {}
+    for agent in agents:
+        acts = draw(st.sampled_from(ACTION_POOLS))
+        for s in states:
+            available[agent, s] = (acts if shared
+                                   else draw(st.sampled_from(ACTION_POOLS)))
+    if shared:
+        lines.append("params: shared")
+    scopes = [(agent, s) for agent in agents
+              for s in ([None] if shared else states)]
+    for agent, s in scopes:
+        acts = available[agent, s or states[0]]
+        if len(acts) > 1 and draw(st.booleans()):
+            dependent = draw(st.sampled_from(acts))
+            where = "" if s is None else f" @ {s}"
+            lines.extend(f"param y_{agent}_{s}_{a}: {agent} {a}{where}"
+                         for a in acts if a != dependent)
+    lines.append("labels: q0 { p }")
+    lines.extend(f"actions {agent} @ {s}: " + " ".join(available[agent, s])
+                 for agent in agents for s in states)
+    for s in states:
+        for joint in itertools.product(
+                *(available[agent, s] for agent in agents)):
+            targets = draw(st.permutations(states))[:draw(st.integers(1, 3))]
+            weights = [draw(st.integers(1, 3)) for _ in targets]
+            row = ", ".join(f"{t}: {Fraction(w, sum(weights))}"
+                            for t, w in zip(targets, weights))
+            lines.append(f"trans {s} ({', '.join(joint)}) -> {{ {row} }}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(param_games())
+def test_transition_terms_match_naive_products(text):
+    # the shared products keep every entry's terms, in insertion order,
+    # and its denominator: `evaluate_float` sums in that order
+    m = build_psmas(parse_model(text))
+    naive = naive_transitions(m)
+    assert list(m.transition) == list(naive)
+    for key, poly in naive.items():
+        got = m.transition[key]
+        assert got._den == poly._den, key
+        assert list(got._terms.items()) == list(poly._terms.items()), key
 
 
 def test_build_psmas_shared_example(ball):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import ball_valuation, brute_force_histories, var
+from reference_engine import verify_ne_by_valuation
 
 from respgames.errors import NoSolutionError, UnsupportedQueryError
 from respgames.checker import car_degree
@@ -422,6 +423,29 @@ def test_verify_ne_stops_at_first_gain_over_epsilon(ball):
     assert verify_ne(ball, parts, point) == (False, 2.0)
     # below epsilon every deviation is tried and the largest gain reported
     assert verify_ne(ball, parts, point, epsilon=5) == (True, 4.0)
+
+
+def test_verify_ne_matches_deviations_at_copied_valuations(rounds,
+                                                          monkeypatch):
+    # the weighted horizon-2 `ne` query on ball_rounds: at every candidate
+    # the verifier sees, the vertex-substituted parts give the (ok, gap)
+    # of evaluating each deviation at a copy of the candidate
+    import respgames.synth as synth
+    verdicts = []
+    original = synth.verify_ne
+
+    def compared(m, parts, candidate, epsilon=1e-6):
+        got = original(m, parts, candidate, epsilon)
+        assert got == verify_ne_by_valuation(m, parts, candidate, epsilon)
+        verdicts.append(got[0])
+        return got
+
+    monkeypatch.setattr(synth, "verify_ne", compared)
+    psi = parse_path_formula("F<=2 (collision | dropped)", rounds)
+    spec = ResponsibilitySpec(plan_from_model(rounds, "pi_mix"), psi)
+    cfg = UtilityConfig(Fraction(1), Fraction(1), Fraction(1))
+    find_equilibria(rounds, 2, cfg, spec)
+    assert verdicts.count(True) and verdicts.count(False)
 
 
 def test_supported_actions_share_equal_utility(ball):
