@@ -37,14 +37,13 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .errors import DegenerateQueryError, UnsupportedQueryError, UsageError
 from .logic import (And, Atom, CoalitionDegree, CoalitionProb,
                     CoalitionReward, CompareOp, DegreeKind, Next, Not,
                     PathFormula, StateFormula, TrueFormula, Until, horizon)
-from .model import (JointAction, Psmas, RewardStructure, Scope,
-                    require_admissible)
+from .model import JointAction, Psmas, RewardStructure, require_admissible
 from .polyarith import GridWalk, ParamId, Polynomial, RationalFunction
 from .trace import CompatTags, History, Plan, check_work, plan_from_model
 
@@ -674,35 +673,6 @@ def check_formula(m: Psmas, state: str, phi: StateFormula,
 MAX_GRID_POINTS = 2_000_000
 
 
-def _grid_axes(m: Psmas, scopes: Sequence[Scope], denominator: int
-               ) -> list[list[tuple[int, ...]]]:
-    """Per scope, the grid numerators of its free parameters: tuples of
-    naturals summing to at most the denominator, in lexicographic order.
-
-    The points, one tuple per scope, are counted before any is made: over
-    MAX_GRID_POINTS raises UnsupportedQueryError.
-    """
-    free = [m.free_params(scope) for scope in scopes]
-    total = math.prod(math.comb(denominator + len(params), len(params))
-                      for params in free)
-    if total > MAX_GRID_POINTS:
-        raise UnsupportedQueryError(
-            f"grid has {total} points, over the {MAX_GRID_POINTS} cap")
-    return [list(_bounded_tuples(len(params), denominator))
-            for params in free]
-
-
-def _bounded_tuples(length: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """Tuples of `length` naturals summing to at most `budget`, in
-    lexicographic order."""
-    if length == 0:
-        yield ()
-        return
-    for first in range(budget + 1):
-        for rest in _bounded_tuples(length - 1, budget - first):
-            yield (first, *rest)
-
-
 def _outside(m: Psmas, coalition: frozenset[str],
              valuation: Mapping[ParamId, Fraction]
              ) -> dict[ParamId, Fraction]:
@@ -728,10 +698,11 @@ def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
     otherwise).  A coalition parameter the context binds is searched over
     all the same, with one warning each, and the witness leaves its
     binding out.
-    Deterministic: a grid scan at the context resolution, in integers
-    (`GridWalk`), returns the first point that meets the bound, else the
-    first strictly best point is refined by bisection-style steps toward
-    the bound.  A false verdict carries a warning that it is no proof.
+    Deterministic: a grid scan at the context resolution, in integers and
+    one row of the last parameter at a time (`GridWalk.rows`), returns the
+    first point that meets the bound, else the first strictly best point
+    is refined by bisection-style steps toward the bound.  A false verdict
+    carries a warning that it is no proof.
     """
     scopes = [s for s in m.scopes() if s[0] in coalition]
     fixed = _outside(m, coalition, ctx.valuation)
@@ -742,21 +713,23 @@ def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
         f"not its bound value" for p in ctx.valuation if p not in fixed)
 
     denominator = ctx.grid_denominator
-    axes = _grid_axes(m, scopes, denominator)
     groups = [m.free_params(s) for s in scopes]
+    # the points are counted before any is made
+    total = math.prod(math.comb(denominator + len(params), len(params))
+                      for params in groups)
+    if total > MAX_GRID_POINTS:
+        raise UnsupportedQueryError(
+            f"grid has {total} points, over the {MAX_GRID_POINTS} cap")
     flat = [p for params in groups for p in params]
-    if infinite is not None:
-        unreached: Iterable[int] = GridWalk(infinite, groups, denominator)
-    else:
-        unreached = itertools.repeat(0)
+    masses = (None if infinite is None
+              else GridWalk(infinite, groups, denominator).rows())
     walk = GridWalk(value, groups, denominator)
     maximize = cmp in (CompareOp.GE, CompareOp.GT)
 
-    def point_at(combo) -> dict[ParamId, Fraction]:
+    def point_at(prefix: tuple[int, ...], i: int) -> dict[ParamId, Fraction]:
         point = dict(fixed)
-        numerators = itertools.chain.from_iterable(combo)
-        point.update((p, Fraction(i, denominator))
-                     for p, i in zip(flat, numerators))
+        point.update((p, Fraction(n, denominator))
+                     for p, n in zip(flat, (*prefix, i)))
         return point
 
     def quantity(point: Mapping[ParamId, Fraction]) -> Fraction | None:
@@ -770,25 +743,35 @@ def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
         return cmp.holds(v, bound)
 
     # a value n / walk.scale meets the bound iff n * den(bound) does
-    # num(bound) * walk.scale, as both scales are positive
+    # num(bound) * walk.scale, as both scales are positive; an infinite
+    # value meets >= and > bounds only
     target, times = bound.numerator * walk.scale, bound.denominator
+
+    def meets(n: int | float) -> bool:
+        if n == math.inf:
+            return maximize
+        return cmp.holds(n * times, target)
+
+    # a row meets the bound iff its extreme does, and its first extreme is
+    # its first strictly best point; only a row that meets is scanned
     best: int | None = None
-    best_combo = None
-    for combo, mass, n in zip(itertools.product(*axes), unreached, walk):
-        if mass > 0:  # the value is infinite
-            if maximize:
-                return CheckResult(holds=True, witness=point_at(combo),
-                                   warnings=warnings)
-            continue
-        if cmp.holds(n * times, target):
-            return CheckResult(holds=True, witness=point_at(combo),
+    best_at = None
+    for prefix, row in walk.rows():
+        if masses is not None:
+            row = [math.inf if mass > 0 else n
+                   for n, mass in zip(row, next(masses)[1])]
+        extreme = max(row) if maximize else min(row)
+        if meets(extreme):
+            i = next(i for i, n in enumerate(row) if meets(n))
+            return CheckResult(holds=True, witness=point_at(prefix, i),
                                warnings=warnings)
-        if best is None or (n > best if maximize else n < best):
-            best, best_combo = n, combo
+        if extreme != math.inf and (best is None or (
+                extreme > best if maximize else extreme < best)):
+            best, best_at = extreme, (prefix, row.index(extreme))
 
     best_point = None
-    if best_combo is not None:
-        refined = _refine(m, scopes, fixed, point_at(best_combo), quantity,
+    if best_at is not None:
+        refined = _refine(m, scopes, fixed, point_at(*best_at), quantity,
                           maximize, Fraction(1, denominator))
         if test(quantity(refined)):
             return CheckResult(holds=True, witness=refined,

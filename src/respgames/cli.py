@@ -180,7 +180,8 @@ def _unread_flag(args) -> str | None:
 
 
 # the least value of each size flag; a smaller one exits 3 before any work
-_SIZE_FLAGS = {"grid": 1, "samples": 1, "seeds": 1, "horizon": 0}
+_SIZE_FLAGS = {"grid": 1, "samples": 1, "seeds": 1, "horizon": 0,
+               "seed": 0}
 
 
 def _apply_limits(args) -> None:
@@ -200,7 +201,11 @@ def _formula_text(args) -> str | None:
         raise UsageError("give --formula or --formula-file, not both")
     if args.formula_file:
         with open(args.formula_file, "r", encoding="utf-8") as handle:
-            return handle.read().strip()
+            try:
+                return handle.read().strip()
+            except UnicodeDecodeError as exc:
+                raise UsageError(
+                    f"{args.formula_file} is not UTF-8 text: {exc}") from None
     return args.formula or None
 
 

@@ -136,9 +136,6 @@ class Csg:
             out.update(props)
         return frozenset(out)
 
-    def agent_index(self, agent: str) -> int:
-        return self.agents.index(agent)
-
     def unavailable_step(self, start: str, steps: Sequence[JointAction]
                          ) -> tuple[int, str, str, str] | None:
         """The first (step number, agent, action, state) at which a plan
@@ -441,7 +438,11 @@ def parse_model(text: str, source: str = "<model>") -> Csg:
 
 def load_model(path) -> Csg:
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ModelError(f"{path} is not UTF-8 text: {exc}",
+                             source=str(path)) from None
     return parse_model(text, source=str(path))
 
 

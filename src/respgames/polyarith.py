@@ -593,16 +593,19 @@ class GridWalk:
 
     `groups` lists the grid's parameters simplex by simplex; each takes the
     values i/denominator, with the naturals i of one group summing to at
-    most the denominator.  Iterating yields, at every point in
-    lexicographic order over the flattened groups, the integer N whose
-    value is N / `scale`, with scale = den * denominator**(sum of the
-    parameters' highest exponents top).  As in `evaluate`, parameter j
-    at value i/denominator contributes i**e * denominator**(top - e) to a
-    term with exponent e, read from a table, so a term is its numerator
-    times one table entry per parameter.  The walk
-    collapses one parameter per level, outermost first: each of its values
-    folds its table row into the coefficients of the remaining parameters,
-    which are then walked alike.  No Fraction is made per point.
+    most the denominator.  `rows` yields the points in lexicographic order
+    over the flattened groups, one row per value of every parameter but
+    the last: the row's numerators of those parameters, and the list of
+    integers N, one per value i of the last parameter, whose value is
+    N / `scale`, with scale = den * denominator**(sum of the parameters'
+    highest exponents top).  Without parameters there is one row of one
+    point.  As in `evaluate`, parameter j at value i/denominator
+    contributes i**e * denominator**(top - e) to a term with exponent e,
+    read from a table, so a term is its numerator times one table entry
+    per parameter.  The walk collapses one parameter per level, outermost
+    first: each of its values folds its table row into the coefficients of
+    the remaining parameters, which are then walked alike.  No Fraction is
+    made per point.
 
     A parameter of the polynomial outside the groups raises
     MissingParameterError, the first one in order of appearance.
@@ -641,13 +644,14 @@ class GridWalk:
         self._opens = [j == 0 for group in groups for j in range(len(group))]
         self._terms = terms
 
-    def __iter__(self) -> Iterator[int]:
+    def rows(self) -> Iterator[tuple[tuple[int, ...], list[int]]]:
         if not self._tables:
-            return iter((self._terms.get(0, 0),))
-        return self._walk(self._terms, 0, self._denominator)
+            return iter((((), [self._terms.get(0, 0)]),))
+        return self._walk(self._terms, 0, self._denominator, ())
 
-    def _walk(self, terms: dict[int, int], level: int,
-              budget: int) -> Iterator[int]:
+    def _walk(self, terms: dict[int, int], level: int, budget: int,
+              prefix: tuple[int, ...]
+              ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
         mask = (1 << self._width) - 1
         by_exp: dict[int, list[tuple[int, int]]] = {}
         for key, c in terms.items():
@@ -659,7 +663,7 @@ class GridWalk:
             for e, members in by_exp.items():
                 coeff = sum(c for _, c in members)
                 values = [v + coeff * t for v, t in zip(values, table[e])]
-            yield from values
+            yield prefix, values
             return
         opens = self._opens[level + 1]
         for i in range(budget + 1):
@@ -671,7 +675,8 @@ class GridWalk:
                     for rest, c in members:
                         folded[rest] = get(rest, 0) + c * f
             yield from self._walk(folded, level + 1,
-                                  self._denominator if opens else budget - i)
+                                  self._denominator if opens else budget - i,
+                                  (*prefix, i))
 
 
 class RationalFunction:

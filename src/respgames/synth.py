@@ -54,25 +54,17 @@ class ResponsibilitySpec:
     psi: PathFormula
 
 
-def payoff_valuation(m: Psmas, plan_or_horizon: Plan | int, agent: str,
+def payoff_valuation(m: Psmas, horizon: int, agent: str,
                      state: str | None = None) -> Polynomial:
-    """Expected payoff of a pure plan, or of the mixed-strategy setting.
+    """Expected payoff of the mixed-strategy setting over `horizon` steps.
 
-    For a plan, sums the per-step expected payoffs of its consistent
-    histories; for an integer horizon, sums over all histories of that depth
-    (the strategy parameters carry the mixing).  Every history adds each of
-    its steps' transition entry times that step's reward, so a step is
-    counted once per history through it (see `trace.total_payoff`).
+    Sums over all histories of that depth from `state` (the initial state
+    by default); the strategy parameters carry the mixing.  Every history
+    adds each of its steps' transition entry times that step's reward, so a
+    step is counted once per history through it (see `trace.total_payoff`).
     """
-    r = m.base.rewards[agent]
-    if isinstance(plan_or_horizon, Plan):
-        plan = plan_or_horizon
-        total = total_payoff(m, r, plan.start, len(plan), plan)
-        if state is not None and state != plan.start:
-            raise ValueError("state disagrees with the plan's start")
-        return total
     start = state if state is not None else m.base.initial
-    return total_payoff(m, r, start, plan_or_horizon)
+    return total_payoff(m, m.base.rewards[agent], start, horizon)
 
 
 @dataclass(frozen=True)
@@ -328,9 +320,6 @@ def solve_ne(sys: NeSystem, seeds: int = 24, seed: int = 0,
         idx = seed * seeds + s + 1
         x = [0.02 + 0.96 * _halton(idx, _PRIMES[d % len(_PRIMES)])
              for d in range(len(variables))]  # interior starts
-        if not equations:
-            candidates.append(_to_exact(sys, variables, x))
-            continue
         x = _newton(f_vec, j_mat, x)
         if x is not None:
             candidates.append(_to_exact(sys, variables, x))

@@ -304,10 +304,10 @@ def payoff(h: History, r: RewardStructure) -> Polynomial:
     return total
 
 
-def total_payoff(m: Psmas, r: RewardStructure, start: str, depth: int,
-                 plan: Plan | None = None) -> Polynomial:
-    """The sum of `payoff` over every history of `depth` steps from `start`
-    (only those consistent with `plan`, when given), without listing them.
+def total_payoff(m: Psmas, r: RewardStructure, start: str, depth: int
+                 ) -> Polynomial:
+    """The sum of `payoff` over every history of `depth` steps from `start`,
+    without listing them.
 
     A step from s under joint action a to t taken at position j lies in
     N_j(s) * C_{j+1}(t) histories, where N_j(s) counts the j-step prefixes
@@ -320,20 +320,12 @@ def total_payoff(m: Psmas, r: RewardStructure, start: str, depth: int,
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if plan is not None:
-        validate_plan(m, plan)
     work, unit = 0, "words added"
-
-    def joints(j: int, state: str) -> list[JointAction]:
-        if plan is not None:
-            return [plan.steps[j]]
-        return m.base.joint_actions(state)
-
     prefixes: list[dict[str, int]] = [{start: 1}]
     for j in range(depth):
         nxt: dict[str, int] = {}
         for state, count in prefixes[j].items():
-            for joint in joints(j, state):
+            for joint in m.base.joint_actions(state):
                 for target, _ in m.successors(state, joint):
                     nxt[target] = nxt.get(target, 0) + count
                     work += _words(count)
@@ -347,7 +339,7 @@ def total_payoff(m: Psmas, r: RewardStructure, start: str, depth: int,
         here: dict[str, int] = {}
         for state, count in prefixes[j].items():
             here[state] = 0
-            for joint in joints(j, state):
+            for joint in m.base.joint_actions(state):
                 rewarded = r.step_reward(state, joint) != 0
                 for target, _ in m.successors(state, joint):
                     here[state] += suffixes[target]

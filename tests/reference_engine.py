@@ -3,8 +3,7 @@
 - `simulate_paths` streams the sampler's histories one by one, as tuples
   of state and joint-action names.
 - `simplex_grid` lists the grid points of a coalition's strategy simplices
-  by filtering a box, sharing no code with `checker._grid_axes` and
-  `polyarith.GridWalk`.
+  by filtering a box, sharing no code with `polyarith.GridWalk`.
 - `grid_best_response` scans an agent's grid exhaustively with exact
   utility evaluation, the check that `ne`'s pure-deviation verifier does
   not make.

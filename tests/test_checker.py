@@ -472,31 +472,87 @@ trans s (c, b) -> { s: 1 }
 
 def test_simplex_grid_order_and_cap(monkeypatch):
     from respgames import checker
+    from respgames.logic import CompareOp
     from respgames.model import build_psmas, parse_model
+    from respgames.polyarith import GridWalk, ParamId
     m = build_psmas(parse_model(TWO_SCOPES))
     scopes = m.scopes()
     free = [m.free_params(scope) for scope in scopes]
     assert [len(params) for params in free] == [2, 1]
-    n = 4
-    steps = [Fraction(i, n) for i in range(n + 1)]
-    per_scope = [[combo for combo in itertools.product(steps,
-                                                       repeat=len(params))
-                  if sum(combo) <= 1] for params in free]
     flat = [p for params in free for p in params]
-    expected = [dict(zip(flat, itertools.chain(*combo)))
-                for combo in itertools.product(*per_scope)]
-    points = list(simplex_grid(m, scopes, n))
-    assert points == expected and len(points) == 15 * 5
-    assert [list(p) for p in points] == [flat] * len(points)
-    # the search's axes walk the same points in the same order
-    axes = checker._grid_axes(m, scopes, n)
-    assert [dict(zip(flat, (Fraction(i, n) for i in itertools.chain(*combo))))
-            for combo in itertools.product(*axes)] == expected
+    n = 4
+    expected = list(simplex_grid(m, scopes, n))
+    assert len(expected) == 15 * 5
+    assert [list(p) for p in expected] == [flat] * len(expected)
+    # the walk visits the same points in the same order, a row of the last
+    # parameter at a time, each with its value over the walk's scale
+    x, y, z = (Polynomial.variable(p) for p in flat)
+    poly = x * x * 3 - y * z + z * Fraction(1, 2) + 1
+    walk = GridWalk(poly, free, n)
+    points, values = [], []
+    for prefix, row in walk.rows():
+        assert len(prefix) == len(flat) - 1
+        for i, v in enumerate(row):
+            points.append(dict(zip(flat, (Fraction(k, n)
+                                          for k in (*prefix, i)))))
+            values.append(Fraction(v, walk.scale))
+    assert points == expected
+    assert values == [poly.evaluate(point) for point in expected]
+    # no parameter: one row of one point
+    assert list(GridWalk(Polynomial.constant(Fraction(7, 3)), [], n).rows()
+                ) == [((), [7])]
+    # the cap counts the 15 * 5 points before any walk is built, so it is
+    # met before the stray parameter is missed
+    ctx = QueryContext.evaluated({}, grid_denominator=n)
+    stray = poly + Polynomial.variable(ParamId("Z", None, "z"))
     monkeypatch.setattr(checker, "MAX_GRID_POINTS", 75)
-    assert checker._grid_axes(m, scopes, n) == axes
+    with pytest.raises(MissingParameterError, match="x_Z_z"):
+        checker._exists_search(m, frozenset("AB"), ctx, stray, CompareOp.GE,
+                               Fraction(1000))
     monkeypatch.setattr(checker, "MAX_GRID_POINTS", 74)
-    with pytest.raises(UnsupportedQueryError, match="75 points"):
-        checker._grid_axes(m, scopes, n)
+    with pytest.raises(UnsupportedQueryError,
+                       match="grid has 75 points, over the 74 cap"):
+        checker._exists_search(m, frozenset("AB"), ctx, stray, CompareOp.GE,
+                               Fraction(1000))
+
+
+def test_search_row_with_infinite_points_before_its_best():
+    from respgames import checker
+    from respgames.logic import CompareOp
+    from respgames.model import build_psmas, parse_model
+    m = build_psmas(parse_model(TWO_SCOPES))
+    fixed = dict.fromkeys(m.free_params(("A", "s")), Fraction(1, 3))
+    (param,) = m.free_params(("B", "s"))
+    t = Polynomial.variable(param)
+    ctx = QueryContext.evaluated(fixed, grid_denominator=4)
+    # one row, t = 0, 1/4, 1/2, 3/4, 1: infinite at 1/4 and 1/2 only
+    infinite = 1 - (4 * t - 1) * (4 * t - 2)
+    assert [infinite.evaluate({param: Fraction(i, 4)}) > 0
+            for i in range(5)] == [False, True, True, False, False]
+
+    def search(value, cmp, bound):
+        return checker._exists_search(m, frozenset("B"), ctx, value, cmp,
+                                      bound, infinite=infinite)
+
+    def at(i):
+        return {**fixed, param: Fraction(i, 4)}
+
+    # >=: the first infinite point wins over the finite ones after it that
+    # meet the bound, the finite best t = 1 among them
+    result = search(t, CompareOp.GE, Fraction(3, 4))
+    assert (result.holds, result.witness) == (True, at(1))
+    assert search(t, CompareOp.GE, Fraction(1000)).witness == at(1)
+    # the first hit, not the row's extreme
+    assert search(t, CompareOp.GE, Fraction(0)).witness == at(0)
+    # <=: the infinite points are skipped, t = 1/2 with its (t - 1/2)^2 = 0
+    # too, so the first hit is the finite best t = 3/4 after them
+    value = (t - Fraction(1, 2)) * (t - Fraction(1, 2))
+    result = search(value, CompareOp.LE, Fraction(1, 16))
+    assert (result.holds, result.witness) == (True, at(3))
+    result = search(value, CompareOp.LE, Fraction(0))
+    assert result.holds is False
+    assert infinite.evaluate(result.witness) <= 0
+    assert value.evaluate(result.witness) < Fraction(1, 16)
 
 
 def _fraction_scan(m, coalition, ctx, quantity, cmp, bound):

@@ -241,6 +241,21 @@ def test_unreadable_formula_file(tmp_path, capsys):
     assert env["result"]["error"].startswith("cannot read input")
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--formula", "<A1,A2> P>=1 [ X true ]", "--model"],
+    ["eval", "--model", BALL, "--bind", "x1=1/2", "--bind", "x2=1/2",
+     "--formula-file"],
+], ids=["model", "formula-file"])
+def test_input_that_is_not_utf8_exits_two(tmp_path, capsys, argv):
+    # UnicodeDecodeError is a ValueError, not an OSError: it went through
+    # main as a traceback, exit 1 and no envelope
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe")
+    code, env = run_json(capsys, *argv, str(path))
+    assert code == 2
+    assert env["result"]["error"].startswith(f"{path} is not UTF-8 text: ")
+
+
 def test_simulate_degree_estimate(capsys):
     code, env = run_json(capsys, "simulate", "--model", BALL,
                          "--formula", "X collision", "--kind", "CPR",
@@ -480,9 +495,16 @@ def test_ne_bad_number_flag_exit_two(capsys, flag, value):
      "--seeds must be at least 1"),
     (["ne", "--model", BALL, "--horizon", "2", "--seeds", "-1"],
      "--seeds must be at least 1"),
-], ids=["ne-horizon-minus-1", "ne-seeds-0", "ne-seeds-minus-1"])
+    (["simulate", "--model", BALL, "--formula", "X collision", "--bind",
+      "x1=1/2", "--bind", "x2=1/2", "--samples", "100", "--seed", "-1"],
+     "--seed must be at least 0"),
+    (["ne", "--model", BALL, "--horizon", "1", "--lambda1", "1",
+      "--lambda2", "0", "--seed", "-1"], "--seed must be at least 0"),
+], ids=["ne-horizon-minus-1", "ne-seeds-0", "ne-seeds-minus-1",
+        "simulate-seed-minus-1", "ne-seed-minus-1"])
 def test_size_flag_below_least_rejected(capsys, argv, flag):
-    # ne --horizon -1 ended in a ValueError traceback, the others ran
+    # ne --horizon -1 and simulate --seed -1 ended in a ValueError
+    # traceback; ne --seed -1 ran every Newton start from the same point
     code, env = run_json(capsys, *argv)
     assert code == 3
     assert env["result"] == {"error": flag}

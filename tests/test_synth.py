@@ -44,14 +44,6 @@ reward M action b: 1
 """
 
 
-def test_payoff_valuation_plan_example(ball):
-    x1, x2 = var(ball, "x1"), var(ball, "x2")
-    one = Polynomial.one()
-    plan = plan_from_model(ball, "pi1")
-    value = payoff_valuation(ball, plan, "A1")
-    assert value == 2 * (one - x1) * x2 + x1 * (one - x2)
-
-
 def test_payoff_valuation_of_an_agent_without_rewards():
     # the model gives M the zero reward structure
     silent = "\n".join(line for line in COIN.splitlines()
