@@ -202,7 +202,8 @@ def _formula_text(args) -> str | None:
     if args.formula_file:
         with open(args.formula_file, "r", encoding="utf-8") as handle:
             try:
-                return handle.read().strip()
+                # a leading byte-order mark is dropped, as in load_model
+                return handle.read().removeprefix("\ufeff").strip()
             except UnicodeDecodeError as exc:
                 raise UsageError(
                     f"{args.formula_file} is not UTF-8 text: {exc}") from None

@@ -363,15 +363,20 @@ def scope_violations(m: Psmas, scope: Scope,
     for p in space.free:
         if p not in valuation:
             raise MissingParameterError(p)
-        values[p] = Fraction(valuation[p])
+        value = valuation[p]
+        values[p] = value if type(value) is Fraction else Fraction(value)
     dep = space.dependent
-    values[dep] = (Fraction(valuation[dep]) if dep in valuation
-                   else 1 - sum(values.values()))
     violations = []
-    total = sum(values.values())
-    if total != 1:
-        where = scope[0] if scope[1] is None else f"{scope[0]}@{scope[1]}"
-        violations.append((3, where, total))
+    if dep in valuation:
+        values[dep] = Fraction(valuation[dep])
+        total = sum(values.values())
+        if total != 1:
+            where = (scope[0] if scope[1] is None
+                     else f"{scope[0]}@{scope[1]}")
+            violations.append((3, where, total))
+    else:
+        # derived, so the values sum to 1 by construction
+        values[dep] = 1 - sum(values.values())
     violations.extend((2, p.name, value) for p, value in values.items()
                       if value < 0 or value > 1)
     return violations
@@ -439,7 +444,10 @@ def parse_model(text: str, source: str = "<model>") -> Csg:
 def load_model(path) -> Csg:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            text = handle.read()
+            # A leading byte-order mark is dropped, as the "utf-8-sig"
+            # codec would drop it; that codec is a module of its own,
+            # imported on first use.
+            text = handle.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise ModelError(f"{path} is not UTF-8 text: {exc}",
                              source=str(path)) from None

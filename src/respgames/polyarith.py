@@ -37,6 +37,7 @@ returns the other operand.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -402,6 +403,42 @@ class Polynomial:
             total += coeff
         return Fraction(total, den)
 
+    def evaluate_ratio(self, valuation: Mapping[ParamId, Fraction],
+                       tables: dict[tuple[ParamId, int], tuple[list[int], int]]
+                       ) -> tuple[int, int]:
+        """The integers of `evaluate`, unreduced: (numerator, positive
+        denominator).
+
+        `tables` maps (parameter, top) to that parameter's table and
+        d**top at `valuation`, and gains the entries this call makes.  A
+        caller passes one dict for every polynomial it evaluates at one
+        valuation, so the polynomials share their tables, and drops it with
+        the valuation.
+        """
+        plan = self._compiled()
+        den = plan.den
+        rows_tables = []
+        for p, top in zip(plan.params, plan.tops):
+            entry = tables.get((p, top))
+            if entry is None:
+                if p not in valuation:
+                    raise MissingParameterError(p)
+                value = valuation[p]
+                if not isinstance(value, Fraction):
+                    value = Fraction(value)
+                n, d = value.numerator, value.denominator
+                entry = tables[p, top] = (
+                    [n ** e * d ** (top - e) for e in range(top + 1)],
+                    d ** top)
+            rows_tables.append(entry[0])
+            den *= entry[1]
+        total = 0
+        for coeff, exps in plan.rows:
+            for table, e in zip(rows_tables, exps):
+                coeff *= table[e]
+            total += coeff
+        return total, den
+
     def evaluate_float(self, valuation: Mapping[ParamId, float]) -> float:
         """Evaluate in floating point over the cached `_EvalPlan`.
 
@@ -586,6 +623,67 @@ class _EvalPlan:
         # int / int rounds correctly, as float(Fraction) does
         self.float_rows = tuple((c / poly._den, factors)
                                 for c, factors in sparse)
+
+
+class FloatSystem:
+    """Groups of polynomials compiled once for float evaluation at many
+    points of the same parameters.
+
+    A point's powers x_i**e, for e up to parameter i's highest exponent in
+    any group, form one flat table (`powers`), which every group then
+    reads (`values`).  Each term is the coefficient of `evaluate_float`'s
+    rows times one table entry per factor, in parameter order, and the
+    terms are summed in term order, so each value is the float
+    `evaluate_float` gives.  A parameter outside `params` raises
+    MissingParameterError.
+    """
+
+    __slots__ = ("_tops", "_groups")
+
+    def __init__(self, groups: Sequence[Sequence[Polynomial]],
+                 params: Sequence[ParamId]):
+        position = {p: i for i, p in enumerate(params)}
+        tops = [0] * len(params)
+        plans = [[poly._compiled() for poly in group] for group in groups]
+        for plan in itertools.chain(*plans):
+            for p, top in zip(plan.params, plan.tops):
+                if p not in position:
+                    raise MissingParameterError(p)
+                tops[position[p]] = max(tops[position[p]], top)
+        offsets = list(itertools.accumulate((top + 1 for top in tops),
+                                            initial=0))
+        self._tops = tuple(tops)
+        compiled = []
+        for group in plans:
+            rows = []
+            for plan in group:
+                # where the plan's parameter i has its table
+                where = [offsets[position[p]] for p in plan.params]
+                rows.append(tuple((c, tuple(where[i] + e for i, e in factors))
+                                  for c, factors in plan.float_rows))
+            compiled.append(tuple(rows))
+        self._groups = tuple(compiled)
+
+    def powers(self, point: Sequence[float]) -> list[float]:
+        """The table of x**e at a point, given as one value per parameter
+        of `params`, in that order."""
+        table: list[float] = []
+        for x, top in zip(point, self._tops):
+            table += [x ** e for e in range(top + 1)]
+        return table
+
+    def values(self, group: int, table: Sequence[float]) -> list[float]:
+        """The float value of each polynomial of a group at the point of
+        `table`."""
+        out = []
+        for rows in self._groups[group]:
+            total = 0.0
+            for term, factors in rows:
+                for k in factors:
+                    term *= table[k]
+                total += term
+            out.append(total)
+        return out
 
 
 class GridWalk:

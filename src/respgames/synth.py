@@ -10,6 +10,15 @@ surviving candidate must pass the epsilon-best-response verifier exactly.
 Numeric root finding, exact post-hoc residuals.  `find_equilibria` builds
 each agent's utility once (`utility_parts`) and hands the same parts to
 every support's system and to the verifier.
+
+Each support's equations and Jacobian compile once into float rows
+(`polyarith.FloatSystem`), and Newton reads f and J at a point from one
+table of its powers; every float is the one per-polynomial evaluation
+gives.  At a candidate, residuals, utilities and gains stay unreduced
+integer ratios whose polynomials share one table per (parameter, top)
+(`Polynomial.evaluate_ratio`): a utility is one (numerator, denominator)
+pair, and a gain is one correctly rounded integer division, the float
+that `float(Fraction)` of the exact difference gives.
 """
 
 from __future__ import annotations
@@ -22,11 +31,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .checker import DegreeResult, car_degree, cpr_degree, mass_ratio
+from .checker import DegreeResult, car_degree, cpr_degree
 from .errors import NoSolutionError, UnsupportedQueryError
 from .logic import PathFormula
 from .model import Psmas, Scope, check_admissible
-from .polyarith import ParamId, Polynomial, RationalFunction
+from .polyarith import FloatSystem, ParamId, Polynomial, RationalFunction
 from .trace import Plan, total_payoff
 
 # The most support combinations `find_equilibria` enumerates; more exit 3
@@ -101,18 +110,25 @@ class UtilityParts:
         return total
 
     def evaluate(self, valuation: Mapping[ParamId, Fraction]) -> Fraction:
-        return self._value(self._polys(), valuation)
+        return Fraction(*self.ratio(valuation, {}))
 
-    def evaluate_deviation(self, m: Psmas, scope: Scope, action: str,
-                           valuation: Mapping[ParamId, Fraction]
-                           ) -> Fraction:
-        """The utility when `scope` plays `action` purely and every other
+    def ratio(self, valuation: Mapping[ParamId, Fraction],
+              tables: dict) -> tuple[int, int]:
+        """The utility at `valuation` as an unreduced (numerator, positive
+        denominator), its polynomials sharing `tables` as in
+        `Polynomial.evaluate_ratio`."""
+        return self._ratio(self._polys(), valuation, tables)
+
+    def deviation_ratio(self, m: Psmas, scope: Scope, action: str,
+                        valuation: Mapping[ParamId, Fraction], tables: dict
+                        ) -> tuple[int, int]:
+        """`ratio` when `scope` plays `action` purely and every other
         parameter takes its value in `valuation`.
 
         Each part is read with the vertex already substituted, built on
         the first call for (scope, action).  Substitution is a ring
         homomorphism and keeps each degree's denominator unreduced, so
-        the value, the zero-mass decision included, is exactly `evaluate`
+        the value, the zero-mass decision included, is exactly `ratio`
         at the valuation with the vertex written over it.
         """
         polys = self._deviations.get((scope, action))
@@ -121,7 +137,7 @@ class UtilityParts:
             polys = self._deviations[scope, action] = tuple(
                 None if poly is None else poly.substitute(vertex)
                 for poly in self._polys())
-        return self._value(polys, valuation)
+        return self._ratio(polys, valuation, tables)
 
     def _polys(self) -> tuple[Polynomial | None, ...]:
         """The payoff, then CAR's and CPR's numerator and denominator,
@@ -134,19 +150,37 @@ class UtilityParts:
                 out += (degree.value.num, degree.value.den)
         return tuple(out)
 
-    def _value(self, polys: tuple[Polynomial | None, ...],
-               valuation: Mapping[ParamId, Fraction]) -> Fraction:
+    def _ratio(self, polys: tuple[Polynomial | None, ...],
+               valuation: Mapping[ParamId, Fraction], tables: dict
+               ) -> tuple[int, int]:
+        """lambda1 * payoff - lambda2 * (CAR + theta * CPR) as one
+        unreduced integer ratio.  A degree is 0, by the zero-mass
+        convention, where its denominator's numerator is 0."""
         payoff, car_num, car_den, cpr_num, cpr_den = polys
-        total = self.cfg.lambda1 * payoff.evaluate(valuation)
-        if self.cfg.lambda2 != 0:
-            resp = Fraction(0)
-            if car_num is not None:
-                resp += mass_ratio(car_num, car_den, valuation)[0]
-            if cpr_num is not None:
-                resp += self.cfg.theta * mass_ratio(cpr_num, cpr_den,
-                                                    valuation)[0]
-            total -= self.cfg.lambda2 * resp
-        return total
+        cfg = self.cfg
+        n, d = payoff.evaluate_ratio(valuation, tables)
+        n *= cfg.lambda1.numerator
+        d *= cfg.lambda1.denominator
+        if cfg.lambda2 == 0:
+            return n, d
+        l2, theta = cfg.lambda2, cfg.theta
+        for num, den, w_n, w_d in (
+                (car_num, car_den, l2.numerator, l2.denominator),
+                (cpr_num, cpr_den, l2.numerator * theta.numerator,
+                 l2.denominator * theta.denominator)):
+            if num is None:
+                continue
+            mass_n, mass_d = den.evaluate_ratio(valuation, tables)
+            if mass_n == 0:
+                continue
+            deg_n, deg_d = num.evaluate_ratio(valuation, tables)
+            # n/d - (w_n/w_d) * (deg_n/deg_d) / (mass_n/mass_d)
+            sub_n = w_n * deg_n * mass_d
+            sub_d = w_d * deg_d * mass_n
+            if sub_d < 0:
+                sub_n, sub_d = -sub_n, -sub_d
+            n, d = n * sub_d - sub_n * d, d * sub_d
+        return n, d
 
 
 def _vertex(m: Psmas, scope: Scope, action: str) -> dict[ParamId, Polynomial]:
@@ -304,45 +338,39 @@ def solve_ne(sys: NeSystem, seeds: int = 24, seed: int = 0,
         # that equation's residual stays at its value: no start converges
         return _finish(sys, [], equations, residual_tol, verifier)
 
-    jacobian = [[eq.derivative(v) for v in variables] for eq in equations]
-
-    def f_vec(x: list[float]) -> list[float]:
-        point = dict(zip(variables, x))
-        return [eq.evaluate_float(point) for eq in equations]
-
-    def j_mat(x: list[float]) -> np.ndarray:
-        point = dict(zip(variables, x))
-        return np.array([[d.evaluate_float(point) for d in row]
-                         for row in jacobian])
-
+    # group 0 the equations, group 1 the Jacobian row by row
+    system = FloatSystem((equations, [eq.derivative(v) for eq in equations
+                                      for v in variables]), variables)
     candidates: list[dict[ParamId, Fraction]] = []
     for s in range(seeds):
         idx = seed * seeds + s + 1
         x = [0.02 + 0.96 * _halton(idx, _PRIMES[d % len(_PRIMES)])
              for d in range(len(variables))]  # interior starts
-        x = _newton(f_vec, j_mat, x)
+        x = _newton(system, x)
         if x is not None:
             candidates.append(_to_exact(sys, variables, x))
     return _finish(sys, candidates, equations, residual_tol, verifier)
 
 
-def _newton(f_vec, j_mat, x: list[float]) -> list[float] | None:
+def _newton(system: FloatSystem, x: list[float]) -> list[float] | None:
     """Damped Newton inside the box from x; None when it stalls.
 
     Each step solves J step = -f in the least-squares sense and is halved
     until the max-norm residual shrinks; x has converged once that
-    residual is below _NEWTON_TOL.  The vectors hold at most six floats,
+    residual is below _NEWTON_TOL.  f and J at a point read one table of
+    its powers, made when f is.  The vectors hold at most six floats,
     so outside `lstsq` the loop runs on Python floats: `_max_abs` and
     `_clip` give what np.max(np.abs(v)) and np.clip give, bit for bit.
     A residual or Jacobian that is not finite stalls before `lstsq`, whose
     LAPACK would print its complaint to standard output.
     """
-    fx = f_vec(x)
+    powers = system.powers(x)
+    fx = system.values(0, powers)
     norm = _max_abs(fx)
     for _ in range(80):
         if norm < _NEWTON_TOL:
             return x
-        jac = j_mat(x)
+        jac = np.array(system.values(1, powers)).reshape(len(fx), len(x))
         if not (math.isfinite(norm) and np.isfinite(jac).all()):
             return None
         try:
@@ -356,10 +384,11 @@ def _newton(f_vec, j_mat, x: list[float]) -> list[float] | None:
         for damp in range(13):
             scale = 0.5 ** damp
             trial = [_clip(xi + si * scale) for xi, si in zip(x, step)]
-            ft = f_vec(trial)
+            trial_powers = system.powers(trial)
+            ft = system.values(0, trial_powers)
             nt = _max_abs(ft)
             if nt < norm:
-                x, fx, norm = trial, ft, nt
+                x, powers, fx, norm = trial, trial_powers, ft, nt
                 break
         else:
             return x if norm < _NEWTON_TOL else None
@@ -403,8 +432,10 @@ def _finish(sys: NeSystem, candidates, equations, residual_tol, verifier
     best_residual = float("inf")
     for cand in candidates:
         residual = 0.0
+        tables: dict = {}
         for eq in equations:
-            residual = max(residual, abs(float(eq.evaluate(cand))))
+            n, d = eq.evaluate_ratio(cand, tables)
+            residual = max(residual, abs(n / d))
         best_residual = min(best_residual, residual)
         if residual > residual_tol:
             continue
@@ -448,12 +479,14 @@ def verify_ne(m: Psmas, parts: Sequence[UtilityParts],
     deviations after it.
     """
     max_gain = 0.0
+    tables: dict = {}
     for u in parts:
-        here = u.evaluate(candidate)
+        here_n, here_d = u.ratio(candidate, tables)
         for scope in m.agent_scopes(u.agent):
             for action in m.scope_actions(scope):
-                value = u.evaluate_deviation(m, scope, action, candidate)
-                gain = float(value - here)
+                n, d = u.deviation_ratio(m, scope, action, candidate, tables)
+                # int / int rounds correctly, as float(Fraction) does
+                gain = (n * here_d - here_n * d) / (d * here_d)
                 if gain > epsilon:
                     return False, gain
                 max_gain = max(max_gain, gain)

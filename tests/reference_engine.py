@@ -14,6 +14,10 @@
   the candidate with the vertex written over it, reading each degree by
   `degree_at`, as `verify_ne` did before it substituted the vertex into
   the utility's parts.
+- `PerPolynomialFloats` takes the place of `polyarith.FloatSystem` in
+  `solve_ne`: it evaluates each equation and Jacobian entry by its own
+  `evaluate_float` at a dict of the point, as Newton did before the system
+  was compiled.
 """
 
 import itertools
@@ -133,3 +137,19 @@ def verify_ne_by_valuation(m, parts, candidate, epsilon=1e-6):
                     return False, gain
                 max_gain = max(max_gain, gain)
     return True, max_gain
+
+
+class PerPolynomialFloats:
+    """`polyarith.FloatSystem`'s interface, with no compiled rows: a
+    point's "table" is the point as a dict, and every polynomial of a
+    group is evaluated by `Polynomial.evaluate_float` on its own."""
+
+    def __init__(self, groups, params):
+        self._groups = [list(group) for group in groups]
+        self._params = list(params)
+
+    def powers(self, point):
+        return dict(zip(self._params, point))
+
+    def values(self, group, point):
+        return [poly.evaluate_float(point) for poly in self._groups[group]]

@@ -256,6 +256,30 @@ def test_input_that_is_not_utf8_exits_two(tmp_path, capsys, argv):
     assert env["result"]["error"].startswith(f"{path} is not UTF-8 text: ")
 
 
+@pytest.mark.parametrize("argv,text", [
+    (["check", "--formula", "<A1,A2> P>=1 [ X true ]", "--model"],
+     (MODELS / "ball.game").read_bytes()),
+    (["eval", "--model", BALL, "--bind", "x1=1/2", "--bind", "x2=1/2",
+      "--formula-file"], b"X collision"),
+], ids=["model", "formula-file"])
+def test_input_with_a_byte_order_mark(tmp_path, capsys, argv, text):
+    # editors on Windows begin UTF-8 files with the mark EF BB BF; the
+    # input answers as it does without it, and a file that is not UTF-8
+    # after the mark still exits 2
+    plain, marked, broken = (tmp_path / name
+                             for name in ("plain", "marked", "broken"))
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    broken.write_bytes(b"\xef\xbb\xbf\xff\xfe")
+    want = run_json(capsys, *argv, str(plain))
+    code, env = run_json(capsys, *argv, str(marked))
+    assert (code, env["result"]) == (want[0], want[1]["result"])
+    assert code == 0
+    code, env = run_json(capsys, *argv, str(broken))
+    assert code == 2
+    assert env["result"]["error"].startswith(f"{broken} is not UTF-8 text: ")
+
+
 def test_simulate_degree_estimate(capsys):
     code, env = run_json(capsys, "simulate", "--model", BALL,
                          "--formula", "X collision", "--kind", "CPR",

@@ -87,6 +87,11 @@ INVOCATIONS = [
      "--formula", "F<=1 (collision | dropped)", "--seed", "5"],
     ["ne", "--model", RELAY, "--horizon", "2"],
     ["ne", "--model", RELAY, "--horizon", "3"],
+    # solutions that Newton moved off its start, with nonzero gap and
+    # residual
+    ["ne", "--model", ROUNDS, "--horizon", "2", "--lambda1", "1",
+     "--lambda2", "1", "--theta", "1", "--plan", "pi_mix",
+     "--formula", "F<=2 (collision | dropped)", "--epsilon", "0.3"],
 ]
 
 

@@ -279,6 +279,63 @@ def test_evaluate_matches_term_loop(case):
 
 
 @st.composite
+def shared_cases(draw):
+    params = PARAMS[:draw(st.integers(1, 4))]
+    return (draw(st.lists(polynomials(params), min_size=1, max_size=4)),
+            draw(st.lists(points(params), min_size=1, max_size=4)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(shared_cases())
+def test_evaluate_ratio_with_shared_tables_matches_evaluate(case):
+    # polynomials read one valuation through one dict of tables: each
+    # unreduced ratio is the value `evaluate` gives, over a positive
+    # denominator, and the first missing parameter is the one it reports
+    polys, valuations = case
+    for valuation in valuations:
+        shared = {}
+
+        def ratio(poly, valuation):
+            n, d = poly.evaluate_ratio(valuation, shared)
+            assert d > 0
+            return Fraction(n, d)
+
+        for poly in polys:
+            assert (outcome(ratio, poly, valuation)
+                    == outcome(Polynomial.evaluate, poly, valuation))
+
+
+@st.composite
+def float_system_cases(draw):
+    params = PARAMS[:draw(st.integers(1, 4))]
+    groups = draw(st.lists(st.lists(polynomials(params), max_size=4),
+                           min_size=1, max_size=3))
+    point = draw(st.lists(st.floats(-2, 2, allow_nan=False),
+                          min_size=len(params), max_size=len(params)))
+    return params, groups, point
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(float_system_cases())
+def test_float_system_matches_evaluate_float(case):
+    # every group reads one table of the point's powers, and each value is
+    # evaluate_float's to the bit
+    params, groups, point = case
+    system = polyarith.FloatSystem(groups, params)
+    table = system.powers(point)
+    valuation = dict(zip(params, point))
+    for i, group in enumerate(groups):
+        assert ([repr(v) for v in system.values(i, table)]
+                == [repr(poly.evaluate_float(valuation)) for poly in group])
+
+
+def test_float_system_missing_parameter():
+    with pytest.raises(MissingParameterError) as err:
+        polyarith.FloatSystem([[x1 + 1], [x1 * x2]], [X1])
+    assert err.value.param == X2
+
+
+@st.composite
 def rational_cases(draw):
     """A rational function and points; when `vanish` is drawn the
     denominator carries the factor (x - v) for the first point's value v

@@ -1,17 +1,22 @@
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ball_valuation, brute_force_histories, var
-from reference_engine import verify_ne_by_valuation
+from reference_engine import PerPolynomialFloats, verify_ne_by_valuation
 
 from respgames.errors import NoSolutionError, UnsupportedQueryError
 from respgames.checker import car_degree
 from respgames.logic import parse_path_formula
 from respgames.model import build_psmas, parse_model
-from respgames.polyarith import ParamId, Polynomial, RationalFunction
+from respgames.polyarith import (Monomial, ParamId, Polynomial,
+                                 RationalFunction)
 from respgames.synth import (NeSystem, ResponsibilitySpec, UtilityConfig,
                              _max_abs, build_ne_system, find_equilibria,
                              payoff_valuation, solve_ne, utility_parts,
@@ -323,6 +328,59 @@ def test_newton_norm_propagates_nan():
         assert repr(got) == repr(want)
 
 
+NEWTON_PARAMS = tuple(ParamId("M", None, a, label=a) for a in "xyz")
+
+
+@st.composite
+def newton_systems(draw):
+    """A system of 1-3 equations of degree at most 3 in 1-3 variables,
+    with small rational coefficients, and a Newton seed.  Most equations
+    are shifted to vanish at one rational point of the box, so Newton
+    moves its starts onto a root."""
+    params = NEWTON_PARAMS[:draw(st.integers(1, 3))]
+    monomials = [exps for exps in itertools.product(range(4),
+                                                     repeat=len(params))
+                 if sum(exps) <= 3]
+    root = {p: Fraction(draw(st.integers(1, 19)), 20) for p in params}
+    term = st.tuples(st.sampled_from(monomials),
+                     st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                               st.integers(1, 7)))
+    equations = []
+    for _ in range(draw(st.integers(1, len(params)))):
+        eq = sum((Polynomial({Monomial.make(dict(zip(params, exps))): c})
+                  for exps, c in draw(st.lists(term, min_size=1,
+                                               max_size=6))),
+                 Polynomial.zero())
+        if draw(st.integers(0, 3)):
+            eq = eq - eq.evaluate(root)
+        equations.append(eq)
+    sys = NeSystem(variables=params, equations=tuple(equations), support={})
+    return sys, draw(st.integers(0, 200))
+
+
+def _solved(sys, seed):
+    """The solutions with exact valuations and residual bits, or the
+    best residual of NoSolutionError."""
+    try:
+        return [(sol.valuation, repr(sol.residual))
+                for sol in solve_ne(sys, seeds=6, seed=seed)]
+    except NoSolutionError as err:
+        return repr(err.best_residual)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(newton_systems())
+def test_compiled_newton_system_matches_per_polynomial_floats(case):
+    # Newton's f and J from compiled rows sharing one power table per
+    # point give the floats of evaluating every polynomial on its own, so
+    # every iterate, and with it every answer, is the same to the bit
+    import respgames.synth as synth
+    sys, seed = case
+    got = _solved(sys, seed)
+    with mock.patch.object(synth, "FloatSystem", PerPolynomialFloats):
+        assert got == _solved(sys, seed)
+
+
 def test_payoff_equilibrium(ball):
     cfg = UtilityConfig(Fraction(1), Fraction(0))
     sols = find_equilibria(ball, 2, cfg, seeds=8)
@@ -417,11 +475,14 @@ def test_verify_ne_stops_at_first_gain_over_epsilon(ball):
     assert verify_ne(ball, parts, point, epsilon=5) == (True, 4.0)
 
 
-def test_verify_ne_matches_deviations_at_copied_valuations(rounds,
+def test_verify_ne_matches_deviations_at_copied_valuations(ball, rounds,
                                                           monkeypatch):
-    # the weighted horizon-2 `ne` query on ball_rounds: at every candidate
-    # the verifier sees, the vertex-substituted parts give the (ok, gap)
-    # of evaluating each deviation at a copy of the candidate
+    # at every candidate the verifier sees in the two ne-synth queries
+    # (payoff-only on ball at horizon 3, weighted on ball_rounds at horizon
+    # 2) and in the weighted query at two more weight sets, the
+    # vertex-substituted parts, read as unreduced integer ratios, give
+    # exactly the (ok, gap) of evaluating each deviation at a copy of the
+    # candidate
     import respgames.synth as synth
     verdicts = []
     original = synth.verify_ne
@@ -435,9 +496,53 @@ def test_verify_ne_matches_deviations_at_copied_valuations(rounds,
     monkeypatch.setattr(synth, "verify_ne", compared)
     psi = parse_path_formula("F<=2 (collision | dropped)", rounds)
     spec = ResponsibilitySpec(plan_from_model(rounds, "pi_mix"), psi)
-    cfg = UtilityConfig(Fraction(1), Fraction(1), Fraction(1))
-    find_equilibria(rounds, 2, cfg, spec)
+    one, half = Fraction(1), Fraction(1, 2)
+    queries = [(ball, 3, UtilityConfig(one, Fraction(0)), None),
+               (rounds, 2, UtilityConfig(one, one, one), spec),
+               (rounds, 2, UtilityConfig(half, Fraction(2), half), spec),
+               (rounds, 2, UtilityConfig(Fraction(0), one, one), spec)]
+    for m, horizon, cfg, resp in queries:
+        for seed in (0, 17):
+            find_equilibria(m, horizon, cfg, resp, seed=seed)
+    assert len(verdicts) > 500
     assert verdicts.count(True) and verdicts.count(False)
+    # at the origin CPR's denominator mass is 0 for both agents, so each
+    # CPR counts 0 by the zero-mass convention
+    parts = _parts(rounds, UtilityConfig(one, one, one), 2, spec)
+    origin = ball_valuation(rounds, Fraction(0), Fraction(0))
+    assert all(u.cpr.value.den.evaluate(origin) == 0 for u in parts)
+    for epsilon in (1e-6, 10.0):
+        assert (original(rounds, parts, origin, epsilon)
+                == verify_ne_by_valuation(rounds, parts, origin, epsilon))
+
+
+def test_finish_residuals_match_exact_evaluation(rounds, monkeypatch):
+    # each candidate's residual, read from integer ratios that share one
+    # table per candidate, is the float of the exact value's magnitude
+    import respgames.synth as synth
+    calls = []
+    original = synth._finish
+
+    def recorded(sys, candidates, equations, residual_tol, verifier):
+        calls.append((sys, list(candidates), equations))
+        return original(sys, candidates, equations, residual_tol, verifier)
+
+    monkeypatch.setattr(synth, "_finish", recorded)
+    psi = parse_path_formula("F<=2 (collision | dropped)", rounds)
+    spec = ResponsibilitySpec(plan_from_model(rounds, "pi_mix"), psi)
+    one = Fraction(1)
+    find_equilibria(rounds, 2, UtilityConfig(one, one, one), spec)
+    checked = 0
+    for sys, candidates, equations in calls:
+        for cand in candidates:
+            want = 0.0
+            for eq in equations:
+                want = max(want, abs(float(eq.evaluate(cand))))
+            [sol] = original(sys, [cand], equations, math.inf, None)
+            assert repr(sol.residual) == repr(want)
+            if equations:
+                checked += 1
+    assert checked > 20
 
 
 def test_supported_actions_share_equal_utility(ball):
