@@ -378,36 +378,22 @@ class Polynomial:
     def evaluate(self, valuation: Mapping[ParamId, Fraction]) -> Fraction:
         """Evaluate exactly; raises MissingParameterError for unassigned ids.
 
-        Works in integers over the cached `_EvalPlan`: with each value
-        written n/d, parameter i contributes the table
-        t[e] = n**e * d**(top - e), so every term is an integer numerator
-        times one table entry per parameter over the denominator
-        den * prod(d**top), and a single reduction ends the call.
+        Works in integers over the cached `_EvalPlan`, as `evaluate_ratio`
+        does, and a single reduction ends the call.
         """
-        plan = self._compiled()
-        den = plan.den
-        tables = []
-        for p, top in zip(plan.params, plan.tops):
-            if p not in valuation:
-                raise MissingParameterError(p)
-            value = valuation[p]
-            if not isinstance(value, Fraction):
-                value = Fraction(value)
-            n, d = value.numerator, value.denominator
-            tables.append([n ** e * d ** (top - e) for e in range(top + 1)])
-            den *= d ** top
-        total = 0
-        for coeff, exps in plan.rows:
-            for table, e in zip(tables, exps):
-                coeff *= table[e]
-            total += coeff
-        return Fraction(total, den)
+        return Fraction(*self.evaluate_ratio(valuation, {}))
 
     def evaluate_ratio(self, valuation: Mapping[ParamId, Fraction],
                        tables: dict[tuple[ParamId, int], tuple[list[int], int]]
                        ) -> tuple[int, int]:
-        """The integers of `evaluate`, unreduced: (numerator, positive
-        denominator).
+        """The value at `valuation` as unreduced integers: (numerator,
+        positive denominator).
+
+        With each value written n/d, parameter i contributes the table
+        t[e] = n**e * d**(top - e), so every term is an integer numerator
+        times one table entry per parameter over the denominator
+        den * prod(d**top).  Raises MissingParameterError for the first
+        unassigned id, in order of appearance over the terms.
 
         `tables` maps (parameter, top) to that parameter's table and
         d**top at `valuation`, and gains the entries this call makes.  A

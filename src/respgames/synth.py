@@ -473,7 +473,7 @@ def verify_ne(m: Psmas, parts: Sequence[UtilityParts],
     tries interior deviations, so with responsibility weights a passing
     candidate need not be an equilibrium.  `parts` holds one utility
     per agent; each deviation is read off the utility with its vertex
-    substituted (`UtilityParts.evaluate_deviation`).  Returns (True, the
+    substituted (`UtilityParts.deviation_ratio`).  Returns (True, the
     largest gain, at least 0) when every gain is at most epsilon;
     otherwise (False, the first gain over epsilon), without trying the
     deviations after it.
