@@ -11,10 +11,12 @@ same polynomials.
 
 Witnesses are not listed one by one: a forward pass over cells (block,
 compatibility tag) at each depth sums their probabilities, counts them and,
-for rewards, weighs them, merging the histories that share a cell.  The
-blocks lump the states that the pass cannot tell apart (`_Reduced`), and a
-pass without tags or reward sums each state's entries over its joint
-actions.  The pass counts its work and stops past `trace.MAX_PASS_WORK`.
+for rewards, weighs them, merging the histories that share a cell.  It
+builds only the polynomials of the verdict its caller reads (satisfying for
+P and CAR, violating for CPR, both for R), and counts the witnesses of
+both.  The blocks lump the states that the pass cannot tell apart
+(`_Reduced`), and a pass without tags or reward sums each state's entries
+over its joint actions.  The pass counts its work and stops past `trace.MAX_PASS_WORK`.
 `_witnesses` keeps the history-by-history enumeration as the unguarded
 test reference.
 
@@ -229,7 +231,8 @@ _Sums = dict[tuple[bool, bool], _Sum]
 def _witness_pass(m: Psmas, state: str, psi: PathFormula, ctx: QueryContext,
                   tags: CompatTags | None = None, weigh: bool = True,
                   r: RewardStructure | None = None,
-                  fixed: Mapping[ParamId, Fraction] | None = None) -> _Sums:
+                  fixed: Mapping[ParamId, Fraction] | None = None,
+                  read: bool | None = None) -> _Sums:
     """Sums over the minimal witnesses of psi from state, in one forward pass.
 
     The pass walks the `_Reduced` model of the query, with `fixed` (bound
@@ -242,6 +245,13 @@ def _witness_pass(m: Psmas, state: str, psi: PathFormula, ctx: QueryContext,
     histories only, and `r` adds the reward-weighted mass.  Equal to
     summing `_witnesses` one by one, with `fixed` substituted.
 
+    `read` is the verdict whose polynomials the caller reads (None: both).
+    The other verdict's sums keep their history counts, which degrees and
+    their kappa guards read, but no mass or reward: an entry into a block
+    that closes with that verdict at the next depth adds its paths and
+    multiplies nothing.  Each sum that is read gets the same products in
+    the same order, so it equals the one of the full pass term for term.
+
     The work is the term pairs the products multiply, or the expansions
     (cell, row, entry) of a count-only pass; past `trace.MAX_PASS_WORK`
     the pass raises ResourceLimitError.  The pass ends at the first depth
@@ -253,15 +263,22 @@ def _witness_pass(m: Psmas, state: str, psi: PathFormula, ctx: QueryContext,
     work, unit = 0, "term pairs" if weigh else "expansions"
     out = {key: _Sum() for key in itertools.product((True, False),
                                                     repeat=2)}
+    built = (True, False) if read is None else (read,)
     start_tag = tags.start if tags is not None else None
     cells = {(model.start, start_tag): _Sum(Polynomial.one(), 1)}
     for depth in range(k + 1):
         nxt: dict[tuple[int, frozenset[str] | None], _Sum] = {}
+        # the blocks whose histories close unread at the next depth
+        dead = {b for b, kind in enumerate(model.kinds)
+                if classify(depth + 1, kind) not in (None, *built)}
         for (here, tag), cell in cells.items():
             verdict = classify(depth, model.kinds[here])
             if verdict is not None:
                 compatible = tags is None or tags.live(tag, depth)
-                out[verdict, compatible].add(cell)
+                if verdict in built:
+                    out[verdict, compatible].add(cell)
+                else:
+                    out[verdict, compatible].paths += cell.paths
                 continue
             # terms that multiply each entry
             width = len(cell.mass.terms()) + (
@@ -274,6 +291,8 @@ def _witness_pass(m: Psmas, state: str, psi: PathFormula, ctx: QueryContext,
                     into.paths += cell.paths * count
                     if not weigh:
                         work += 1
+                        continue
+                    if target in dead:
                         continue
                     work += width * len(poly.terms())
                     step = cell.mass * poly
@@ -427,7 +446,8 @@ def path_sat_prob(m: Psmas, state: str, psi: PathFormula,
     evaluated recursively at the states they label.
     """
     ctx = ctx or QueryContext.symbolic()
-    return RationalFunction(_witness_pass(m, state, psi, ctx)[True, True].mass)
+    return RationalFunction(
+        _witness_pass(m, state, psi, ctx, read=True)[True, True].mass)
 
 
 def check_prob(m: Psmas, state: str, f: CoalitionProb,
@@ -441,7 +461,8 @@ def check_prob(m: Psmas, state: str, f: CoalitionProb,
         value = path_sat_prob(m, state, f.body, ctx)
         return CheckResult(holds=None, region=Region(value, f.cmp, f.bound))
     fixed = _outside(m, f.coalition, ctx.valuation)
-    mass = _witness_pass(m, state, f.body, ctx, fixed=fixed)[True, True].mass
+    mass = _witness_pass(m, state, f.body, ctx, fixed=fixed,
+                         read=True)[True, True].mass
     return _exists_search(m, f.coalition, ctx, mass, f.cmp, f.bound)
 
 
@@ -565,7 +586,8 @@ def _degree(m: Psmas, state: str, q: DegreeQuery,
     """The degree of a resolved query, from one tagged pass (CAR's kappa
     too; CPR's comes from `degree_guard`)."""
     ctx = ctx or QueryContext.symbolic()
-    sums = _witness_pass(m, state, q.psi, ctx, CompatTags(m, q.plan, q.kept))
+    sums = _witness_pass(m, state, q.psi, ctx, CompatTags(m, q.plan, q.kept),
+                         read=q.counts_sat)
     numerator, den = sums[q.counts_sat, True], _either(sums, q.counts_sat)
     kappa = (_either(sums, False).paths > 0 if q.counts_sat
              else degree_guard(m, state, q, ctx))

@@ -172,20 +172,16 @@ def _monomial(key: int, fields=None) -> Monomial:
                           if (e := key >> s & _FIELD)))
 
 
-def _ranks(keys: list[int], fields) -> list[int]:
-    """Ints ordered as the keys' monomials are: the degree, then the
-    exponents in parameter order, first parameter most significant; so the
-    greatest rank is the leading monomial."""
-    width = len(fields) * _BITS
-    out = []
-    for k in keys:
-        degree = rank = 0
-        for s, _ in fields:
-            e = k >> s & _FIELD
-            degree += e
-            rank = rank << _BITS | e
-        out.append(degree << width | rank)
-    return out
+def _graded(keys: list[int], fields) -> tuple[list[list[int]], list[int]]:
+    """The keys' exponents, one list per field of `fields`, and the
+    positions of the keys in the order of their monomials: by degree, then
+    by the exponents in parameter order, the first parameter most
+    significant; so the last position holds the leading monomial."""
+    columns = [[k >> s & _FIELD for k in keys] for s, _ in fields]
+    if not columns:  # the constant term alone
+        return columns, [0]
+    ranks = list(zip(map(sum, zip(*columns)), *columns))
+    return columns, sorted(range(len(keys)), key=ranks.__getitem__)
 
 
 def _check_exponents(keys: Iterable[int]) -> None:
@@ -266,22 +262,23 @@ class Polynomial:
         return not self._terms or (len(self._terms) == 1
                                    and 0 in self._terms)
 
-    def _extreme(self, pick) -> Fraction:
+    def _extreme(self, at: int) -> Fraction:
+        """The coefficient at position `at` of the monomial order."""
         keys = list(self._terms)
-        _, key = pick(zip(_ranks(keys, _fields(keys)), keys))
-        return Fraction(self._terms[key], self._den)
+        _, order = _graded(keys, _fields(keys))
+        return Fraction(self._terms[keys[order[at]]], self._den)
 
     def leading_coefficient(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
-        return self._extreme(max)
+        return self._extreme(-1)
 
     def trailing_coefficient(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
         if 0 in self._terms:  # a constant term is the least monomial
             return Fraction(self._terms[0], self._den)
-        return self._extreme(min)
+        return self._extreme(0)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polynomial) and self._den == other._den
@@ -522,26 +519,39 @@ class Polynomial:
     # -- rendering ----------------------------------------------------
 
     def render(self) -> str:
-        """Canonical text form: terms in monomial order, num/den coefficients."""
+        """Canonical text form: terms in monomial order, num/den coefficients.
+
+        Built column by column: each field's exponents index a table of its
+        factor texts, "" at exponent 0 and else the name or name^e followed
+        by "*"; a term's monomial is its row of texts joined, the last "*"
+        cut.
+        """
         if self.is_zero:
             return "0"
         keys = list(self._terms)
         fields = _fields(keys)
-        names = [(s, p.name) for s, p in fields]
+        columns, order = _graded(keys, fields)
+        texts = []
+        for (_, p), column in zip(fields, columns):
+            name = p.name
+            table = {e: f"{name}^{e}*" for e in set(column)}
+            table[0], table[1] = "", f"{name}*"
+            texts.append(map(table.__getitem__, column))
+        bodies = ["".join(row)[:-1] for row in zip(*texts)] or [""]
+        coeffs = list(self._terms.values())
+        den = self._den
         parts: list[str] = []
-        for _, key in sorted(zip(_ranks(keys, fields), keys), reverse=True):
-            c = self._terms[key]
-            g = math.gcd(c, self._den)
-            num, den = abs(c) // g, self._den // g
-            mag = str(num) if den == 1 else f"{num}/{den}"
-            body = "*".join(n if e == 1 else f"{n}^{e}" for s, n in names
-                            if (e := key >> s & _FIELD))
-            chunk = (mag if not body else body if mag == "1"
-                     else f"{mag}*{body}")
-            if not parts:
-                parts.append(f"-{chunk}" if c < 0 else chunk)
-            else:
-                parts.append(f" {'-' if c < 0 else '+'} {chunk}")
+        for i in reversed(order):
+            c = coeffs[i]
+            g = math.gcd(c, den)
+            mag = (str(abs(c) // g) if g == den
+                   else f"{abs(c) // g}/{den // g}")
+            body = bodies[i]
+            parts += (" - " if c < 0 else " + ",
+                      mag if not body else body if mag == "1"
+                      else f"{mag}*{body}")
+        # the leading term's sign is written without spaces
+        parts[0] = "-" if parts[0] == " - " else ""
         return "".join(parts)
 
     def __repr__(self) -> str:
@@ -836,7 +846,10 @@ class RationalFunction:
         den = self.den.render()
         if len(self.num._terms) > 1:
             num = f"({num})"
-        if len(self.den._terms) > 1:
+        # the denominator divides as a whole: bracketed unless it is one
+        # factor (its one-term texts are n, a power, or products with `*`,
+        # as content removal leaves integer coefficients)
+        if len(self.den._terms) > 1 or "*" in den:
             den = f"({den})"
         return f"{num} / {den}"
 

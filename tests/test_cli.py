@@ -481,6 +481,47 @@ def test_grid_point_cap_four_coalition_parameters(tmp_path, capsys):
     assert code == 0 and env["result"]["verdict"] is True
 
 
+# Both agents must play a at s0 to reach s1, from which every joint
+# action reaches the goal; every other joint action at s0 is lost.
+TWO_STEPS = """agents: A B
+states: s0 s1 g z
+init: s0
+labels: g { goal }
+actions A @ s0: a b
+actions B @ s0: a b
+actions A @ s1: a b
+actions B @ s1: a b
+actions A @ g: a
+actions B @ g: a
+actions A @ z: a
+actions B @ z: a
+trans s0 (a, a) -> { s1: 1 }
+trans s0 (a, b) -> { z: 1 }
+trans s0 (b, a) -> { z: 1 }
+trans s0 (b, b) -> { z: 1 }
+trans s1 (a, a) -> { g: 1 }
+trans s1 (a, b) -> { g: 1 }
+trans s1 (b, a) -> { g: 1 }
+trans s1 (b, b) -> { g: 1 }
+trans g (a, a) -> { g: 1 }
+trans z (a, a) -> { z: 1 }
+plan p @ s0: (a, a) (a, a)
+"""
+
+
+def test_degree_brackets_a_denominator_of_several_factors(tmp_path,
+                                                          capsys):
+    # the CAR degree's denominator is one term of two factors
+    model = tmp_path / "two_steps.game"
+    model.write_text(TWO_STEPS)
+    code, env = run_json(capsys, "degree", "--model", str(model), "--kind",
+                         "CAR", "--agent", "A", "--plan", "p", "--formula",
+                         "F<=2 goal")
+    assert code == 0
+    assert env["result"]["value"] == (
+        "x_A_s0_a*x_A_s1_a*x_B_s0_a / (x_A_s0_a*x_B_s0_a)")
+
+
 def test_samples_below_one_rejected(capsys):
     for value in ("0", "-1"):
         code, env = run_json(capsys, "simulate", "--model", BALL,

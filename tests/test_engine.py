@@ -28,8 +28,8 @@ from respgames.model import build_psmas, parse_model
 from respgames.oracle import SimConfig, estimate_path_prob
 from respgames.polyarith import Polynomial, RationalFunction
 from respgames.synth import payoff_valuation
-from respgames.trace import (Plan, compatible_plans, enumerate_histories,
-                             payoff)
+from respgames.trace import (CompatTags, Plan, compatible_plans,
+                             enumerate_histories, payoff)
 
 AGENTS = ("A", "B")
 ACTIONS = ("a", "b")
@@ -256,12 +256,40 @@ def reference_reward_parts(m, state, target, k, r):
     return _mass(miss), weighted
 
 
+def assert_reads_match_full_pass(m, state, psi, tags, read):
+    """A pass that builds only the `read` verdict's polynomials against the
+    pass that builds both: each read sum has the same denominator and the
+    same terms in the same order, every sum the same path count, and the
+    unread sums no mass."""
+    ctx = QueryContext.symbolic()
+    full = _witness_pass(m, state, psi, ctx, tags)
+    demand = _witness_pass(m, state, psi, ctx, tags, read=read)
+    for key, sums in full.items():
+        assert demand[key].paths == sums.paths
+        if key[0] != read:
+            assert demand[key].mass.is_zero
+            continue
+        for part in ("mass", "reward"):
+            ours, ref = getattr(demand[key], part), getattr(sums, part)
+            assert ours._den == ref._den
+            assert list(ours._terms.items()) == list(ref._terms.items())
+
+
 def assert_pass_equals_enumeration(m, state, psi, plan):
     """P, CAR, CPR (values, path counts, kappa, errors), R's parts and the
-    payoffs of one query against the enumerating references."""
+    payoffs of one query against the enumerating references, and the
+    passes of P, CAR and CPR against the pass that builds both verdicts."""
     ctx = QueryContext.symbolic()
     sats, viols = _witnesses(m, state, psi, ctx)
     assert path_sat_prob(m, state, psi) == RationalFunction(_mass(sats))
+    assert_reads_match_full_pass(m, state, psi, None, True)
+    for agent in AGENTS:
+        for kind in DegreeKind:
+            q = degree_setup(m, agent, plan, psi, kind)
+            tags = outcome(CompatTags, m, q.plan, q.kept)
+            if not isinstance(tags, tuple):  # else an invalid plan
+                assert_reads_match_full_pass(m, state, psi, tags,
+                                             q.counts_sat)
 
     for agent in AGENTS:
         for coalition in ({agent}, set(AGENTS)):

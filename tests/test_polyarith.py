@@ -165,6 +165,17 @@ def test_rf_unequal():
     assert not (RationalFunction(x1) - RationalFunction(x2)).is_zero
 
 
+def test_render_brackets_a_denominator_of_several_factors():
+    # `/` divides by the whole denominator, so one of several factors is
+    # bracketed as one of several terms is; a number or a power is not
+    assert (RationalFunction(x1 * x2 * x3, x1 * x2).render()
+            == "x1*x2*x3 / (x1*x2)")
+    assert RationalFunction(x1, 2 * x2).render() == "x1 / (2*x2)"
+    assert RationalFunction(x1, x2 ** 2).render() == "x1 / x2^2"
+    assert RationalFunction(x1, Polynomial.constant(3)).render() == "x1 / 3"
+    assert RationalFunction(one, x1 + x2).render() == "1 / (x1 + x2)"
+
+
 def test_render_examples():
     assert zero.render() == "0"
     assert (x1 * x2 - x1 - x2 + one).render() == "x1*x2 - x1 - x2 + 1"
@@ -549,6 +560,23 @@ def ref_rational(num, den):
     return num, den
 
 
+def ref_rational_render(num, den):
+    """The text of a normalized (num, den) pair: a numerator of several
+    terms is bracketed, and so is a denominator that is not one factor (a
+    whole number, or one parameter's power)."""
+    if den == ref_const(1):
+        return ref_render(num)
+    num_text, den_text = ref_render(num), ref_render(den)
+    if len(num) > 1:
+        num_text = f"({num_text})"
+    one_factor = len(den) == 1 and all(
+        (not m.exps and c.denominator == 1) or (len(m.exps) == 1 and c == 1)
+        for m, c in den.items())
+    if not one_factor:
+        den_text = f"({den_text})"
+    return f"{num_text} / {den_text}"
+
+
 def same(poly, ref):
     """Equal terms in equal order, and the same text."""
     assert list(poly.terms().items()) == list(ref.items())
@@ -643,6 +671,50 @@ def test_packed_kernel_matches_fraction_kernel(case):
         rf = RationalFunction(pa, pb)
         same(rf.num, num)
         same(rf.den, den)
+        assert rf.render() == ref_rational_render(num, den)
+
+
+@st.composite
+def wide_cases(draw):
+    """Operands as wide as check-wide's: 4-12 fresh parameters, some
+    labelled, given their fields in a drawn order; a numerator of 100-160
+    terms with exponents 0-3, inserted out of monomial order, and a
+    denominator of 1-3 terms, often one term of several factors.  The
+    terms come from a seeded generator, so a case is cheap to draw."""
+    uid = next(_fresh)
+    params = [ParamId(draw(st.sampled_from(("A1", "A2", "B"))),
+                      draw(st.sampled_from((None, "s0", "s1"))),
+                      f"w{uid}_{i}",
+                      label=f"y{uid}_{i}" if draw(st.booleans()) else None)
+              for i in range(draw(st.integers(4, 12)))]
+    for p in draw(st.permutations(params)):
+        Polynomial.variable(p)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def poly(size, top, coefficient):
+        terms = {}
+        while len(terms) < size:
+            powers = {p: rng.randint(0, top) for p in params}
+            terms[Monomial.make(powers)] = coefficient()
+        return terms
+
+    a = poly(rng.randint(100, 160), 3, lambda: Fraction(
+        rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 6))))
+    b = poly(rng.randint(1, 3), 1, lambda: Fraction(rng.randint(1, 3)))
+    return a, b
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(wide_cases())
+def test_render_at_check_wide_width(case):
+    a, b = case
+    pa = Polynomial(a)
+    same(pa, a)
+    ordered = ref_sorted_terms(a)
+    assert pa.leading_coefficient() == ordered[0][1]
+    assert pa.trailing_coefficient() == ordered[-1][1]
+    assert (RationalFunction(pa, Polynomial(b)).render()
+            == ref_rational_render(*ref_rational(a, b)))
 
 
 RENDER_SCRIPT = """
