@@ -13,10 +13,11 @@ Witnesses are not listed one by one: a forward pass over cells (block,
 compatibility tag) at each depth sums their probabilities, counts them and,
 for rewards, weighs them, merging the histories that share a cell.  It
 builds only the polynomials of the verdict its caller reads (satisfying for
-P and CAR, violating for CPR, both for R), and counts the witnesses of
-both.  The blocks lump the states that the pass cannot tell apart
-(`_Reduced`), and a pass without tags or reward sums each state's entries
-over its joint actions.  The pass counts its work and stops past `trace.MAX_PASS_WORK`.
+P and CAR, violating for CPR, both for R, which weighs only the satisfying
+witnesses by reward), and counts the witnesses of both.  The blocks lump
+the states that the pass cannot tell apart (`_Reduced`), and a pass
+without tags or reward sums each state's entries over its joint actions.
+The pass counts its work and stops past `trace.MAX_PASS_WORK`.
 `_witnesses` keeps the history-by-history enumeration as the unguarded
 test reference.
 
@@ -249,7 +250,9 @@ def _witness_pass(m: Psmas, state: str, psi: PathFormula, ctx: QueryContext,
     The other verdict's sums keep their history counts, which degrees and
     their kappa guards read, but no mass or reward: an entry into a block
     that closes with that verdict at the next depth adds its paths and
-    multiplies nothing.  Each sum that is read gets the same products in
+    multiplies nothing.  Rewards are read only for the satisfying
+    witnesses, so an entry into a block that closes violated at the next
+    depth adds no reward.  Each sum that is read gets the same products in
     the same order, so it equals the one of the full pass term for term.
 
     The work is the term pairs the products multiply, or the expansions
@@ -268,9 +271,11 @@ def _witness_pass(m: Psmas, state: str, psi: PathFormula, ctx: QueryContext,
     cells = {(model.start, start_tag): _Sum(Polynomial.one(), 1)}
     for depth in range(k + 1):
         nxt: dict[tuple[int, frozenset[str] | None], _Sum] = {}
-        # the blocks whose histories close unread at the next depth
-        dead = {b for b, kind in enumerate(model.kinds)
-                if classify(depth + 1, kind) not in (None, *built)}
+        # the blocks whose histories close unread at the next depth, and
+        # those that close violated there, whose reward no caller reads
+        closing = [classify(depth + 1, kind) for kind in model.kinds]
+        dead = {b for b, v in enumerate(closing) if v not in (None, *built)}
+        unpaid = {b for b, v in enumerate(closing) if v is False}
         for (here, tag), cell in cells.items():
             verdict = classify(depth, model.kinds[here])
             if verdict is not None:
@@ -281,8 +286,8 @@ def _witness_pass(m: Psmas, state: str, psi: PathFormula, ctx: QueryContext,
                     out[verdict, compatible].paths += cell.paths
                 continue
             # terms that multiply each entry
-            width = len(cell.mass.terms()) + (
-                len(cell.reward.terms()) if r is not None else 0)
+            mass_terms = len(cell.mass.terms())
+            reward_terms = len(cell.reward.terms()) if r is not None else 0
             for joint, gain, entries in model.rows[here]:
                 nxt_tag = (tags.step(tag, depth, joint) if tags is not None
                            else None)
@@ -294,10 +299,11 @@ def _witness_pass(m: Psmas, state: str, psi: PathFormula, ctx: QueryContext,
                         continue
                     if target in dead:
                         continue
-                    work += width * len(poly.terms())
+                    work += mass_terms * len(poly.terms())
                     step = cell.mass * poly
                     into.mass = into.mass + step
-                    if r is not None:
+                    if r is not None and target not in unpaid:
+                        work += reward_terms * len(poly.terms())
                         into.reward = into.reward + cell.reward * poly
                         if gain != 0:
                             work += len(step.terms())

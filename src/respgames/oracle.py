@@ -10,11 +10,19 @@ state's table, and one lookup gives the outcome and the successor, except
 for the few draws whose bucket holds a cumulative boundary, which are
 counted exactly against the state's row.  A step thus costs the draw and
 about eight passes over the block's paths, and every pick equals the count
-of cumulative entries at or below u, as it always has.  Witness steps are
-classified exactly per sample, one table lookup per step; plan-class
-membership moves compatibility tags (`CompatTags`) step by step, once per
-distinct (tag, joint action), not once per sample.  kappa guards come from
-the checker's forward pass (`checker.degree_guard`), never from sampling.
+of cumulative entries at or below u, as it always has.
+
+The sampler runs the product of the model with the path formula's verdict:
+two absorbing states, SAT and VIOL, follow the model's states, and a path
+enters one of them on the step its outcome is decided, as a monitor run
+beside the simulation decides a bounded until (Younes and Simmons, CAV
+2002).  The draws and the picks of open paths are those of the model
+alone, so classifying a path costs no pass of its own: it is satisfied
+when it ends in SAT, and its minimal witness step is the number of steps
+it spent open.  Plan-class membership moves compatibility tags
+(`CompatTags`) step by step, once per distinct (tag, joint action), not
+once per sample.  kappa guards come from the checker's forward pass
+(`checker.degree_guard`), never from sampling.
 """
 
 from __future__ import annotations
@@ -38,11 +46,12 @@ BLOCK = 10_000
 # outcome matrices take 16 bytes a cell, and a larger block exits 3 before
 # they are allocated.
 MAX_BLOCK_CELLS = 10_000_000
-# The pick table cuts [0, 1) into at most 2^PICK_BITS buckets per state and
-# holds at most MAX_PICK_CELLS buckets in all, and no more than the draws
-# it will serve: a model with more states, or a request with fewer draws,
-# gets fewer bits, down to one bucket a state, where every draw at a state
-# with a cumulative boundary inside (0, 1) is counted exactly.
+# The pick table cuts [0, 1) into at most 2^PICK_BITS buckets per row (the
+# model's states and the two verdict sinks) and holds at most
+# MAX_PICK_CELLS buckets in all, and no more than the draws it will serve:
+# a model with more states, or a request with fewer draws, gets fewer bits,
+# down to one bucket a row, where every draw at a state with a cumulative
+# boundary inside (0, 1) is counted exactly.
 PICK_BITS = 12
 MAX_PICK_CELLS = 1 << 18
 
@@ -73,24 +82,35 @@ class Estimate:
 
 
 class _Sampler:
-    """Vectorized step sampler over the instantiated model.
+    """Vectorized step sampler over the instantiated model and the two
+    sinks of a path formula.
 
-    Column s of the padded tables lists state s's outcomes (joint action,
+    Rows 0 to n - 1 are the model's states, n is SAT (`sat`) and n + 1 is
+    VIOL.  `enter` maps a row to the row a path is in on reaching it: under
+    `phi U<=k psi` a psi-state enters SAT, a state failing phi enters VIOL
+    and any other state stays itself; under `X phi` every state enters SAT
+    or VIOL by phi, so step 1 decides; without a formula every state stays
+    itself.  The sinks enter themselves.
+
+    Column s of the padded tables lists row s's outcomes (joint action,
     successor) with nonzero probability, one row per outcome slot: `cum`
     holds their cumulative probabilities (padded with 2.0, which no draw in
-    [0, 1) reaches), `succ` the successor index and `joint` the joint
-    action's index in `joints`; `last[s]` is the last valid slot.
+    [0, 1) reaches), `succ` the successor's row through `enter` and `joint`
+    the joint action's index in `joints`; `last[s]` is the last valid slot.
+    A sink has one outcome, itself with probability 1, under joint 0, which
+    no estimate reads: it reads a path's joint actions only up to its
+    witness step.
 
-    The pick of a draw u at state s is the count of s's cumulative entries
+    The pick of a draw u at row s is the count of s's cumulative entries
     at or below u, capped at `last[s]`.  `pick_table` cuts [0, 1) into
-    2^bits buckets per state: bucket b of state s holds the pick of every
-    u in [b/2^bits, (b+1)/2^bits) (and `succ_table` its successor) when no
+    2^bits buckets per row: bucket b of row s holds the pick of every u in
+    [b/2^bits, (b+1)/2^bits) (and `succ_table` its successor) when no
     entry of s lies in (b/2^bits, (b+1)/2^bits), and -1 when one does.
     `draws` is how many draws the sampler will serve (samples x depth).
     """
 
     def __init__(self, m: Psmas, valuation: Mapping[ParamId, Fraction],
-                 draws: int):
+                 draws: int, psi: PathFormula | None = None):
         require_admissible(m, valuation)
         self.states = list(m.base.states)
         self.index = {s: i for i, s in enumerate(self.states)}
@@ -110,6 +130,8 @@ class _Sampler:
                         row.append((joint_index[joint], self.index[target],
                                     float(p)))
             rows.append(row)
+        n = self.sat = len(self.states)
+        rows += [[(0, n, 1.0)], [(0, n + 1, 1.0)]]
         shape = (max(len(row) for row in rows), len(rows))
         self.cum = np.full(shape, 2.0)
         self.succ = np.zeros(shape, dtype=np.int64)
@@ -122,11 +144,26 @@ class _Sampler:
             self.cum[:len(row), s] = cum
             self.succ[:len(row), s] = succ
             self.joint[:len(row), s] = joint
+        self.enter = np.arange(n + 2)
+        if psi is not None:
+            hold, goal = _sat_tables(m, self, psi, valuation)
+            self.enter[:n] = np.where(goal, n, np.where(
+                hold, self.enter[:n], n + 1))
+        self.succ = self.enter.take(self.succ)
+        # X phi is decided at step 1, whatever its start
+        self._start_enters = not isinstance(psi, Next)
         self._pick_tables(draws)
         self._buffers: tuple[np.ndarray, ...] | None = None
+        self.generation = 0
+
+    def start_row(self, state: str) -> int:
+        """The row a path from `state` starts in: a start that is already
+        decided is a sink from step 0, except under `X phi`."""
+        row = self.index[state]
+        return int(self.enter[row]) if self._start_enters else row
 
     def _pick_tables(self, draws: int) -> None:
-        """Build `pick_table` and `succ_table`, flat over (state, bucket),
+        """Build `pick_table` and `succ_table`, flat over (row, bucket),
         by counting entries at the bucket edges, not by `searchsorted`: a
         row's last entry is forced to 1.0 and may sit below a float-dust
         entry before it.  Building costs a few passes over the table, and
@@ -137,7 +174,7 @@ class _Sampler:
         e = ceil(c*B) on and below it from e = floor(c*B) + 1 on (c*B is
         exact); entries of 1 or more fall past the last edge.
         """
-        n = len(self.states)
+        n = self.cum.shape[1]
         per_state = min(MAX_PICK_CELLS, draws) // n
         self.bits = min(PICK_BITS, max(0, per_state.bit_length() - 1))
         buckets = 1 << self.bits
@@ -159,16 +196,14 @@ class _Sampler:
         self.succ_table = np.where(settled, succ, -1).ravel()
 
     def sample_block(self, start: int, count: int, depth: int,
-                     rng: np.random.Generator
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Sample `count` paths of `depth` steps; returns the state and
-        outcome matrices, one row per step and one column per path (an
-        outcome is a slot of the padded tables).  They are views of the
-        sampler's buffers, which the next call overwrites.
+                     rng: np.random.Generator) -> _Block:
+        """Sample `count` paths of `depth` steps from row `start`; returns
+        the block of their row and outcome matrices, one row per step and
+        one column per path (an outcome is a slot of the padded tables).
 
         A step draws one uniform u per path.  u * 2^bits is exact, so its
         integer part is u's bucket, and one lookup in each table gives the
-        pick and the successor.  A draw in a -1 bucket counts its state's
+        pick and the successor.  A draw in a -1 bucket counts its row's
         cumulative entries at or below u, which on a nondecreasing row is
         `searchsorted(side="right")`.
         """
@@ -177,8 +212,7 @@ class _Sampler:
             raise ResourceLimitError(
                 f"a block of {count} paths of {depth} steps has {cells} "
                 f"cells, over the {MAX_BLOCK_CELLS} cap")
-        # The buffers outlive the call: a caller must be done with one
-        # block's rows before it asks for the next.
+        self.generation += 1
         if (self._buffers is None or len(self._buffers[1]) != depth
                 or self._buffers[0].shape[1] < count):
             self._buffers = (np.empty((depth + 1, count), dtype=np.int64),
@@ -204,15 +238,46 @@ class _Sampler:
                 k = np.minimum(k, self.last.take(at))
                 pick[unsettled] = k
                 after[unsettled] = self.succ[k, at]
-        return states, picks
+        return _Block(self, states, picks)
 
-    def joint_ids(self, states: np.ndarray, picks: np.ndarray) -> np.ndarray:
-        """Joint-action indices of sampled steps, one row per step."""
+    def witness_steps(self, block: _Block, satisfied: bool) -> np.ndarray:
+        """Each path's minimal witness step if its verdict is `satisfied`,
+        else -1.  A path's first decided row is the number of rows it spent
+        open; a path still open at the horizon is violated there."""
+        states, _ = block
+        depth = len(states) - 1
+        opened = np.count_nonzero(states < self.sat, axis=0)
+        sat = states[depth] == self.sat
+        if satisfied:
+            return np.where(sat, opened, -1)
+        return np.where(sat, -1, np.minimum(opened, depth))
+
+    def joint_ids(self, block: _Block) -> np.ndarray:
+        """Joint-action indices of a block's steps, one row per step."""
+        states, picks = block
+        width = self.joint.shape[1]
         out = np.empty_like(picks)
         for here, pick, row in zip(states, picks, out):
-            self.joint.take(pick * len(self.states) + here, out=row,
-                            mode="wrap")
+            self.joint.take(pick * width + here, out=row, mode="wrap")
         return out
+
+
+class _Block:
+    """A sampled block, unpacked as its (rows, outcomes) matrices: one
+    matrix row per step and one column per path.  They are views of the
+    sampler's buffers, which its next block overwrites, so unpacking a
+    block after that raises."""
+
+    def __init__(self, sampler: _Sampler, states: np.ndarray,
+                 picks: np.ndarray):
+        self.sampler, self.generation = sampler, sampler.generation
+        self._matrices = (states, picks)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        if self.generation != self.sampler.generation:
+            raise RuntimeError("a sampled block was read after the sampler "
+                               "overwrote it with a later block")
+        return iter(self._matrices)
 
 
 def _blocks(cfg: SimConfig) -> Iterator[tuple[int, int, np.random.Generator]]:
@@ -234,12 +299,13 @@ def _sat_tables(m: Psmas, sampler: _Sampler, psi: PathFormula,
                 valuation) -> tuple[np.ndarray, np.ndarray]:
     """Per-state boolean tables for the path formula's two state formulas.
 
-    For `X phi` the second table is phi; for `phi U<=k psi` the tables are
-    (phi, psi).  Nested quantitative subformulas use the evaluated context.
+    For `phi U<=k psi` the tables are (phi, psi); for `X phi` they are
+    (false, phi), as no state stays open at the step that decides it.
+    Nested quantitative subformulas use the evaluated context.
     """
     ctx = QueryContext.evaluated(valuation)
     if isinstance(psi, Next):
-        hold = np.ones(len(sampler.states), dtype=bool)
+        hold = np.zeros(len(sampler.states), dtype=bool)
         goal = np.array([sat_state(m, s, psi.body, ctx)
                          for s in sampler.states])
         return hold, goal
@@ -248,42 +314,15 @@ def _sat_tables(m: Psmas, sampler: _Sampler, psi: PathFormula,
     return hold, goal
 
 
-def _witness_steps(psi: PathFormula, states: np.ndarray, hold: np.ndarray,
-                   goal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample minimal witness steps, from a state matrix with one row
-    per step.
-
-    Returns (sat_step, viol_step): the step index at which satisfaction /
-    certain violation is first established, or -1.  Mirrors the checker's
-    cylinder accounting exactly: `X phi` is settled at step 1, and
-    `phi U<=k psi` at the first step j <= k whose state satisfies psi
-    (satisfied) or fails phi, or at step k (violated).
-    """
-    # A path's status is 0 while open, j + 1 once satisfied at step j and
-    # -(j + 1) once violated there.  A rule is +1, 0 or -1 per state:
-    # satisfied, open or violated on reaching it.
-    last = horizon(psi)
-    final = np.where(goal, 1, -1)
-    before = (np.zeros_like(final) if isinstance(psi, Next)
-              else np.where(goal, 1, np.where(hold, 0, -1)))
-    status = np.zeros(states.shape[1], dtype=np.int64)
-    for j, here in enumerate(states[:last + 1]):
-        rule = final if j == last else before
-        status = np.where(status, status, (rule * (j + 1)).take(here))
-    return np.maximum(status, 0) - 1, np.maximum(-status, 0) - 1
-
-
 def estimate_path_prob(m: Psmas, cfg: SimConfig, psi: PathFormula) -> Estimate:
     """Empirical frequency of a path formula under the valuation."""
     depth = horizon(psi)
-    sampler = _Sampler(m, cfg.valuation, cfg.samples * depth)
-    hold, goal = _sat_tables(m, sampler, psi, cfg.valuation)
-    start = sampler.index[_start(m, cfg)]
+    sampler = _Sampler(m, cfg.valuation, cfg.samples * depth, psi)
+    start = sampler.start_row(_start(m, cfg))
     hits = 0
     for _, count, rng in _blocks(cfg):
         states, _ = sampler.sample_block(start, count, depth, rng)
-        sat_step, _ = _witness_steps(psi, states, hold, goal)
-        hits += int((sat_step >= 0).sum())
+        hits += int(np.count_nonzero(states[depth] == sampler.sat))
     mean = hits / cfg.samples
     return Estimate(mean=mean, stderr=sqrt(mean * (1 - mean) / cfg.samples),
                     samples=cfg.samples)
@@ -304,22 +343,20 @@ def estimate_degree(m: Psmas, cfg: SimConfig, agent: str, plan: Plan,
     """
     q = degree_setup(m, agent, plan, psi, kind, coalition)
     compat = CompatTags(m, q.plan, q.kept)
-    sampler = _Sampler(m, cfg.valuation, cfg.samples * horizon(psi))
+    sampler = _Sampler(m, cfg.valuation, cfg.samples * horizon(psi), psi)
     members = _PlanClass(compat, sampler.joints)
-    hold, goal = _sat_tables(m, sampler, psi, cfg.valuation)
     state = _start(m, cfg)
-    start = sampler.index[state]
+    start = sampler.start_row(state)
 
     if not degree_guard(m, state, q, QueryContext.evaluated(cfg.valuation)):
         return Estimate(mean=0.0, stderr=0.0, samples=cfg.samples)
 
     num = den = 0
     for _, count, rng in _blocks(cfg):
-        states, picks = sampler.sample_block(start, count, horizon(psi), rng)
-        sat_step, viol_step = _witness_steps(psi, states, hold, goal)
-        steps = sat_step if q.counts_sat else viol_step
-        den += int((steps >= 0).sum())
-        num += members.count(steps, sampler.joint_ids(states, picks))
+        block = sampler.sample_block(start, count, horizon(psi), rng)
+        steps = sampler.witness_steps(block, q.counts_sat)
+        den += int(np.count_nonzero(steps >= 0))
+        num += members.count(steps, sampler.joint_ids(block))
     if den == 0:
         raise UndefinedEstimateError(
             "no sampled path fell in the denominator event")

@@ -1,7 +1,8 @@
 """References the tests compare the package against, which no query runs.
 
 - `simulate_paths` streams the sampler's histories one by one, as tuples
-  of state and joint-action names.
+  of state and joint-action names, with every state open: no path enters
+  a verdict sink.
 - `simplex_grid` lists the grid points of a coalition's strategy simplices
   by filtering a box, sharing no code with `polyarith.GridWalk`.
 - `grid_best_response` scans an agent's grid exhaustively with exact
@@ -34,12 +35,13 @@ def simulate_paths(m, cfg, depth):
     """Stream sampled histories of `depth` steps as (states, joint actions)
     tuples, in the stream order of the estimators."""
     sampler = _Sampler(m, cfg.valuation, cfg.samples * depth)
-    start = sampler.index[_start(m, cfg)]
+    start = sampler.start_row(_start(m, cfg))
     for _, count, rng in _blocks(cfg):
-        states, picks = sampler.sample_block(start, count, depth, rng)
-        joints = sampler.joint_ids(states, picks)
+        block = sampler.sample_block(start, count, depth, rng)
+        states, _ = block
         # copied out by `tolist` before the next block overwrites `states`
-        for st, acts in zip(states.T.tolist(), joints.T.tolist()):
+        for st, acts in zip(states.T.tolist(),
+                            sampler.joint_ids(block).T.tolist()):
             yield (tuple(sampler.states[i] for i in st),
                    tuple(sampler.joints[j] for j in acts))
 

@@ -303,6 +303,15 @@ def assert_pass_equals_enumeration(m, state, psi, plan):
         target = psi.right if isinstance(psi, Until) else psi.body
         assert _reward_parts(m, state, target, k, r, ctx) == \
             reference_reward_parts(m, state, target, k, r)
+        # the pass counts both sides but weighs only the reaching
+        # witnesses by reward, the one reward sum `_reward_parts` reads
+        reach = Until(TrueFormula(), k, target)
+        sums = _witness_pass(m, state, reach, ctx, r=r)
+        hits, misses = _witnesses(m, state, reach, ctx)
+        assert (sums[True, True].paths, sums[False, True].paths) == (
+            len(hits), len(misses))
+        assert sums[False, True].reward.is_zero
+        assert sums[False, False].reward.is_zero
 
         assert payoff_valuation(m, k, agent, state=state) == \
             reference_payoff(enumerate_histories(m, state, k), r)

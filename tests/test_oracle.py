@@ -323,20 +323,113 @@ def reference_degree(m, cfg, agent, plan, psi, kind, coalition):
     return Estimate(mean, sqrt(mean * (1 - mean) / den), cfg.samples)
 
 
+# Every row has boundaries at 1/6 and 2/3 at x = 1/2, inside a pick-table
+# bucket, so draws are counted there; q3 is labelled p and g.
+THIRDS = """
+agents: A
+states: q0 q1 q2 q3 q4 q5
+init: q0
+labels: q0 { p } q1 { g } q2 { p } q3 { p g } q5 { p }
+""" + "".join(f"""actions A @ q{i}: a b
+trans q{i} (a) -> {{ q{(i + 1) % 6}: 1/3, q{(i + 2) % 6}: 2/3 }}
+trans q{i} (b) -> {{ q{i}: 1/3, q{(i + 3) % 6}: 2/3 }}
+""" for i in range(6))
+
+
+def sunk_rows(psi, path, sat_step, viol_step, hold, n):
+    """The rows a path of model states takes in the sampler with sinks:
+    its states up to its witness step, then SAT (n) or VIOL (n + 1); a
+    path still open at the horizon keeps its states."""
+    if sat_step >= 0:
+        step, sink = sat_step, n
+    elif isinstance(psi, Next) or not hold[path[viol_step]]:
+        step, sink = viol_step, n + 1
+    else:
+        return path
+    return path[:step] + [sink] * (len(path) - step)
+
+
 @pytest.mark.parametrize("psi", [
     Next(Atom("g")), Until(TrueFormula(), 0, Atom("g")),
     Until(Atom("p"), 1, Atom("g")), Until(Not(Atom("g")), 4, Atom("p"))],
     ids=["X g", "F<=0 g", "p U<=1 g", "!g U<=4 p"])
 def test_witness_steps_equal_per_path_walks(psi):
-    # random paths over random hold and goal tables: paths settle at every
-    # step, and many reach the horizon open, where they are violated
-    rng = np.random.default_rng(7)
-    hold, goal = rng.random(6) < 0.7, rng.random(6) < 0.2
-    states = rng.integers(0, 6, (horizon(psi) + 1, 5_000))
-    settle = witness_steps(psi, hold, goal)
-    want = [settle(tuple(path)) for path in states.T.tolist()]
-    got = oracle._witness_steps(psi, states, hold, goal)
-    assert np.stack(got).T.tolist() == [list(w) for w in want]
+    # The same draws from every start, with every state open and with the
+    # sinks: each path keeps its states and picks until its witness step
+    # and then sits in its verdict's sink, and the steps read from the
+    # sinks equal the walk of the open path.  The starts include decided
+    # ones: q1 and q3 satisfy g, q4 fails p, q0, q2, q3 and q5 satisfy p
+    # and q1 fails !g.  At one bucket a row every draw is counted.
+    m = build_psmas(parse_model(THIRDS))
+    v = {p: Fraction(1, 2) for p in m.params}
+    depth, n = horizon(psi), 6
+    for budget in (MAX_PICK_CELLS, 1):
+        plain, sunk = _Sampler(m, v, budget), _Sampler(m, v, budget, psi)
+        assert (sunk.bits == 0) == (budget == 1)
+        hold, goal = _sat_tables(m, plain, psi, v)
+        settle = witness_steps(psi, hold, goal)
+        last_rows = set()
+        for start in plain.states:
+            rows, picks = (a.T.tolist() for a in plain.sample_block(
+                plain.index[start], 2_000, depth, np.random.default_rng(3)))
+            block = sunk.sample_block(sunk.start_row(start), 2_000, depth,
+                                      np.random.default_rng(3))
+            want = [settle(tuple(path)) for path in rows]
+            got = [sunk.witness_steps(block, True),
+                   sunk.witness_steps(block, False)]
+            assert np.stack(got).T.tolist() == [list(w) for w in want]
+            got_rows, got_picks = (a.T.tolist() for a in block)
+            for path, pick, (sat, viol), row, sunk_pick in zip(
+                    rows, picks, want, got_rows, got_picks):
+                assert row == sunk_rows(psi, path, sat, viol, hold, n)
+                opened = max(sat, viol)
+                assert sunk_pick[:opened] == pick[:opened]
+            last_rows |= {row[-1] for row in got_rows}
+        if depth > 0:
+            # the draws that decide paths reach both sinks, counted ones
+            # alone at one bucket a row
+            assert {n, n + 1} <= last_rows
+
+
+@pytest.mark.parametrize("start, formula, mean", [
+    ("q2", "!g U<=4 p", 1.0), ("q1", "!g U<=4 p", 0.0),
+    ("q3", "p U<=1 g", 1.0), ("q4", "p U<=1 g", 0.0)])
+def test_decided_start_is_a_sink(start, formula, mean):
+    # a start labelled with the goal, or failing the left side, decides
+    # every path at step 0; X decides at step 1 whatever its start
+    m = build_psmas(parse_model(THIRDS))
+    v = {p: Fraction(1, 2) for p in m.params}
+    psi = parse_path_formula(formula, m)
+    sampler = _Sampler(m, v, 1_000, psi)
+    sink = 6 if mean else 7
+    assert sampler.start_row(start) == sink
+    block = sampler.sample_block(sink, 100, horizon(psi),
+                                 np.random.default_rng(0))
+    states, _ = block
+    assert (states == sink).all()
+    assert (sampler.witness_steps(block, bool(mean)) == 0).all()
+    cfg = SimConfig(500, 1, v, start=start)
+    assert estimate_path_prob(m, cfg, psi).mean == mean
+    assert estimate_path_prob(m, cfg, psi) == reference_path_prob(m, cfg, psi)
+    assert _Sampler(m, v, 1_000, Next(Atom("g"))).start_row(start) \
+        == m.base.states.index(start)
+
+
+def test_stale_block_raises(ball):
+    # a block's matrices are views of buffers that the next block
+    # overwrites: reading the earlier block after that fails loudly
+    v = ball_valuation(ball, Fraction(1, 3), Fraction(2, 3))
+    sampler = _Sampler(ball, v, 100)
+    rng = np.random.default_rng(0)
+    first = sampler.sample_block(0, 10, 2, rng)
+    assert [a.shape for a in first] == [(3, 10), (2, 10)]
+    assert sampler.joint_ids(first).shape == (2, 10)
+    second = sampler.sample_block(0, 10, 2, rng)
+    for read in (lambda: tuple(first), lambda: sampler.joint_ids(first)):
+        with pytest.raises(RuntimeError, match="later block"):
+            read()
+    assert [a.shape for a in second] == [(3, 10), (2, 10)]
+    assert sampler.joint_ids(second).shape == (2, 10)
 
 
 # -- the pick table at its edges, against the per-state searchsorted ---------
@@ -443,9 +536,11 @@ def test_pick_table_at_reduced_resolution():
     assert assert_picks_match(m, valuation).bits == 11 < PICK_BITS
     # the table holds no more buckets than the draws it serves
     assert assert_picks_match(m, valuation, 100 * 2 ** 5 + 99).bits == 5
-    # one bucket a state: every draw is counted exactly
+    # one bucket a state: every draw at a model state is counted exactly,
+    # and the two sinks, which have no boundary, pick their one outcome
     sampler = assert_picks_match(m, valuation, 199)
-    assert sampler.bits == 0 and (sampler.pick_table < 0).all()
+    assert sampler.bits == 0 and (sampler.pick_table[:100] < 0).all()
+    assert sampler.pick_table[100:].tolist() == [0, 0]
 
 
 MIXES = (Fraction(1, 3), Fraction(1, 2), Fraction(0), Fraction(1),
