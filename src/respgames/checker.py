@@ -352,7 +352,7 @@ class _Reduced:
             for here in frontier:
                 if classify(depth, kind(here)) is not None:
                     continue  # so at every later depth too: no rows
-                for joint in m.base.joint_actions(here):
+                for joint in m.base.moves[here]:
                     entries = m.successors(here, joint)
                     if constants:
                         entries = [(t, poly.substitute(constants))

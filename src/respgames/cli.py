@@ -193,7 +193,11 @@ def _apply_limits(args) -> None:
 
 
 def _load(args):
-    return build_psmas(load_model(args.model))
+    """The query's model.  The file's bytes stay on `args` for the
+    digest, so an invocation reads the file once."""
+    with open(args.model, "rb", buffering=0) as handle:
+        args.model_bytes = handle.read()
+    return build_psmas(load_model(args.model, args.model_bytes))
 
 
 def _formula_text(args) -> str | None:
@@ -401,18 +405,23 @@ def _cmd_eval(args, warnings) -> tuple[int, dict]:
 
 # Arguments whose content the digest hashes in their place, or that only
 # change how the result is printed.
-_NOT_QUERY = ("model", "formula", "formula_file", "output")
+_NOT_QUERY = ("model", "model_bytes", "formula", "formula_file", "output")
 
 
 def _digest(args) -> str:
     """Hash of the canonical query: model bytes, formula text and every
-    other parsed argument (exact rationals as their canonical text)."""
+    other parsed argument (exact rationals as their canonical text).  The
+    model bytes are the ones `_load` parsed, or read here when the query
+    ended before loading its model."""
     sha = hashlib.sha256()
-    try:
-        with open(args.model, "rb") as handle:
-            sha.update(handle.read())
-    except (OSError, AttributeError):
-        pass
+    data = getattr(args, "model_bytes", None)
+    if data is None:
+        try:
+            with open(args.model, "rb") as handle:
+                data = handle.read()
+        except (OSError, AttributeError):
+            data = b""
+    sha.update(data)
     sha.update(b"\x00")
     text = None
     try:

@@ -12,6 +12,15 @@ to its states, actions, free parameters and dependent parameter
 (`ScopeSpace`).  Parameters, transitions and admissibility are all read
 off that table.
 
+Each fact about a model is checked once.  The parser checks every name
+where it is used (states, agents, targets, the initial state) and each
+distinct text once: a number, an action list, a joint action, a `trans`
+move.  `Csg` then checks what needs the whole game, that every agent has
+actions everywhere and every joint action a row summing to 1, and builds
+the one table of joint actions, `Csg.moves`: each state's joint actions,
+in order, to their rows.  Psmas, the checker's reduced model, the sampler
+and plan validation read that table.
+
 Model file format (UTF-8, '#' comments, sections in this order):
 
     agents: A1 A2
@@ -88,10 +97,16 @@ class Csg:
     shared_params: bool = False
     param_decls: tuple[tuple[str, str, str | None, str], ...] = ()
     # param_decls entries: (name, agent, state-or-None, action)
+    # each state's joint actions, in declared agent and action order, to
+    # their rows of `delta`: the one table of joint actions
+    moves: Mapping[str, Mapping[JointAction, Mapping[str, Fraction]]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.initial not in self.states:
-            raise ModelError(f"initial state {self.initial} not declared")
+        """Check what the parser cannot see line by line: every agent has
+        actions at every state, and every joint action has a row of
+        probabilities in [0,1] summing to 1.  The parser has checked the
+        names (initial state, targets) already."""
         # an agent without declared rewards earns 0 everywhere
         self.rewards = {
             agent: self.rewards.get(agent)
@@ -103,32 +118,47 @@ class Csg:
                 if not acts:
                     raise ModelError(
                         f"agent {agent} has no actions at state {state}")
+        self.moves = {}
+        # the joint actions of each tuple of action lists
+        by_pools: dict[tuple[tuple[str, ...], ...],
+                       tuple[JointAction, ...]] = {}
+        right: set[int] = set()  # the rows found right, by identity
         for state in self.states:
-            for joint in self.joint_actions(state):
+            pools = tuple([self.available[(agent, state)]
+                           for agent in self.agents])
+            joints = by_pools.get(pools)
+            if joints is None:
+                joints = by_pools[pools] = tuple(itertools.product(*pools))
+            rows = self.moves[state] = {}
+            for joint in joints:
                 dist = self.delta.get((state, joint))
                 if dist is None:
                     raise ModelError(
                         f"no transition for state {state}, joint action "
                         f"({', '.join(joint)})")
-                total = 0
-                for target, prob in dist.items():
-                    if target not in self.states:
-                        raise ModelError(
-                            f"transition from {state} targets unknown state "
-                            f"{target}")
-                    if prob < 0 or prob > 1:
-                        raise ModelError(
-                            f"probability {prob} out of [0,1] in transition "
-                            f"from {state}")
-                    total += prob
-                if total != 1:
-                    raise ModelError(
-                        f"transition probabilities from {state} under "
-                        f"({', '.join(joint)}) sum to {total}, not 1")
+                if id(dist) not in right:
+                    self._check_row(state, joint, dist)
+                    right.add(id(dist))
+                rows[joint] = dist
 
-    def joint_actions(self, state: str) -> list[JointAction]:
-        pools = [self.available[(agent, state)] for agent in self.agents]
-        return [tuple(choice) for choice in itertools.product(*pools)]
+    def _check_row(self, state: str, joint: JointAction,
+                   dist: Mapping[str, Fraction]) -> None:
+        # a one-entry row is right exactly when its entry is 1
+        if len(dist) == 1 and next(iter(dist.values())) == 1:
+            return
+        for prob in dist.values():
+            if not 0 <= prob.numerator <= prob.denominator:
+                raise ModelError(
+                    f"probability {prob} out of [0,1] in transition "
+                    f"from {state}")
+        total = sum(dist.values())
+        if total != 1:
+            raise ModelError(
+                f"transition probabilities from {state} under "
+                f"({', '.join(joint)}) sum to {total}, not 1")
+
+    def joint_actions(self, state: str) -> tuple[JointAction, ...]:
+        return tuple(self.moves[state])
 
     def propositions(self) -> frozenset[str]:
         out: set[str] = set()
@@ -141,16 +171,19 @@ class Csg:
         """The first (step number, agent, action, state) at which a plan
         from `start` plays an action not available at a state it can
         reach, or None when every step is playable."""
-        reachable = {start}
+        reachable: Iterable[str] = (start,)
         for step_no, joint in enumerate(steps, 1):
-            for state in sorted(reachable):
-                for agent, action in zip(self.agents, joint):
-                    if action not in self.available[(agent, state)]:
-                        return step_no, agent, action, state
-            reachable = {target
-                         for state in reachable
-                         for target, prob in self.delta[(state, joint)].items()
-                         if prob > 0}
+            after: set[str] = set()
+            for state in reachable:
+                dist = self.moves[state].get(joint)
+                if dist is None:
+                    for agent, action in zip(self.agents, joint):
+                        if action not in self.available[(agent, state)]:
+                            return step_no, agent, action, state
+                # a one-entry row's entry is 1, and no entry is negative
+                after.update(dist if len(dist) == 1 else
+                             (target for target, prob in dist.items() if prob))
+            reachable = after if len(after) == 1 else sorted(after)
         return None
 
 
@@ -183,6 +216,17 @@ class ScopeSpace:
     dependent: ParamId
 
 
+def _probabilities(space: ScopeSpace) -> dict[str, Polynomial]:
+    """Each action's probability at a scope: its free parameter, or 1 -
+    (sum of the free ones) for the dependent action."""
+    out = {p.action: Polynomial.variable(p) for p in space.free}
+    total = Polynomial.one()
+    for p in space.free:
+        total = total - out[p.action]
+    out[space.dependent.action] = total
+    return out
+
+
 class Psmas:
     """Parametric model: one strategy parameter per agent-scope-action.
 
@@ -208,30 +252,36 @@ class Psmas:
         self._scope_at = {(scope[0], state): scope
                           for scope, space in self.table.items()
                           for state in space.states}
-        self.params = tuple(p for space in self.table.values()
-                            for p in space.free)
-        self.dependent_params = tuple(space.dependent
-                                      for space in self.table.values())
-        self.param_table = {p.name: p for p in self.params}
-        self.param_table.update({p.name: p for p in self.dependent_params})
-        probability: dict[tuple[Scope, str], Polynomial] = {}
-        products: dict[tuple[tuple[Scope, str], ...], Polynomial] = {}
-        self.transition: dict[tuple[str, JointAction, str], Polynomial] = {}
+        self.params = tuple([p for space in self.table.values()
+                             for p in space.free])
+        self.dependent_params = tuple([space.dependent
+                                       for space in self.table.values()])
+        self.param_table = {p.name: p for p in (*self.params,
+                                                *self.dependent_params)}
+        probability = {scope: _probabilities(space)
+                       for scope, space in self.table.items()}
+        # the products of each tuple of scopes, by joint action
+        products: dict[tuple[Scope, ...], dict[JointAction, Polynomial]] = {}
+        transition = self.transition = {}
         for state in base.states:
-            for joint in base.joint_actions(state):
-                plays = tuple((self._scope_at[agent, state], action)
-                              for agent, action in zip(base.agents, joint))
-                mix = products.get(plays)
+            scopes = tuple([self._scope_at[agent, state]
+                            for agent in base.agents])
+            mixes = products.get(scopes)
+            if mixes is None:
+                mixes = products[scopes] = {}
+            for joint, dist in base.moves[state].items():
+                mix = mixes.get(joint)
                 if mix is None:
-                    for play in plays:
-                        if play not in probability:
-                            probability[play] = self.action_probability(
-                                play[0][0], state, play[1])
-                    mix = products[plays] = functools.reduce(
-                        operator.mul, (probability[play] for play in plays))
-                for target, prob in base.delta[(state, joint)].items():
-                    if prob != 0:
-                        self.transition[(state, joint, target)] = (
+                    mix = mixes[joint] = functools.reduce(operator.mul, [
+                        probability[scope][action]
+                        for scope, action in zip(scopes, joint)])
+                if len(dist) == 1:  # so its entry is 1 (Csg checked it)
+                    target, = dist
+                    transition[(state, joint, target)] = mix
+                    continue
+                for target, prob in dist.items():
+                    if prob:
+                        transition[(state, joint, target)] = (
                             mix if prob == 1 else mix * prob)
 
     # -- scope helpers --------------------------------------------------
@@ -264,16 +314,10 @@ class Psmas:
 
     def action_probability(self, agent: str, state: str, action: str) -> Polynomial:
         """The (polynomial) probability of one agent action at a state."""
-        space = self._space(agent, state)
-        if space.dependent.action == action:
-            total = Polynomial.one()
-            for p in space.free:
-                total = total - Polynomial.variable(p)
-            return total
-        param = self.free_param(agent, state, action)
-        if param is None:
+        poly = _probabilities(self._space(agent, state)).get(action)
+        if poly is None:
             raise ModelError(f"unknown action {action} for {agent} at {state}")
-        return Polynomial.variable(param)
+        return poly
 
     def vertex_valuation(self, scope: Scope, action: str) -> dict[ParamId, Fraction]:
         """Free-parameter values that make `action` the pure choice at scope."""
@@ -283,12 +327,9 @@ class Psmas:
     # -- transition helpers ----------------------------------------------
 
     def successors(self, state: str, joint: JointAction) -> list[tuple[str, Polynomial]]:
-        out = []
-        for target, prob in self.base.delta[(state, joint)].items():
-            if prob == 0:
-                continue
-            out.append((target, self.transition[(state, joint, target)]))
-        return out
+        return [(target, self.transition[(state, joint, target)])
+                for target, prob in self.base.delta[(state, joint)].items()
+                if prob]
 
     def transition_poly(self, state: str, joint: JointAction, target: str) -> Polynomial:
         return self.transition.get((state, joint, target), Polynomial.zero())
@@ -309,10 +350,12 @@ def build_psmas(g: Csg) -> Psmas:
     if g.shared_params:
         spans = [((agent, None), g.states) for agent in g.agents]
         for agent in g.agents:
-            if len({g.available[(agent, s)] for s in g.states}) > 1:
-                raise ModelError(
-                    f"params: shared requires agent {agent} to have the same "
-                    f"action set at every state")
+            first = g.available[(agent, g.states[0])]
+            for s in g.states:
+                if g.available[(agent, s)] != first:
+                    raise ModelError(
+                        f"params: shared requires agent {agent} to have the "
+                        f"same action set at every state")
     else:
         spans = [((agent, s), (s,)) for agent in g.agents for s in g.states]
 
@@ -322,28 +365,27 @@ def build_psmas(g: Csg) -> Psmas:
         actions = g.available[(agent, states[0])]
         decls = declared.pop(scope, None)
         if decls:
-            free_actions = [a for _, a in decls]
-            unknown = set(free_actions) - set(actions)
+            names = {a: n for n, a in decls}  # the free actions' names
+            unknown = names.keys() - set(actions)
             if unknown:
                 raise ModelError(
                     f"param declares unknown action {sorted(unknown)[0]} "
                     f"for {agent}")
-            if len(set(free_actions)) != len(actions) - 1:
+            if len(names) != len(actions) - 1:
                 raise ModelError(
                     f"{agent}: declare exactly {len(actions) - 1} free "
                     f"parameters (one per action except the dependent one) "
                     f"or none")
-            dep = next(a for a in actions if a not in free_actions)
-            names = {a: n for n, a in decls}
+            dep = next(a for a in actions if a not in names)
         else:
-            dep = sorted(actions)[-1]
+            dep = max(actions)
             names = {}
         # free parameters are interned, so each load of a model shares
         # them; the dependent one never enters a polynomial
         table[scope] = ScopeSpace(
             states, actions,
-            tuple(intern(ParamId(agent, scope[1], a, label=names.get(a)))
-                  for a in actions if a != dep),
+            tuple([intern(ParamId(agent, scope[1], a, label=names.get(a)))
+                   for a in actions if a != dep]),
             ParamId(agent, scope[1], dep))
     if declared:
         scope = next(iter(declared))
@@ -425,11 +467,15 @@ def require_admissible(m: Psmas, valuation: Mapping[ParamId, Fraction],
 
 _SECTION_ORDER = ["agents", "states", "init", "params", "param", "labels",
                   "actions", "trans", "reward", "plan"]
+# the sections whose lines may also follow a later section
+_REPEATABLE = {"param", "actions", "trans", "reward", "plan"}
 
 _PARAM = re.compile(r"param\s+(\w+)\s*:\s*(\w+)\s+(\w+)(?:\s*@\s*(\w+))?")
 _LABEL = re.compile(r"(\w+)\s*\{([^}]*)\}")
 _ACTIONS = re.compile(r"actions\s+(\w+)\s*@\s*(\w+)\s*:\s*(.+)")
-_TRANS = re.compile(r"trans\s+(\w+)\s*\(([^)]*)\)\s*->\s*\{([^}]*)\}")
+# a `trans` line is _TRANS_STATE followed by _TRANS_MOVE
+_TRANS_STATE = re.compile(r"trans\s+(\w+)\s*")
+_TRANS_MOVE = re.compile(r"\(([^)]*)\)\s*->\s*\{([^}]*)\}")
 _REWARD = re.compile(r"reward\s+(\w+)\s+(action|state)\s+(\w+)\s*:\s*(\S+)")
 _PLAN = re.compile(r"plan\s+(\w+)\s*@\s*(\w+)\s*:\s*(.+)")
 _STEP = re.compile(r"\(([^)]*)\)")
@@ -441,17 +487,20 @@ def parse_model(text: str, source: str = "<model>") -> Csg:
     return parser.parse()
 
 
-def load_model(path) -> Csg:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            # A leading byte-order mark is dropped, as the "utf-8-sig"
-            # codec would drop it; that codec is a module of its own,
-            # imported on first use.
-            text = handle.read().removeprefix("\ufeff")
-        except UnicodeDecodeError as exc:
-            raise ModelError(f"{path} is not UTF-8 text: {exc}",
-                             source=str(path)) from None
-    return parse_model(text, source=str(path))
+def load_model(path, data: bytes | None = None) -> Csg:
+    """Parse the model file at `path`, whose bytes are `data` when the
+    caller has read them already."""
+    if data is None:
+        with open(path, "rb", buffering=0) as handle:
+            data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"{path} is not UTF-8 text: {exc}",
+                         source=str(path)) from None
+    # A leading byte-order mark is dropped, as the "utf-8-sig" codec would
+    # drop it; that codec is a module of its own, imported on first use.
+    return parse_model(text.removeprefix("\ufeff"), source=str(path))
 
 
 class _ModelParser:
@@ -468,19 +517,37 @@ class _ModelParser:
         self.delta: dict[tuple[str, JointAction], dict[str, Fraction]] = {}
         self.rewards: dict[str, dict[str, dict[str, Fraction]]] = {}
         self.plans: dict[str, tuple[str, tuple[JointAction, ...]]] = {}
-        # each number text parsed so far, so a repeated `1/2` is parsed once
+        # each number text parsed so far, so a repeated `1/2` is parsed once;
+        # likewise each action list, joint action and `trans` move text
         self.numbers: dict[str, Fraction] = {}
-        self.section_rank = -1
+        self.action_texts: dict[str, tuple[str, ...]] = {}
+        self.joint_texts: dict[str, JointAction] = {}
+        self.moves: dict[str, tuple[JointAction, dict[str, Fraction]]] = {}
 
     def error(self, msg: str, line_no: int, col: int = 1):
         raise ModelError(msg, self.source, line_no, col)
 
     def parse(self) -> Csg:
-        for idx, raw in enumerate(self.lines, start=1):
-            line = raw.split("#", 1)[0].rstrip()
-            if not line.strip():
+        """Each line is stripped once, and its first word looked up in
+        `_DIRECTIVES` for its section rank and its handler."""
+        section_rank = -1
+        for line_no, raw in enumerate(self.lines, start=1):
+            line = raw.partition("#")[0]
+            stripped = line.strip()
+            if not stripped:
                 continue
-            self.dispatch(line, idx)
+            keyword = stripped.split(None, 1)[0].rstrip(":")
+            directive = _DIRECTIVES.get(keyword)
+            if directive is None:
+                self.error(f"unknown directive '{keyword}'", line_no,
+                           line.index(keyword) + 1)
+            rank, repeatable, handler = directive
+            if rank < section_rank:
+                if not repeatable:
+                    self.error(f"section '{keyword}' out of order", line_no)
+            else:
+                section_rank = rank
+            handler(self, stripped, line_no)
         if not self.agents:
             raise ModelError("missing agents section", self.source)
         if self.initial is None:
@@ -489,8 +556,8 @@ class _ModelParser:
             agent: RewardStructure(
                 agent=agent,
                 agent_index=self.agents.index(agent),
-                state_reward=dict(decl.get("state", {})),
-                action_reward=dict(decl.get("action", {})))
+                state_reward=decl["state"],
+                action_reward=decl["action"])
             for agent, decl in self.rewards.items()
         }
         try:
@@ -510,23 +577,6 @@ class _ModelParser:
             raise ModelError(str(exc), self.source) from None
         self.validate_plans(game)
         return game
-
-    def enter(self, section: str, line_no: int):
-        rank = _SECTION_ORDER.index(section)
-        if rank < self.section_rank and not (
-                section in ("actions", "trans", "reward", "plan", "param")):
-            self.error(f"section '{section}' out of order", line_no)
-        self.section_rank = max(self.section_rank, rank)
-
-    def dispatch(self, line: str, line_no: int):
-        stripped = line.strip()
-        keyword = stripped.split(None, 1)[0].rstrip(":")
-        handler = getattr(self, f"on_{keyword}", None)
-        if handler is None:
-            self.error(f"unknown directive '{keyword}'", line_no,
-                       line.index(keyword) + 1)
-        self.enter(keyword if keyword in _SECTION_ORDER else "plan", line_no)
-        handler(stripped, line_no)
 
     def _after_colon(self, line: str, line_no: int) -> str:
         if ":" not in line:
@@ -576,11 +626,10 @@ class _ModelParser:
 
     def on_labels(self, line: str, line_no: int):
         body = self._after_colon(line, line_no)
-        for m in _LABEL.finditer(body):
-            state, props = m.group(1), m.group(2).split()
+        for state, props in _LABEL.findall(body):
             if state not in self.states:
                 self.error(f"unknown state '{state}' in labels", line_no)
-            self.labels[state] = frozenset(props)
+            self.labels[state] = frozenset(props.split())
         for state in self.states:
             self.labels.setdefault(state, frozenset())
 
@@ -588,15 +637,19 @@ class _ModelParser:
         m = _ACTIONS.fullmatch(line)
         if not m:
             self.error("expected 'actions AGENT @ STATE: a b ...'", line_no)
-        agent, state, acts = m.group(1), m.group(2), m.group(3).split()
+        agent, state, acts_text = m.groups()
         if agent not in self.agents:
             self.error(f"unknown agent '{agent}'", line_no)
         if state not in self.states:
             self.error(f"unknown state '{state}'", line_no)
-        if not acts or len(set(acts)) != len(acts):
-            self.error("actions must be a non-empty list of distinct names",
-                       line_no)
-        self.available[(agent, state)] = tuple(acts)
+        acts = self.action_texts.get(acts_text)
+        if acts is None:
+            acts = tuple(acts_text.split())
+            if not acts or len(set(acts)) != len(acts):
+                self.error("actions must be a non-empty list of distinct "
+                           "names", line_no)
+            self.action_texts[acts_text] = acts
+        self.available[(agent, state)] = acts
 
     def number(self, text: str, what: str, line_no: int) -> Fraction:
         """The exact value of a number text; a bad one is an error at
@@ -604,45 +657,69 @@ class _ModelParser:
         value = self.numbers.get(text)
         if value is None:
             try:
-                value = self.numbers[text] = Fraction(text)
+                # Fraction's text parser is about four times slower than
+                # int's, and most number texts are digits
+                value = self.numbers[text] = (
+                    Fraction(int(text)) if text.isascii() and text.isdigit()
+                    else Fraction(text))
             except (ValueError, ZeroDivisionError):
                 self.error(f"bad {what} '{text}'", line_no)
         return value
 
     def _parse_joint(self, text: str, line_no: int) -> JointAction:
-        joint = tuple(a.strip() for a in text.split(","))
+        """The joint action of a text between parentheses, kept in
+        `joint_texts`: the agents are final by the first `trans` or `plan`
+        line, so a text that parsed once parses the same again."""
+        joint = tuple(map(str.strip, text.split(",")))
         if len(joint) != len(self.agents):
             self.error(
                 f"joint action ({text}) must list one action per agent "
                 f"in order ({', '.join(self.agents)})", line_no)
+        self.joint_texts[text] = joint
         return joint
 
     def on_trans(self, line: str, line_no: int):
-        m = _TRANS.fullmatch(line)
-        if not m:
-            self.error("expected 'trans STATE (a, b) -> { s: p, ... }'",
-                       line_no)
-        state, joint_text, dist_text = m.groups()
+        """A `trans` line is its state and its move, the text from the
+        joint action on; each distinct move text is parsed once, and its
+        lines share its row, as model objects are not mutated."""
+        head = _TRANS_STATE.match(line)
+        move = head and self.moves.get(line[head.end():])
+        if move is None:
+            tail = head and _TRANS_MOVE.fullmatch(line, head.end())
+            if not tail:
+                self.error("expected 'trans STATE (a, b) -> { s: p, ... }'",
+                           line_no)
+        state = head.group(1)
         if state not in self.states:
             self.error(f"unknown state '{state}'", line_no)
-        joint = self._parse_joint(joint_text, line_no)
+        if move is None:
+            joint_text, dist_text = tail.groups()
+            joint = (self.joint_texts.get(joint_text)
+                     or self._parse_joint(joint_text, line_no))
+            move = self.moves[line[head.end():]] = (
+                joint, self._parse_row(dist_text, line_no))
+        joint, dist = move
+        self.delta[(state, joint)] = dist
+
+    def _parse_row(self, text: str, line_no: int) -> dict[str, Fraction]:
         dist: dict[str, Fraction] = {}
-        for chunk in dist_text.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if ":" not in chunk:
+        for chunk in text.split(","):
+            target, colon, prob_text = chunk.partition(":")
+            if not colon:
+                chunk = chunk.strip()
+                if not chunk:
+                    continue
                 self.error(f"expected 'state: probability' in '{chunk}'",
                            line_no)
-            target, prob_text = (part.strip() for part in chunk.split(":", 1))
+            target = target.strip()
             if target not in self.states:
                 self.error(f"unknown target state '{target}'", line_no)
-            prob = self.number(prob_text, "probability", line_no)
+            prob = self.number(prob_text.strip(), "probability", line_no)
             if target in dist:
                 dist[target] += prob
             else:
                 dist[target] = prob
-        self.delta[(state, joint)] = dist
+        return dist
 
     def on_reward(self, line: str, line_no: int):
         m = _REWARD.fullmatch(line)
@@ -655,7 +732,10 @@ class _ModelParser:
         if kind == "state" and name not in self.states:
             self.error(f"unknown state '{name}'", line_no)
         value = self.number(value_text, "reward value", line_no)
-        self.rewards.setdefault(agent, {}).setdefault(kind, {})[name] = value
+        kinds = self.rewards.get(agent)
+        if kinds is None:
+            kinds = self.rewards[agent] = {"action": {}, "state": {}}
+        kinds[kind][name] = value
 
     def on_plan(self, line: str, line_no: int):
         m = _PLAN.fullmatch(line)
@@ -667,12 +747,12 @@ class _ModelParser:
             self.error(f"unknown state '{start}'", line_no)
         if name in self.plans:
             self.error(f"duplicate plan name '{name}'", line_no)
-        steps = []
-        for step in _STEP.finditer(body):
-            steps.append(self._parse_joint(step.group(1), line_no))
+        joints = self.joint_texts
+        steps = tuple([joints.get(text) or self._parse_joint(text, line_no)
+                       for text in _STEP.findall(body)])
         if not steps:
             self.error("plan needs at least one joint action", line_no)
-        self.plans[name] = (start, tuple(steps))
+        self.plans[name] = (start, steps)
 
     def validate_plans(self, game: Csg):
         for name, (start, steps) in game.plans.items():
@@ -682,3 +762,10 @@ class _ModelParser:
                 raise ModelError(
                     f"plan {name}, step {step_no}: action {action} not "
                     f"available to {agent} at {state}", self.source)
+
+
+# each directive: its section's rank in the file, whether its lines may
+# follow a later section, and its handler
+_DIRECTIVES = {name: (rank, name in _REPEATABLE,
+                      getattr(_ModelParser, f"on_{name}"))
+               for rank, name in enumerate(_SECTION_ORDER)}

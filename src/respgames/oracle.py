@@ -120,7 +120,7 @@ class _Sampler:
         free = {p: Fraction(valuation[p]) for p in m.params}
         for s in self.states:
             row = []
-            for joint in m.base.joint_actions(s):
+            for joint in m.base.moves[s]:
                 if joint not in joint_index:
                     joint_index[joint] = len(self.joints)
                     self.joints.append(joint)
@@ -399,20 +399,25 @@ class _PlanClass:
         prefix is its first `steps[i]` joint-action indices, column i of
         `prefixes` (one row per step); paths with step -1 are left out.
 
-        Every path moves to its full depth, and the paths whose witness
-        ends at a depth are counted there.
+        A path moves only up to its witness step: the paths moved past a
+        depth are those whose step lies beyond it, and the paths whose
+        witness ends at the next depth are counted there.
         """
         width = len(self.joints)
-        tag = np.zeros(len(steps), dtype=np.int64)
         admitted = (int((steps == 0).sum())
                     if self.compat.live(self.compat.start, 0) else 0)
+        paths = np.flatnonzero(steps > 0)
+        left, tag = steps[paths], np.zeros(len(paths), dtype=np.int64)
         for depth in range(int(steps.max(initial=0))):
-            pairs, inverse = _relabel(tag * width + prefixes[depth],
-                                      len(self.tags) * width)
+            if depth:  # drop the paths whose witness ended at this depth
+                going = np.flatnonzero(left > depth)
+                paths, left, tag = (a.take(going) for a in (paths, left, tag))
+            keys = tag * width + prefixes[depth].take(paths)
+            pairs, inverse = _relabel(keys, len(self.tags) * width)
             moved, live = zip(*(self._move(pair // width, depth, pair % width)
                                 for pair in pairs.tolist()))
             tag = np.array(moved, dtype=np.int64).take(inverse)
-            ends = steps == depth + 1
+            ends = left == depth + 1
             ends &= np.array(live).take(inverse)
             admitted += int(np.count_nonzero(ends))
         return admitted

@@ -208,6 +208,33 @@ def test_digest_covers_every_argument(capsys):
     assert _digest(human) == a["digest"]
 
 
+@pytest.mark.parametrize("prefix,digest", [
+    (b"", "sha256:fe89ffc54b2e4214893c6fdd09ca612c"
+          "112e47b6446bba25e5bf2ab241785c49"),
+    ("\ufeff".encode(), "sha256:448093e6927af79fd6a045ef63639eb6"
+                           "d04e24ca9f528c5a2f28cde0c0dba01f"),
+], ids=["ball", "bom"])
+def test_model_file_is_read_once(tmp_path, capsys, monkeypatch, prefix,
+                                 digest):
+    # the digest hashes the bytes that were parsed, a byte-order mark
+    # included; the pinned values are those of the file read a second time
+    model = tmp_path / "model.game"
+    model.write_bytes(prefix + (MODELS / "ball.game").read_bytes())
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(model):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    code, env = run_json(capsys, "check", "--model", str(model),
+                         "--formula", "<A1,A2> P>=1 [ X true ]")
+    assert code == 0 and env["digest"] == digest
+    assert len(opened) == 1
+
+
 def test_main_calls_share_no_parsed_state(capsys):
     # every call parses with one parser: the --bind lists of one call
     # neither reach the next nor change the default of a call without any

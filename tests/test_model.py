@@ -89,6 +89,135 @@ def test_bad_number_is_reported_at_its_own_line(bad):
     assert str(err.value) == f"t.game:15:1: bad reward value '{bad}'"
 
 
+def _swap(old: str, new: str) -> str:
+    assert old in TINY
+    return TINY.replace(old, new)
+
+
+ROW = "{ u: 1/2, v: 1/2 }"  # the row of `trans u (stay, go)`, line 11
+
+# Every parser, Csg and build_psmas error on a malformed copy of TINY, by
+# its exact text: parser errors name file:line:col, the checks made on the
+# whole game name only the file.  `param`, `actions`, `trans`, `reward`
+# and `plan` lines may follow any section, so most faults are appended.
+MODEL_ERRORS = [
+    ("unknown-directive", TINY + "  wibble: 3\n",
+     "t.game:14:3: unknown directive 'wibble'"),
+    ("bare-colon", TINY + ": 3\n", "t.game:14:1: unknown directive ''"),
+    ("section-out-of-order", TINY + "states: u v\n",
+     "t.game:14:1: section 'states' out of order"),
+    ("missing-colon", _swap("agents: A B", "agents A B"),
+     "t.game:2:10: expected ':'"),
+    ("empty-agents", _swap("agents: A B", "agents:"),
+     "t.game:2:1: agents must be a non-empty list of distinct names"),
+    ("duplicate-agents", _swap("agents: A B", "agents: A A"),
+     "t.game:2:1: agents must be a non-empty list of distinct names"),
+    ("empty-states", _swap("states: u v", "states:"),
+     "t.game:3:1: states must be a non-empty list of distinct names"),
+    ("duplicate-states", _swap("states: u v", "states: u u"),
+     "t.game:3:1: states must be a non-empty list of distinct names"),
+    ("undeclared-init", _swap("init: u", "init: w"),
+     "t.game:4:1: unknown initial state 'w'"),
+    ("init-before-states", _swap("states: u v\ninit: u", "init: u"),
+     "t.game:3:1: unknown initial state 'u'"),
+    ("params-mode", _swap("init: u", "init: u\nparams: some"),
+     "t.game:5:1: params must be 'shared' or 'per-state'"),
+    ("param-syntax", TINY + "param y: A\n",
+     "t.game:14:1: expected 'param NAME: AGENT ACTION [@ STATE]'"),
+    ("param-agent", TINY + "param y: C go @ u\n",
+     "t.game:14:1: unknown agent 'C'"),
+    ("param-state", TINY + "param y: A go @ w\n",
+     "t.game:14:1: unknown state 'w'"),
+    ("param-shared-state",
+     _swap("init: u", "init: u\nparams: shared") + "param y: A go @ u\n",
+     "t.game:15:1: shared params cannot name a state"),
+    ("param-per-state-no-state", TINY + "param y: A go\n",
+     "t.game:14:1: per-state params must name a state"),
+    ("param-duplicate", TINY + "param y: A go @ u\nparam y: B go @ v\n",
+     "t.game:15:1: duplicate parameter name 'y'"),
+    ("param-unknown-action", TINY + "param y: A jump @ u\n",
+     "param declares unknown action jump for A"),
+    ("param-count", TINY + "param y: A go @ u\nparam z: A stay @ u\n",
+     "A: declare exactly 1 free parameters (one per action except the "
+     "dependent one) or none"),
+    ("shared-action-sets", _swap("init: u", "init: u\nparams: shared"),
+     "params: shared requires agent A to have the same action set at every "
+     "state"),
+    ("label-state", _swap("v { right }", "w { right }"),
+     "t.game:5:1: unknown state 'w' in labels"),
+    ("actions-syntax", TINY + "actions A u: go\n",
+     "t.game:14:1: expected 'actions AGENT @ STATE: a b ...'"),
+    ("actions-empty", TINY + "actions A @ u:\n",
+     "t.game:14:1: expected 'actions AGENT @ STATE: a b ...'"),
+    ("actions-duplicate", _swap("A @ u: go stay", "A @ u: go go"),
+     "t.game:6:1: actions must be a non-empty list of distinct names"),
+    ("actions-agent", TINY + "actions C @ u: go\n",
+     "t.game:14:1: unknown agent 'C'"),
+    ("actions-state", TINY + "actions A @ w: go\n",
+     "t.game:14:1: unknown state 'w'"),
+    ("no-actions", _swap("actions B @ v: go stay\n", ""),
+     "agent B has no actions at state v"),
+    ("trans-syntax", TINY + "trans u go go -> { v: 1 }\n",
+     "t.game:14:1: expected 'trans STATE (a, b) -> { s: p, ... }'"),
+    ("trans-state", TINY + "trans w (go, go) -> { v: 1 }\n",
+     "t.game:14:1: unknown state 'w'"),
+    ("joint-arity", _swap("(go, go) -> { v: 1 }", "(go) -> { v: 1 }"),
+     "t.game:10:1: joint action (go) must list one action per agent in "
+     "order (A, B)"),
+    ("chunk-without-colon", _swap(ROW, "{ u: 1/2, v 1/2 }"),
+     "t.game:11:1: expected 'state: probability' in 'v 1/2'"),
+    ("unknown-target", _swap(ROW, "{ u: 1/2, w: 1/2 }"),
+     "t.game:11:1: unknown target state 'w'"),
+    ("bad-probability", _swap(ROW, "{ u: 1/2, v: half }"),
+     "t.game:11:1: bad probability 'half'"),
+    ("negative-probability", _swap(ROW, "{ u: -1/2, v: 3/2 }"),
+     "probability -1/2 out of [0,1] in transition from u"),
+    ("probability-over-one", _swap(ROW, "{ v: 3/2 }"),
+     "probability 3/2 out of [0,1] in transition from u"),
+    ("range-before-sum", _swap(ROW, "{ u: 3/2, v: -1/2 }"),
+     "probability 3/2 out of [0,1] in transition from u"),
+    ("sum-not-one", _swap(ROW, "{ u: 1/2, v: 1/3 }"),
+     "transition probabilities from u under (stay, go) sum to 5/6, not 1"),
+    ("one-entry-sum", _swap(ROW, "{ v: 1/2 }"),
+     "transition probabilities from u under (stay, go) sum to 1/2, not 1"),
+    ("empty-row", _swap(ROW, "{ }"),
+     "transition probabilities from u under (stay, go) sum to 0, not 1"),
+    ("missing-row", _swap("trans v (go, stay) -> { v: 1 }\n", ""),
+     "no transition for state v, joint action (go, stay)"),
+    ("reward-syntax", TINY + "reward A bonus u: 1\n",
+     "t.game:14:1: expected 'reward AGENT action|state NAME: value'"),
+    ("reward-agent", TINY + "reward C state u: 1\n",
+     "t.game:14:1: unknown agent 'C'"),
+    ("reward-state", TINY + "reward A state w: 1\n",
+     "t.game:14:1: unknown state 'w'"),
+    ("reward-value", TINY + "reward A action go: 1/0\n",
+     "t.game:14:1: bad reward value '1/0'"),
+    ("plan-syntax", TINY + "plan p: (go, go)\n",
+     "t.game:14:1: expected 'plan NAME @ STATE: (a, b) (a, b) ...'"),
+    ("plan-state", TINY + "plan p @ w: (go, go)\n",
+     "t.game:14:1: unknown state 'w'"),
+    ("plan-duplicate", TINY + "plan p @ u: (go, go)\nplan p @ v: (go, go)\n",
+     "t.game:15:1: duplicate plan name 'p'"),
+    ("plan-no-steps", TINY + "plan p @ u: go go\n",
+     "t.game:14:1: plan needs at least one joint action"),
+    ("plan-arity", TINY + "plan p @ u: (go, go) (go)\n",
+     "t.game:14:1: joint action (go) must list one action per agent in "
+     "order (A, B)"),
+    ("plan-unavailable", TINY + "plan p @ u: (go, go) (stay, go)\n",
+     "plan p, step 2: action stay not available to A at v"),
+    ("missing-agents", "states: u\ninit: u\n", "missing agents section"),
+    ("missing-init", "agents: A\nstates: u\n", "missing init section"),
+]
+
+
+@pytest.mark.parametrize("text,message", [case[1:] for case in MODEL_ERRORS],
+                         ids=[case[0] for case in MODEL_ERRORS])
+def test_model_error_text(text, message):
+    with pytest.raises(ModelError) as err:
+        build_psmas(parse_model(text, source="t.game"))
+    assert str(err.value) == message
+
+
 ACTION_POOLS = (("a", "b"), ("a", "b", "c"), ("a",), ("b", "c"))
 
 

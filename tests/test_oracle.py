@@ -691,9 +691,10 @@ def test_relabel_counts_or_sorts_like_unique(size, count, sorts,
 
 def test_degree_classifier_counts_and_sorts(monkeypatch):
     # LOOP's 4 joint actions and the estimate's tags give key spaces of 4
-    # to 12 cells: the 10k-path block relabels on the counting side, the
-    # 5-path block after it on the sorting side, and both agree with the
-    # per-path walk
+    # to 12 cells: the 10k-path block relabels on the counting side at
+    # both depths, the 5-path block after it on the sorting side, and both
+    # agree with the per-path walk.  A depth relabels only the paths whose
+    # witness lies beyond it, so fewer keys than the block's paths.
     m = build_psmas(parse_model(LOOP))
     psi = parse_path_formula("F<=2 g", m)
     cfg = SimConfig(10_005, 3, {p: Fraction(1, 2) for p in m.params},
@@ -708,7 +709,28 @@ def test_degree_classifier_counts_and_sorts(monkeypatch):
     real = oracle._relabel
     monkeypatch.setattr(oracle, "_relabel", relabel)
     assert estimate_degree(*args) == reference_degree(*args, None)
-    assert set(sides) == {(10_000, True), (5, False)}
+    assert [side for _, side in sides] == [True, True, False, False]
+    keys = [n for n, _ in sides]
+    assert keys[0] < 10_000 and keys[1] < keys[0]
+    assert 5 >= keys[2] >= keys[3] >= 1
+
+
+@pytest.mark.parametrize("text", (DEAD_END, LOOP))
+def test_plan_class_count_equals_per_path_walk(text):
+    # witness steps -1 (left out), 0 (the empty prefix), 1 and the horizon
+    # 2, mixed over random prefixes: the count moves each path only up to
+    # its own step and admits what `admits` admits
+    m = build_psmas(parse_model(text))
+    compat = CompatTags(m, plan_from_model(m, "pi"), {"A"})
+    joints = sorted({joint for s in m.base.states
+                     for joint in m.base.joint_actions(s)})
+    rng = np.random.default_rng(5)
+    steps = rng.choice([-1, 0, 1, 2], 400)
+    prefixes = rng.integers(0, len(joints), (2, 400))
+    want = sum(admits(compat, [joints[j] for j in prefixes[:step, i]])
+               for i, step in enumerate(steps.tolist()) if step >= 0)
+    assert oracle._PlanClass(compat, joints).count(steps, prefixes) == want
+    assert 0 < want < np.count_nonzero(steps >= 0)
 
 
 def test_degree_estimate_resolves_its_query_once(ball, monkeypatch):
