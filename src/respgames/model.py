@@ -670,12 +670,14 @@ class _ModelParser:
         """The joint action of a text between parentheses, kept in
         `joint_texts`: the agents are final by the first `trans` or `plan`
         line, so a text that parsed once parses the same again."""
-        joint = tuple(map(str.strip, text.split(",")))
-        if len(joint) != len(self.agents):
-            self.error(
-                f"joint action ({text}) must list one action per agent "
-                f"in order ({', '.join(self.agents)})", line_no)
-        self.joint_texts[text] = joint
+        joint = self.joint_texts.get(text)
+        if joint is None:
+            joint = tuple(map(str.strip, text.split(",")))
+            if len(joint) != len(self.agents):
+                self.error(
+                    f"joint action ({text}) must list one action per agent "
+                    f"in order ({', '.join(self.agents)})", line_no)
+            self.joint_texts[text] = joint
         return joint
 
     def on_trans(self, line: str, line_no: int):
@@ -694,10 +696,9 @@ class _ModelParser:
             self.error(f"unknown state '{state}'", line_no)
         if move is None:
             joint_text, dist_text = tail.groups()
-            joint = (self.joint_texts.get(joint_text)
-                     or self._parse_joint(joint_text, line_no))
             move = self.moves[line[head.end():]] = (
-                joint, self._parse_row(dist_text, line_no))
+                self._parse_joint(joint_text, line_no),
+                self._parse_row(dist_text, line_no))
         joint, dist = move
         self.delta[(state, joint)] = dist
 
@@ -747,8 +748,7 @@ class _ModelParser:
             self.error(f"unknown state '{start}'", line_no)
         if name in self.plans:
             self.error(f"duplicate plan name '{name}'", line_no)
-        joints = self.joint_texts
-        steps = tuple([joints.get(text) or self._parse_joint(text, line_no)
+        steps = tuple([self._parse_joint(text, line_no)
                        for text in _STEP.findall(body)])
         if not steps:
             self.error("plan needs at least one joint action", line_no)
