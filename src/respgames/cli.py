@@ -29,8 +29,6 @@ from .errors import (FormulaError, MissingParameterError, ModelError,
                      RespgamesError, UnsupportedQueryError, UsageError)
 from .logic import DegreeKind, parse_formula, parse_path_formula
 from .model import build_psmas, load_model, require_admissible
-from .oracle import SimConfig, estimate_degree, estimate_path_prob
-from .synth import ResponsibilitySpec, UtilityConfig, find_equilibria
 from .trace import plan_from_model
 
 USAGE_EXIT = 2
@@ -329,6 +327,8 @@ def _cmd_degree(args, warnings) -> tuple[int, dict]:
 
 
 def _cmd_ne(args, warnings) -> tuple[int, dict]:
+    # synth and oracle import numpy, which no other subcommand needs
+    from .synth import ResponsibilitySpec, UtilityConfig, find_equilibria
     m = _load(args)
     theta = Fraction(1) if args.theta is None else args.theta
     cfg = UtilityConfig(args.lambda1, args.lambda2, theta)
@@ -361,6 +361,7 @@ def _cmd_ne(args, warnings) -> tuple[int, dict]:
 
 
 def _cmd_simulate(args, warnings) -> tuple[int, dict]:
+    from .oracle import SimConfig, estimate_degree, estimate_path_prob
     m = _load(args)
     binds = _bindings(args, m)
     psi = _formula(args, m, path=True)

@@ -249,9 +249,9 @@ class Psmas:
     def __init__(self, base: Csg, table: Mapping[Scope, ScopeSpace]):
         self.base = base
         self.table = dict(table)
-        self._scope_at = {(scope[0], state): scope
-                          for scope, space in self.table.items()
-                          for state in space.states}
+        scope_at = {(scope[0], state): scope
+                    for scope, space in self.table.items()
+                    for state in space.states}
         self.params = tuple([p for space in self.table.values()
                              for p in space.free])
         self.dependent_params = tuple([space.dependent
@@ -264,7 +264,7 @@ class Psmas:
         products: dict[tuple[Scope, ...], dict[JointAction, Polynomial]] = {}
         transition = self.transition = {}
         for state in base.states:
-            scopes = tuple([self._scope_at[agent, state]
+            scopes = tuple([scope_at[agent, state]
                             for agent in base.agents])
             mixes = products.get(scopes)
             if mixes is None:
@@ -302,22 +302,8 @@ class Psmas:
     def scope_actions(self, scope: Scope) -> tuple[str, ...]:
         return self.table[scope].actions
 
-    def _space(self, agent: str, state: str) -> ScopeSpace:
-        return self.table[self._scope_at[agent, state]]
-
     def free_params(self, scope: Scope) -> tuple[ParamId, ...]:
         return self.table[scope].free
-
-    def free_param(self, agent: str, state: str, action: str) -> ParamId | None:
-        return next((p for p in self._space(agent, state).free
-                     if p.action == action), None)
-
-    def action_probability(self, agent: str, state: str, action: str) -> Polynomial:
-        """The (polynomial) probability of one agent action at a state."""
-        poly = _probabilities(self._space(agent, state)).get(action)
-        if poly is None:
-            raise ModelError(f"unknown action {action} for {agent} at {state}")
-        return poly
 
     def vertex_valuation(self, scope: Scope, action: str) -> dict[ParamId, Fraction]:
         """Free-parameter values that make `action` the pure choice at scope."""

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from reference_engine import action_probability
+
 from respgames.model import Psmas, build_psmas, load_model
 from respgames.polyarith import Polynomial
 
@@ -37,7 +39,7 @@ def brute_force_histories(m: Psmas, start: str, depth: int):
     def mix(state, joint) -> Polynomial:
         p = Polynomial.one()
         for agent, action in zip(game.agents, joint):
-            p = p * m.action_probability(agent, state, action)
+            p = p * action_probability(m, agent, state, action)
         return p
 
     paths = [((start,), (), Polynomial.one())]

@@ -8,6 +8,8 @@
 - `grid_best_response` scans an agent's grid exhaustively with exact
   utility evaluation, the check that `ne`'s pure-deviation verifier does
   not make.
+- `free_param` and `action_probability` read one agent's parameter and
+  action probability at a state straight from its scope's simplex.
 - `naive_transitions` multiplies the agents' action probabilities afresh
   for every (state, joint action), as `Psmas` did before it shared each
   product across states.
@@ -94,6 +96,34 @@ def grid_best_response(m, parts, others, resolution=Fraction(1, 1000)):
     return BestResponse(maximizers=tuple(argmax), utility=best)
 
 
+def _scope_space(m, agent, state):
+    """The strategy simplex of `agent`'s scope that covers `state`."""
+    return next(space for (owner, _), space in m.table.items()
+                if owner == agent and state in space.states)
+
+
+def free_param(m, agent, state, action):
+    """The free parameter of `action` for `agent` at `state`, or None when
+    the action is the scope's dependent one."""
+    return next((p for p in _scope_space(m, agent, state).free
+                 if p.action == action), None)
+
+
+def action_probability(m, agent, state, action):
+    """The probability polynomial of one agent's action at a state: its
+    free parameter, or 1 minus each free one for the dependent action."""
+    space = _scope_space(m, agent, state)
+    if action == space.dependent.action:
+        total = Polynomial.one()
+        for p in space.free:
+            total = total - Polynomial.variable(p)
+        return total
+    p = free_param(m, agent, state, action)
+    if p is None:
+        raise KeyError(f"unknown action {action} for {agent} at {state}")
+    return Polynomial.variable(p)
+
+
 def naive_transitions(m):
     """The transition table of `m`, each entry the product of one action
     probability per agent, multiplied left to right from 1 for every
@@ -104,7 +134,7 @@ def naive_transitions(m):
         for joint in base.joint_actions(state):
             mix = Polynomial.one()
             for agent, action in zip(base.agents, joint):
-                mix = mix * m.action_probability(agent, state, action)
+                mix = mix * action_probability(m, agent, state, action)
             for target, prob in base.delta[(state, joint)].items():
                 if prob != 0:
                     out[(state, joint, target)] = mix * prob

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from conftest import MODELS
 
+import respgames
 from respgames import checker, polyarith, trace
 from respgames.cli import main
 
@@ -824,3 +829,89 @@ def test_degree_agent_outside_flag_coalition_exit_two(capsys, subcommand):
         "error": "degree agent A1 must belong to the coalition"}
     assert main(["check", "--model", BALL, "--formula",
                  "<A2> D>=1/2 [ CPR(A1, pi_catch, X collision) ]"]) == 2
+
+
+# Runs each argv list of argv[1] (JSON) through `cli.main` in this fresh
+# interpreter, then prints what those calls left imported, then runs the
+# lists of argv[2] and prints each exit code and result.
+_FRESH = """
+import contextlib, io, json, sys
+from respgames.cli import main
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--output", "json"])
+    return [code, json.loads(out.getvalue())["result"]]
+
+light = [run(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([name for name in
+                  ("numpy", "respgames.synth", "respgames.oracle")
+                  if name in sys.modules]))
+print(json.dumps(light))
+print(json.dumps([run(argv) for argv in json.loads(sys.argv[2])]))
+"""
+
+_LIGHT = [
+    ["check", "--model", BALL, "--symbolic",
+     "--formula", "<A1,A2> P>0 [ X collision ]"],
+    ["check", "--model", BALL, "--formula", "<A1,A2> P>=1 [ X true ]"],
+    ["degree", "--model", BALL, "--kind", "CPR", "--agent", "A1",
+     "--plan", "pi_catch", "--formula", "X collision"],
+    ["eval", "--model", BALL, "--formula", "X (dropped | score2)",
+     "--bind", "x1=3/10", "--bind", "x2=1/2"],
+]
+_NUMPY = [
+    ["ne", "--model", BALL, "--horizon", "2", "--lambda1", "1",
+     "--lambda2", "0"],
+    ["simulate", "--model", BALL, "--formula", "X collision",
+     "--bind", "x1=1/2", "--bind", "x2=1/2", "--samples", "2000",
+     "--seed", "1"],
+]
+
+
+def test_check_degree_and_eval_never_import_numpy(capsys):
+    src = str(Path(respgames.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH, json.dumps(_LIGHT),
+         json.dumps(_NUMPY)],
+        capture_output=True, text=True, timeout=120, check=True,
+        env=dict(os.environ, PYTHONPATH=path))
+    loaded, light, heavy = map(json.loads, done.stdout.splitlines())
+    assert loaded == []
+    for argv, fresh in zip(_LIGHT + _NUMPY, light + heavy):
+        code, env = run_json(capsys, *argv)
+        assert code == 0, argv
+        assert fresh == [code, env["result"]], argv
+
+
+_API = [
+    "DegenerateQueryError", "FormulaError", "InadmissibleError",
+    "MissingParameterError", "ModelError", "NoSolutionError",
+    "ResourceLimitError", "RespgamesError", "UndefinedEstimateError",
+    "UnsupportedQueryError", "UsageError", "ZeroDenominatorError",
+    "Monomial", "ParamId", "Polynomial", "RationalFunction",
+    "AdmissibilityReport", "Csg", "Psmas", "RewardStructure", "build_psmas",
+    "check_admissible", "load_model", "parse_model", "CompareOp",
+    "DegreeKind", "PathFormula", "StateFormula", "horizon", "parse_formula",
+    "parse_path_formula", "render_formula", "Plan", "plan_from_model",
+    "CheckResult", "DegreeResult", "ExtendedValue", "QueryContext", "Region",
+    "car_degree", "check_formula", "cpr_degree", "degree_at",
+    "path_sat_prob", "reward_value", "responsibility_degree", "NeSolution",
+    "NeSystem", "ResponsibilitySpec", "UtilityConfig", "build_ne_system",
+    "find_equilibria", "payoff_valuation", "solve_ne", "utility_parts",
+    "verify_ne", "Estimate", "SimConfig", "estimate_degree",
+    "estimate_path_prob",
+]
+
+
+def test_package_exports_every_name():
+    listed = dir(respgames)
+    star: dict = {}
+    exec("from respgames import *", star)
+    for name in _API:
+        assert name in listed, name
+        assert star[name] is getattr(respgames, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        respgames.no_such_name  # noqa: B018

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MODELS, ball_valuation, var
-from reference_engine import naive_transitions
+from reference_engine import free_param, naive_transitions
 
 from respgames.errors import MissingParameterError, ModelError
 from respgames.model import (AdmissibilityReport, RewardStructure,
@@ -442,8 +442,8 @@ def test_shared_params_require_uniform_actions():
 
 def test_param_declaration_selects_dependent(ball):
     # declaring x1 for skip leaves catch as the dependent action
-    assert ball.free_param("A1", "s0", "skip").name == "x1"
-    assert ball.free_param("A1", "s0", "catch") is None
+    assert free_param(ball, "A1", "s0", "skip").name == "x1"
+    assert free_param(ball, "A1", "s0", "catch") is None
 
 
 def test_plan_validation_catches_bad_action():

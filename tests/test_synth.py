@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ball_valuation, brute_force_histories, var
-from reference_engine import PerPolynomialFloats, verify_ne_by_valuation
+from reference_engine import (PerPolynomialFloats, action_probability,
+                              free_param, verify_ne_by_valuation)
 
 from respgames.errors import NoSolutionError, UnsupportedQueryError
 from respgames.checker import car_degree
@@ -72,7 +73,7 @@ def test_payoff_valuation_mixed_horizon_two(ball):
             for j, joint in enumerate(actions):
                 step = Polynomial.one()
                 for ag, act in zip(ball.base.agents, joint):
-                    step = step * ball.action_probability(ag, states[j], act)
+                    step = step * action_probability(ball, ag, states[j], act)
                 total = total + step * r.step_reward(states[j], joint)
         assert total == expected
 
@@ -160,8 +161,8 @@ def test_build_ne_system_simplex_residual_for_excluded_dependent():
     # three actions with the dependent one (c) excluded from the support:
     # the remaining free parameters must sum to one
     m = build_psmas(parse_model(THREE))
-    xa = m.free_param("Z", "s", "a")
-    xb = m.free_param("Z", "s", "b")
+    xa = free_param(m, "Z", "s", "a")
+    xb = free_param(m, "Z", "s", "b")
     support = dict.fromkeys(m.scopes())
     for scope in m.scopes():
         support[scope] = ("a", "b") if scope == ("Z", "s") else ("stop",)
@@ -651,7 +652,7 @@ def test_three_agent_game_end_to_end():
 
     psi = parse_path_formula("X won", m)
     prob = path_sat_prob(m, "s", psi)
-    rests = [m.free_param(a, "s", "rest") for a in ("P", "Q", "R")]
+    rests = [free_param(m, a, "s", "rest") for a in ("P", "Q", "R")]
     one = Polynomial.one()
     expected = one
     for p in rests:

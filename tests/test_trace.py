@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_force_histories, var
+from reference_engine import free_param
 
 from respgames.errors import ResourceLimitError
 from respgames.model import RewardStructure
@@ -185,7 +186,7 @@ def test_stochastic_kernel_partition_of_unity():
 
 def test_plan_histories_branch_over_successors():
     m = stochastic_model()
-    x = m.free_param("A", "u", "go")
+    x = free_param(m, "A", "u", "go")
     hs = plan_histories(m, Plan("u", (("go", "go"),)))
     assert {h.states[1] for h in hs} == {"v", "w"}
     probs = {h.states[1]: h.probability for h in hs}
