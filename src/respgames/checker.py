@@ -172,8 +172,8 @@ def _witnesses(m: Psmas, state: str, psi: PathFormula,
         sats: list[History] = []
         viols: list[History] = []
         root = History.single(state)
-        for joint in m.base.joint_actions(state):
-            for target, poly in m.successors(state, joint):
+        for joint, row in m.moves[state].items():
+            for target, poly in row.items():
                 h = root.extend(joint, target, poly)
                 (sats if good(target) else viols).append(h)
         return sats, viols
@@ -191,8 +191,8 @@ def _witnesses(m: Psmas, state: str, psi: PathFormula,
                 elif not hold(here) or depth == psi.k:
                     viols.append(h)
                 else:
-                    for joint in m.base.joint_actions(here):
-                        for target, poly in m.successors(here, joint):
+                    for joint, row in m.moves[here].items():
+                        for target, poly in row.items():
                             nxt.append(h.extend(joint, target, poly))
             frontier = nxt
         return sats, viols
@@ -324,10 +324,10 @@ class _Reduced:
     from `state`, lumped into blocks.
 
     A state has rows when the pass goes on from it: when it is open at the
-    first depth that reaches it.  Its successor entries, specialised at
-    `fixed`, are grouped into rows: one per joint action with its step
-    reward under `r`, or, with `collapse` (a pass without tags or
-    reward), one row summed over the joint actions.  A row maps each
+    first depth that reaches it.  Its entries in `Psmas.moves`,
+    specialised at `fixed`, are grouped into rows: one per joint action
+    with its step reward under `r`, or, with `collapse` (a pass without
+    tags or reward), one row summed over the joint actions.  A row maps each
     target block to the summed entry and to the number of successors
     merged into it.  The partition is the coarsest one in which the states
     of a block have the same classifier `kind` and the same rows: so the
@@ -352,8 +352,8 @@ class _Reduced:
             for here in frontier:
                 if classify(depth, kind(here)) is not None:
                     continue  # so at every later depth too: no rows
-                for joint in m.base.moves[here]:
-                    entries = m.successors(here, joint)
+                for joint, row in m.moves[here].items():
+                    entries = row.items()
                     if constants:
                         entries = [(t, poly.substitute(constants))
                                    for t, poly in entries]
@@ -649,19 +649,11 @@ def degree_at(result: DegreeResult, valuation: Mapping[ParamId, Fraction]
     """
     if not result.kappa:
         return Fraction(0), ()
-    return mass_ratio(result.value.num, result.value.den, valuation)
-
-
-def mass_ratio(num: Polynomial, den: Polynomial,
-               valuation: Mapping[ParamId, Fraction]
-               ) -> tuple[Fraction, tuple[str, ...]]:
-    """num / den at a valuation, or 0 with the zero-mass note where den
-    vanishes: `degree_at` on a degree's numerator and denominator."""
-    d = den.evaluate(valuation)
+    d = result.value.den.evaluate(valuation)
     if d == 0:
         return Fraction(0), ("the degree's denominator mass is zero at this "
                              "valuation, so the degree is 0 by convention",)
-    return num.evaluate(valuation) / d, ()
+    return result.value.num.evaluate(valuation) / d, ()
 
 
 def check_degree(m: Psmas, state: str, f: CoalitionDegree,
@@ -707,8 +699,8 @@ def _outside(m: Psmas, coalition: frozenset[str],
     """The bindings of the parameters outside the coalition's scopes (free
     or dependent): the ones an evaluated P or R substitutes before its
     pass."""
-    owned = {p for s in m.scopes() if s[0] in coalition
-             for p in (*m.free_params(s), m.table[s].dependent)}
+    owned = {p for s, space in m.table.items() if s[0] in coalition
+             for p in (*space.free, space.dependent)}
     return {p: v for p, v in valuation.items() if p not in owned}
 
 
@@ -732,16 +724,16 @@ def _exists_search(m: Psmas, coalition: frozenset[str], ctx: QueryContext,
     is refined by bisection-style steps toward the bound.  A false verdict
     carries a warning that it is no proof.
     """
-    scopes = [s for s in m.scopes() if s[0] in coalition]
+    scopes = [s for s in m.table if s[0] in coalition]
     fixed = _outside(m, coalition, ctx.valuation)
-    require_admissible(m, fixed, [s for s in m.scopes()
+    require_admissible(m, fixed, [s for s in m.table
                                   if s[0] not in coalition])
     warnings = tuple(
         f"{p.name} belongs to the coalition: the search ranges over it, "
         f"not its bound value" for p in ctx.valuation if p not in fixed)
 
     denominator = ctx.grid_denominator
-    groups = [m.free_params(s) for s in scopes]
+    groups = [m.table[s].free for s in scopes]
     # the points are counted before any is made
     total = math.prod(math.comb(denominator + len(params), len(params))
                       for params in groups)
@@ -822,7 +814,7 @@ def _refine(m: Psmas, scopes, fixed, point, quantity, maximize,
         step = step / 2
         moved = False
         for scope in scopes:
-            params = m.free_params(scope)
+            params = m.table[scope].free
             for p in params:
                 for delta in (step, -step):
                     cand = dict(current)

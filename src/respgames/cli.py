@@ -199,6 +199,8 @@ def _load(args):
 
 
 def _formula_text(args) -> str | None:
+    """The text of --formula or --formula-file; `_formula` keeps it on
+    `args` for the digest, so an invocation reads the file once."""
     if args.formula and args.formula_file:
         raise UsageError("give --formula or --formula-file, not both")
     if args.formula_file:
@@ -215,7 +217,7 @@ def _formula_text(args) -> str | None:
 def _formula(args, m, path: bool):
     """The query's formula, read from --formula or --formula-file and
     parsed as a path formula or a state formula; errors name its source."""
-    text = _formula_text(args)
+    text = args.formula_text = _formula_text(args)
     if text is None:
         raise UsageError(
             f"{args.subcommand} needs --formula or --formula-file")
@@ -233,6 +235,8 @@ def _bindings(args, m) -> dict:
         pid = m.param_table.get(name)
         if pid is None:
             raise UsageError(f"unknown parameter '{name}'")
+        if pid in out:
+            raise UsageError(f"--bind binds {name} twice")
         try:
             out[pid] = Fraction(value_text.strip())
         except (ValueError, ZeroDivisionError):
@@ -406,14 +410,15 @@ def _cmd_eval(args, warnings) -> tuple[int, dict]:
 
 # Arguments whose content the digest hashes in their place, or that only
 # change how the result is printed.
-_NOT_QUERY = ("model", "model_bytes", "formula", "formula_file", "output")
+_NOT_QUERY = ("model", "model_bytes", "formula", "formula_file",
+              "formula_text", "output")
 
 
 def _digest(args) -> str:
     """Hash of the canonical query: model bytes, formula text and every
     other parsed argument (exact rationals as their canonical text).  The
-    model bytes are the ones `_load` parsed, or read here when the query
-    ended before loading its model."""
+    model bytes and formula text are the ones the query parsed, or read
+    here when the query ended before reading them."""
     sha = hashlib.sha256()
     data = getattr(args, "model_bytes", None)
     if data is None:
@@ -424,11 +429,12 @@ def _digest(args) -> str:
             data = b""
     sha.update(data)
     sha.update(b"\x00")
-    text = None
-    try:
-        text = _formula_text(args)
-    except (RespgamesError, OSError):
-        pass
+    text = getattr(args, "formula_text", None)
+    if text is None:
+        try:
+            text = _formula_text(args)
+        except (RespgamesError, OSError):
+            pass
     if text:
         sha.update(text.encode("utf-8"))
     sha.update(b"\x00")

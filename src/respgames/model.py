@@ -18,8 +18,10 @@ distinct text once: a number, an action list, a joint action, a `trans`
 move.  `Csg` then checks what needs the whole game, that every agent has
 actions everywhere and every joint action a row summing to 1, and builds
 the one table of joint actions, `Csg.moves`: each state's joint actions,
-in order, to their rows.  Psmas, the checker's reduced model, the sampler
-and plan validation read that table.
+in order, to their rows.  Psmas and plan validation read that table.
+`Psmas.moves` has its shape and order, with each nonzero entry a
+polynomial; the checker, the sampler, the reference enumeration and the
+admissibility check read that one.
 
 Model file format (UTF-8, '#' comments, sections in this order):
 
@@ -71,14 +73,9 @@ class RewardStructure:
     state_reward: Mapping[str, Fraction] = field(default_factory=dict)
     action_reward: Mapping[str, Fraction] = field(default_factory=dict)
 
-    def joint_action_reward(self, joint: JointAction) -> Fraction:
-        return self.action_reward.get(joint[self.agent_index], Fraction(0))
-
-    def state_value(self, state: str) -> Fraction:
-        return self.state_reward.get(state, Fraction(0))
-
     def step_reward(self, state: str, joint: JointAction) -> Fraction:
-        return self.joint_action_reward(joint) + self.state_value(state)
+        return (self.action_reward.get(joint[self.agent_index], Fraction(0))
+                + self.state_reward.get(state, Fraction(0)))
 
 
 @dataclass
@@ -157,9 +154,6 @@ class Csg:
                 f"transition probabilities from {state} under "
                 f"({', '.join(joint)}) sum to {total}, not 1")
 
-    def joint_actions(self, state: str) -> tuple[JointAction, ...]:
-        return tuple(self.moves[state])
-
     def propositions(self) -> frozenset[str]:
         out: set[str] = set()
         for props in self.labels.values():
@@ -231,10 +225,14 @@ class Psmas:
     """Parametric model: one strategy parameter per agent-scope-action.
 
     `table` maps each scope, in agent order, to its `ScopeSpace`; every
-    question about the strategy space reads it.  The dependent action of a
-    scope (lexicographically last, unless the model declares parameter
-    names) is replaced by 1 - (sum of the scope's free parameters), so
-    every transition row sums to the constant 1 as a polynomial identity.
+    question about the strategy space reads it.  `moves` is the one table
+    of parametric transitions, shaped and ordered as `Csg.moves`: each
+    state's joint actions to their targets of nonzero probability, each
+    with its polynomial entry; every engine reads it.  The dependent
+    action of a scope (lexicographically last, unless the model declares
+    parameter names) is replaced by 1 - (sum of the scope's free
+    parameters), so every transition row sums to the constant 1 as a
+    polynomial identity.
 
     Each (scope, action) probability is built once per model, and each
     product of one per agent once per tuple of them, multiplied left to
@@ -262,32 +260,22 @@ class Psmas:
                        for scope, space in self.table.items()}
         # the products of each tuple of scopes, by joint action
         products: dict[tuple[Scope, ...], dict[JointAction, Polynomial]] = {}
-        transition = self.transition = {}
+        self.moves: dict[str, dict[JointAction, dict[str, Polynomial]]] = {}
         for state in base.states:
             scopes = tuple([scope_at[agent, state]
                             for agent in base.agents])
             mixes = products.get(scopes)
             if mixes is None:
                 mixes = products[scopes] = {}
+            rows = self.moves[state] = {}
             for joint, dist in base.moves[state].items():
                 mix = mixes.get(joint)
                 if mix is None:
                     mix = mixes[joint] = functools.reduce(operator.mul, [
                         probability[scope][action]
                         for scope, action in zip(scopes, joint)])
-                if len(dist) == 1:  # so its entry is 1 (Csg checked it)
-                    target, = dist
-                    transition[(state, joint, target)] = mix
-                    continue
-                for target, prob in dist.items():
-                    if prob:
-                        transition[(state, joint, target)] = (
-                            mix if prob == 1 else mix * prob)
-
-    # -- scope helpers --------------------------------------------------
-
-    def scopes(self) -> list[Scope]:
-        return list(self.table)
+                rows[joint] = {target: mix if prob == 1 else mix * prob
+                               for target, prob in dist.items() if prob}
 
     def agent_scopes(self, agent: str) -> list[Scope]:
         return [s for s in self.table if s[0] == agent]
@@ -299,26 +287,10 @@ class Psmas:
         return [s for s, space in self.table.items()
                 if valuation.keys() & {*space.free, space.dependent}]
 
-    def scope_actions(self, scope: Scope) -> tuple[str, ...]:
-        return self.table[scope].actions
-
-    def free_params(self, scope: Scope) -> tuple[ParamId, ...]:
-        return self.table[scope].free
-
     def vertex_valuation(self, scope: Scope, action: str) -> dict[ParamId, Fraction]:
         """Free-parameter values that make `action` the pure choice at scope."""
         return {p: Fraction(1) if p.action == action else Fraction(0)
                 for p in self.table[scope].free}
-
-    # -- transition helpers ----------------------------------------------
-
-    def successors(self, state: str, joint: JointAction) -> list[tuple[str, Polynomial]]:
-        return [(target, self.transition[(state, joint, target)])
-                for target, prob in self.base.delta[(state, joint)].items()
-                if prob]
-
-    def transition_poly(self, state: str, joint: JointAction, target: str) -> Polynomial:
-        return self.transition.get((state, joint, target), Polynomial.zero())
 
 
 def build_psmas(g: Csg) -> Psmas:
@@ -431,11 +403,13 @@ def check_admissible(m: Psmas, valuation: Mapping[ParamId, Fraction],
     if not violations or scopes is not None:
         return AdmissibilityReport.of(violations)
     free_only = {p: Fraction(valuation[p]) for p in m.params}
-    for (state, joint, target), poly in m.transition.items():
-        value = poly.evaluate(free_only)
-        if value < 0 or value > 1:
-            where = f"trans {state} ({', '.join(joint)}) -> {target}"
-            violations.append((1, where, value))
+    for state, rows in m.moves.items():
+        for joint, row in rows.items():
+            for target, poly in row.items():
+                value = poly.evaluate(free_only)
+                if value < 0 or value > 1:
+                    where = f"trans {state} ({', '.join(joint)}) -> {target}"
+                    violations.append((1, where, value))
     return AdmissibilityReport.of(violations)
 
 

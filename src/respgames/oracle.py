@@ -93,10 +93,11 @@ class _Sampler:
     itself.  The sinks enter themselves.
 
     Column s of the padded tables lists row s's outcomes (joint action,
-    successor) with nonzero probability, one row per outcome slot: `cum`
-    holds their cumulative probabilities (padded with 2.0, which no draw in
-    [0, 1) reaches), `succ` the successor's row through `enter` and `joint`
-    the joint action's index in `joints`; `last[s]` is the last valid slot.
+    successor): its entries in `Psmas.moves` that are nonzero at the
+    valuation, one row per outcome slot.  `cum` holds their cumulative
+    probabilities (padded with 2.0, which no draw in [0, 1) reaches),
+    `succ` the successor's row through `enter` and `joint` the joint
+    action's index in `joints`; `last[s]` is the last valid slot.
     A sink has one outcome, itself with probability 1, under joint 0, which
     no estimate reads: it reads a path's joint actions only up to its
     witness step.
@@ -120,11 +121,11 @@ class _Sampler:
         free = {p: Fraction(valuation[p]) for p in m.params}
         for s in self.states:
             row = []
-            for joint in m.base.moves[s]:
+            for joint, entries in m.moves[s].items():
                 if joint not in joint_index:
                     joint_index[joint] = len(self.joints)
                     self.joints.append(joint)
-                for target, poly in m.successors(s, joint):
+                for target, poly in entries.items():
                     p = poly.evaluate(free)
                     if p != 0:
                         row.append((joint_index[joint], self.index[target],

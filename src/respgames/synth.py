@@ -280,7 +280,7 @@ def build_ne_system(m: Psmas, parts: Sequence[UtilityParts],
         num = rf.num.substitute(pin_bindings)
         den = rf.den.substitute(pin_bindings)
         for scope in m.agent_scopes(u.agent):
-            acts = [a for a in m.scope_actions(scope) if a in support[scope]]
+            acts = [a for a in m.table[scope].actions if a in support[scope]]
             if len(acts) < 2:
                 continue
             plays = []
@@ -483,7 +483,7 @@ def verify_ne(m: Psmas, parts: Sequence[UtilityParts],
     for u in parts:
         here_n, here_d = u.ratio(candidate, tables)
         for scope in m.agent_scopes(u.agent):
-            for action in m.scope_actions(scope):
+            for action in m.table[scope].actions:
                 n, d = u.deviation_ratio(m, scope, action, candidate, tables)
                 # int / int rounds correctly, as float(Fraction) does
                 gain = (n * here_d - here_n * d) / (d * here_d)

@@ -1,10 +1,11 @@
 """Plans, compatibility tags and payoffs; history enumeration as reference.
 
 A history alternates states and joint actions; its probability is the
-product of the parametric transition entries along its steps (every step's
-entry is not identically zero).  A plan is a pure joint-action sequence from
-a start state; two plans are coalition-compatible when they agree on every
-coalition agent's action at every step.
+product of the parametric transition entries along its steps, read from
+`Psmas.moves` (every step's entry is not identically zero).  A plan is a
+pure joint-action sequence from a start state; two plans are
+coalition-compatible when they agree on every coalition agent's action at
+every step.
 
 Queries do not enumerate: `CompatTags` decides class membership one joint
 action at a time, so the checker's forward pass can carry it as a tag, and
@@ -136,9 +137,8 @@ def enumerate_histories(m: Psmas, state: str, depth: int) -> list[History]:
     for _ in range(depth):
         nxt: list[History] = []
         for h in frontier:
-            here = h.states[-1]
-            for joint in m.base.joint_actions(here):
-                for target, poly in m.successors(here, joint):
+            for joint, row in m.moves[h.states[-1]].items():
+                for target, poly in row.items():
                     nxt.append(h.extend(joint, target, poly))
         frontier = nxt
     return frontier
@@ -152,18 +152,18 @@ def plan_histories(m: Psmas, plan: Plan) -> list[History]:
     for joint in plan.steps:
         nxt: list[History] = []
         for h in frontier:
-            for target, poly in m.successors(h.states[-1], joint):
+            for target, poly in m.moves[h.states[-1]][joint].items():
                 nxt.append(h.extend(joint, target, poly))
         frontier = nxt
     return frontier
 
 
-def _successor_set(game, reachable: frozenset[str],
+def _successor_set(moves, reachable: frozenset[str],
                    joint: JointAction) -> frozenset[str]:
-    return frozenset(target
-                     for state in reachable
-                     for target, prob in game.delta[(state, joint)].items()
-                     if prob > 0)
+    """The states `joint` can lead to from some state of `reachable`, by
+    the `Psmas.moves` table `moves`."""
+    return frozenset(target for state in reachable
+                     for target in moves[state][joint])
 
 
 class CompatTags:
@@ -183,7 +183,7 @@ class CompatTags:
         if unknown:
             raise ModelError(f"unknown coalition agent {sorted(unknown)[0]}")
         validate_plan(m, plan)
-        self.game = m.base
+        self.game, self.moves = m.base, m.moves
         self.plan = plan
         self.coalition = coalition
         self.start = frozenset({plan.start})
@@ -221,7 +221,7 @@ class CompatTags:
             return frozenset()
         pools = self.pools(tag, depth)
         if all(action in pool for action, pool in zip(joint, pools)):
-            return _successor_set(self.game, tag, joint)
+            return _successor_set(self.moves, tag, joint)
         return frozenset()
 
     def live(self, tag: frozenset[str], depth: int) -> bool:
@@ -234,7 +234,7 @@ class CompatTags:
         key = (tag, depth)
         if key not in self._live:
             self._live[key] = any(
-                self.live(_successor_set(self.game, tag, joint), depth + 1)
+                self.live(_successor_set(self.moves, tag, joint), depth + 1)
                 for joint in itertools.product(*self.pools(tag, depth)))
         return self._live[key]
 
@@ -276,7 +276,7 @@ def compatible_plans(m: Psmas, plan: Plan,
             nxt = frozenset(
                 target
                 for state in reachable
-                for target, prob in game.delta[(state, joint)].items()
+                for target, prob in game.moves[state][joint].items()
                 if prob > 0)
             grow(prefix + (joint,), nxt)
 
@@ -325,8 +325,8 @@ def total_payoff(m: Psmas, r: RewardStructure, start: str, depth: int
     for j in range(depth):
         nxt: dict[str, int] = {}
         for state, count in prefixes[j].items():
-            for joint in m.base.joint_actions(state):
-                for target, _ in m.successors(state, joint):
+            for row in m.moves[state].values():
+                for target in row:
                     nxt[target] = nxt.get(target, 0) + count
                     work += _words(count)
             check_work(work, unit)
@@ -339,9 +339,9 @@ def total_payoff(m: Psmas, r: RewardStructure, start: str, depth: int
         here: dict[str, int] = {}
         for state, count in prefixes[j].items():
             here[state] = 0
-            for joint in m.base.joint_actions(state):
+            for joint, row in m.moves[state].items():
                 rewarded = r.step_reward(state, joint) != 0
-                for target, _ in m.successors(state, joint):
+                for target in row:
                     here[state] += suffixes[target]
                     work += _words(suffixes[target])
                     if rewarded:
@@ -355,7 +355,7 @@ def total_payoff(m: Psmas, r: RewardStructure, start: str, depth: int
     total = Polynomial.zero()
     for (state, joint, target), count in counts.items():
         weight = r.step_reward(state, joint) * count
-        total = total + m.transition_poly(state, joint, target) * weight
+        total = total + m.moves[state][joint][target] * weight
     return total
 
 

@@ -54,9 +54,9 @@ def simplex_grid(m, scopes, denominator):
     points come in lexicographic order, scope by scope."""
     steps = range(denominator + 1)
     per_scope = [[combo for combo in itertools.product(
-        steps, repeat=len(m.free_params(scope)))
+        steps, repeat=len(m.table[scope].free))
         if sum(combo) <= denominator] for scope in scopes]
-    flat = [p for scope in scopes for p in m.free_params(scope)]
+    flat = [p for scope in scopes for p in m.table[scope].free]
     for combo in itertools.product(*per_scope):
         yield {p: Fraction(i, denominator)
                for p, i in zip(flat, itertools.chain(*combo))}
@@ -78,7 +78,7 @@ def grid_best_response(m, parts, others, resolution=Fraction(1, 1000)):
     the maximum is returned.
     """
     scopes = m.agent_scopes(parts.agent)
-    own = {p for scope in scopes for p in m.free_params(scope)}
+    own = {p for scope in scopes for p in m.table[scope].free}
     for p in m.params:
         if p not in own and p not in others:
             raise MissingParameterError(p)
@@ -125,19 +125,21 @@ def action_probability(m, agent, state, action):
 
 
 def naive_transitions(m):
-    """The transition table of `m`, each entry the product of one action
-    probability per agent, multiplied left to right from 1 for every
-    (state, joint action), times the kernel entry."""
+    """The transition table of `m`, shaped as `Psmas.moves`, each entry the
+    product of one action probability per agent, multiplied left to right
+    from 1 for every (state, joint action), times the kernel entry."""
     base = m.base
     out = {}
     for state in base.states:
-        for joint in base.joint_actions(state):
+        rows = out[state] = {}
+        for joint in base.moves[state]:
             mix = Polynomial.one()
             for agent, action in zip(base.agents, joint):
                 mix = mix * action_probability(m, agent, state, action)
-            for target, prob in base.delta[(state, joint)].items():
-                if prob != 0:
-                    out[(state, joint, target)] = mix * prob
+            rows[joint] = {
+                target: mix * prob
+                for target, prob in base.delta[(state, joint)].items()
+                if prob != 0}
     return out
 
 
@@ -161,7 +163,7 @@ def verify_ne_by_valuation(m, parts, candidate, epsilon=1e-6):
     for u in parts:
         here = utility_by_degrees(u, candidate)
         for scope in m.agent_scopes(u.agent):
-            for action in m.scope_actions(scope):
+            for action in m.table[scope].actions:
                 deviated = dict(candidate)
                 deviated.update(m.vertex_valuation(scope, action))
                 gain = float(utility_by_degrees(u, deviated) - here)

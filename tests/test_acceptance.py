@@ -170,7 +170,7 @@ def test_criterion_07_payoff_equilibrium(ball):
         ok = ok and sol.residual <= 1e-9 and sol.epsilon <= 1e-6
         for agent in ball.base.agents:
             own = [p for s in ball.agent_scopes(agent)
-                   for p in ball.free_params(s)]
+                   for p in ball.table[s].free]
             others = {p: v for p, v in sol.valuation.items()
                       if p not in own}
             parts = utility_parts(ball, agent, cfg, 2)

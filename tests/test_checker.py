@@ -476,8 +476,8 @@ def test_simplex_grid_order_and_cap(monkeypatch):
     from respgames.model import build_psmas, parse_model
     from respgames.polyarith import GridWalk, ParamId
     m = build_psmas(parse_model(TWO_SCOPES))
-    scopes = m.scopes()
-    free = [m.free_params(scope) for scope in scopes]
+    scopes = list(m.table)
+    free = [m.table[scope].free for scope in scopes]
     assert [len(params) for params in free] == [2, 1]
     flat = [p for params in free for p in params]
     n = 4
@@ -521,8 +521,8 @@ def test_search_row_with_infinite_points_before_its_best():
     from respgames.logic import CompareOp
     from respgames.model import build_psmas, parse_model
     m = build_psmas(parse_model(TWO_SCOPES))
-    fixed = dict.fromkeys(m.free_params(("A", "s")), Fraction(1, 3))
-    (param,) = m.free_params(("B", "s"))
+    fixed = dict.fromkeys(m.table[("A", "s")].free, Fraction(1, 3))
+    (param,) = m.table[("B", "s")].free
     t = Polynomial.variable(param)
     ctx = QueryContext.evaluated(fixed, grid_denominator=4)
     # one row, t = 0, 1/4, 1/2, 3/4, 1: infinite at 1/4 and 1/2 only
@@ -563,12 +563,12 @@ def _fraction_scan(m, coalition, ctx, quantity, cmp, bound):
     from respgames.errors import InadmissibleError
     from respgames.logic import CompareOp
     from respgames.model import AdmissibilityReport, scope_violations
-    scopes = [s for s in m.scopes() if s[0] in coalition]
+    scopes = [s for s in m.table if s[0] in coalition]
     owned = {p for s in scopes
-             for p in (*m.free_params(s), m.table[s].dependent)}
+             for p in (*m.table[s].free, m.table[s].dependent)}
     fixed = {p: v for p, v in ctx.valuation.items() if p not in owned}
     report = AdmissibilityReport.of(
-        [v for s in m.scopes() if s[0] not in coalition
+        [v for s in m.table if s[0] not in coalition
          for v in scope_violations(m, s, fixed)])
     if not report.ok:
         raise InadmissibleError(report)
@@ -637,8 +637,8 @@ def test_integer_walk_matches_fraction_scan(monkeypatch):
         # admissible values outside the coalition, sometimes a binding of
         # a coalition parameter (searched over, with a warning)
         out = {}
-        for scope in m.scopes():
-            free = m.free_params(scope)
+        for scope, space in m.table.items():
+            free = space.free
             if scope[0] in coalition and rng.random() < 0.7:
                 continue
             cuts = sorted(Fraction(rng.randint(0, 6), 6) for _ in free)
@@ -679,7 +679,7 @@ def test_integer_walk_matches_fraction_scan(monkeypatch):
             infinite = random_poly(params, rng.randint(0, 3))
         cmp = rng.choice(list(CompareOp))
         # a bound some grid point meets or, past every value, none does
-        points = list(simplex_grid(m, m.scopes(), 4))
+        points = list(simplex_grid(m, list(m.table), 4))
         bound = rng.choice([value.evaluate(rng.choice(points)),
                             Fraction(rng.choice((-1, 1)) * 1000)])
         old = compare(value, cmp, bound, coalition, ctx, infinite)

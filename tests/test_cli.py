@@ -240,6 +240,55 @@ def test_model_file_is_read_once(tmp_path, capsys, monkeypatch, prefix,
     assert len(opened) == 1
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["check", "--model", BALL], "<A1,A2> P>=1 [ X true ]"),
+    (["degree", "--model", BALL, "--kind", "CPR", "--agent", "A1",
+      "--plan", "pi_catch"], "X collision"),
+    (["eval", "--model", BALL, "--bind", "x1=1/2", "--bind", "x2=1/2"],
+     "X collision"),
+    (["simulate", "--model", BALL, "--bind", "x1=1/2", "--bind", "x2=1/2",
+      "--samples", "1000"], "X collision"),
+    (["ne", "--model", BALL, "--horizon", "1", "--lambda2", "1",
+      "--plan", "pi_catch"], "X collision"),
+], ids=["check", "degree", "eval", "simulate", "ne"])
+def test_formula_file_is_read_once(tmp_path, capsys, monkeypatch, argv,
+                                   text):
+    # the digest hashes the text that was parsed: the one --formula gives
+    path = tmp_path / "query.rpatl"
+    path.write_text(text + "\n")
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    code, env = run_json(capsys, *argv, "--formula-file", str(path))
+    assert code == 0 and len(opened) == 1
+    inline, inline_env = run_json(capsys, *argv, "--formula", text)
+    assert inline == 0 and env["digest"] == inline_env["digest"]
+    assert env["result"] == inline_env["result"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--model", BALL, "--formula",
+     "<A1,A2> D<=1/2 [ CPR(A1, pi_catch, X collision) ]"],
+    ["degree", "--model", BALL, "--kind", "CPR", "--agent", "A1",
+     "--plan", "pi_catch", "--formula", "X collision"],
+    ["eval", "--model", BALL, "--formula", "X collision"],
+    ["simulate", "--model", BALL, "--formula", "X collision",
+     "--samples", "1000"],
+], ids=["check", "degree", "eval", "simulate"])
+def test_parameter_bound_twice_exit_two(capsys, argv):
+    once = argv + ["--bind", "x1=1/2", "--bind", "x2=1/2"]
+    assert main(once) in (0, 1)
+    capsys.readouterr()
+    assert main(once + ["--bind", "x1=1/3"]) == 2
+    assert "--bind binds x1 twice" in capsys.readouterr().err
+
+
 def test_main_calls_share_no_parsed_state(capsys):
     # every call parses with one parser: the --bind lists of one call
     # neither reach the next nor change the default of a call without any

@@ -167,8 +167,7 @@ def queries(draw, pools=POOLS, shared=False):
                                      else games(pools))))
     state = draw(st.sampled_from(m.base.states))
     goal = draw(st.sampled_from(GOALS))
-    branches = max(sum(len(m.successors(s, joint))
-                       for joint in m.base.joint_actions(s))
+    branches = max(sum(len(row) for row in m.moves[s].values())
                    for s in m.base.states)
     if draw(st.booleans()):
         psi = Next(goal)

@@ -270,24 +270,30 @@ def test_transition_terms_match_naive_products(text):
     # and its denominator: `evaluate_float` sums in that order
     m = build_psmas(parse_model(text))
     naive = naive_transitions(m)
-    assert list(m.transition) == list(naive)
-    for key, poly in naive.items():
-        got = m.transition[key]
-        assert got._den == poly._den, key
-        assert list(got._terms.items()) == list(poly._terms.items()), key
+    assert list(m.moves) == list(naive)
+    for state, rows in naive.items():
+        assert list(m.moves[state]) == list(rows), state
+        for joint, row in rows.items():
+            got_row = m.moves[state][joint]
+            assert list(got_row) == list(row), (state, joint)
+            for target, poly in row.items():
+                key = (state, joint, target)
+                got = got_row[target]
+                assert got._den == poly._den, key
+                assert list(got._terms.items()) == list(
+                    poly._terms.items()), key
+                assert got.render() == poly.render(), key
 
 
 def test_build_psmas_shared_example(ball):
     # Fig-1 edge labels on the reconstructed model
     x1, x2 = var(ball, "x1"), var(ball, "x2")
     one = Polynomial.one()
-    assert ball.transition_poly("s0", ("skip", "skip"), "s0") == x1 * x2
-    assert ball.transition_poly("s0", ("catch", "catch"), "s1") \
-        == (one - x1) * (one - x2)
-    assert ball.transition_poly("s0", ("catch", "skip"), "s2") \
-        == (one - x1) * x2
-    assert ball.transition_poly("s0", ("skip", "catch"), "s3") \
-        == x1 * (one - x2)
+    s0 = ball.moves["s0"]
+    assert s0[("skip", "skip")]["s0"] == x1 * x2
+    assert s0[("catch", "catch")]["s1"] == (one - x1) * (one - x2)
+    assert s0[("catch", "skip")]["s2"] == (one - x1) * x2
+    assert s0[("skip", "catch")]["s3"] == x1 * (one - x2)
     assert [p.name for p in ball.params] == ["x1", "x2"]
     assert ball.table[("A1", None)].dependent.action == "catch"
 
@@ -303,7 +309,7 @@ def test_build_psmas_per_state_defaults():
 
 
 def test_single_action_scope_transition_is_constant(relay):
-    poly = relay.transition_poly("mid", ("pass",), "done")
+    poly = relay.moves["mid"][("pass",)]["done"]
     assert poly == Polynomial.one()
 
 
@@ -311,8 +317,8 @@ def test_row_sum_identity(ball, rounds, relay):
     for m in (ball, rounds, relay):
         for s in m.base.states:
             total = Polynomial.zero()
-            for joint in m.base.joint_actions(s):
-                for _, poly in m.successors(s, joint):
+            for row in m.moves[s].values():
+                for poly in row.values():
                     total = total + poly
             assert total == Polynomial.one(), s
 
@@ -322,7 +328,7 @@ def test_build_is_deterministic():
     a = build_psmas(parse_model(text))
     b = build_psmas(parse_model(text))
     assert a.params == b.params
-    assert a.transition == b.transition
+    assert a.moves == b.moves
 
 
 def test_admissible_interior_point(ball):
@@ -366,12 +372,14 @@ def full_admissibility(m, valuation) -> AdmissibilityReport:
     violations = [v for scope in m.table
                   for v in scope_violations(m, scope, valuation)]
     free = {p: Fraction(valuation[p]) for p in m.params}
-    for (state, joint, target), poly in m.transition.items():
-        value = poly.evaluate(free)
-        if not 0 <= value <= 1:
-            violations.append(
-                (1, f"trans {state} ({', '.join(joint)}) -> {target}",
-                 value))
+    for state, rows in m.base.moves.items():
+        for joint, row in rows.items():
+            for target in filter(row.get, row):
+                value = m.moves[state][joint][target].evaluate(free)
+                if not 0 <= value <= 1:
+                    violations.append(
+                        (1, f"trans {state} ({', '.join(joint)}) -> "
+                         f"{target}", value))
     return AdmissibilityReport.of(violations)
 
 
@@ -424,8 +432,8 @@ def test_instantiated_matrix_is_stochastic(ball):
     v = ball_valuation(ball, Fraction(2, 7), Fraction(3, 5))
     for s in ball.base.states:
         total = Fraction(0)
-        for joint in ball.base.joint_actions(s):
-            for _, poly in ball.successors(s, joint):
+        for row in ball.moves[s].values():
+            for poly in row.values():
                 p = poly.evaluate(v)
                 assert 0 <= p <= 1
                 total += p
@@ -457,7 +465,7 @@ def test_second_load_evaluates_without_parameter_equality(monkeypatch):
     # the free parameters are interned: a plan compiled on one load finds
     # the valuation of another load by identity, not by ParamId.__eq__
     first = build_psmas(load_model(MODELS / "ball_rounds.game"))
-    poly = first.transition_poly("start", ("catch", "catch"), "s1")
+    poly = first.moves["start"][("catch", "catch")]["s1"]
     assert not poly.is_constant
     poly.evaluate({p: Fraction(1, 3) for p in first.params})  # compiles
     second = build_psmas(load_model(MODELS / "ball_rounds.game"))

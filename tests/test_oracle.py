@@ -202,8 +202,8 @@ class ReferenceSampler:
         self.outcomes, self.cum = [], []
         for s in self.states:
             outs, probs = [], []
-            for joint in m.base.joint_actions(s):
-                for target, poly in m.successors(s, joint):
+            for joint, row in m.moves[s].items():
+                for target, poly in row.items():
                     p = poly.evaluate(valuation)
                     if p != 0:
                         outs.append((joint, self.index[target]))
@@ -723,7 +723,7 @@ def test_plan_class_count_equals_per_path_walk(text):
     m = build_psmas(parse_model(text))
     compat = CompatTags(m, plan_from_model(m, "pi"), {"A"})
     joints = sorted({joint for s in m.base.states
-                     for joint in m.base.joint_actions(s)})
+                     for joint in m.base.moves[s]})
     rng = np.random.default_rng(5)
     steps = rng.choice([-1, 0, 1, 2], 400)
     prefixes = rng.integers(0, len(joints), (2, 400))

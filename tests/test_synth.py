@@ -34,7 +34,7 @@ def _parts(m, cfg, horizon, spec=None):
 
 
 def _full_support(m):
-    return {scope: m.scope_actions(scope) for scope in m.scopes()}
+    return {scope: space.actions for scope, space in m.table.items()}
 
 
 COIN = """
@@ -163,8 +163,8 @@ def test_build_ne_system_simplex_residual_for_excluded_dependent():
     m = build_psmas(parse_model(THREE))
     xa = free_param(m, "Z", "s", "a")
     xb = free_param(m, "Z", "s", "b")
-    support = dict.fromkeys(m.scopes())
-    for scope in m.scopes():
+    support = dict.fromkeys(m.table)
+    for scope in m.table:
         support[scope] = ("a", "b") if scope == ("Z", "s") else ("stop",)
     cfg = UtilityConfig(Fraction(1), Fraction(0))
     sys = build_ne_system(m, _parts(m, cfg, 1), support)

@@ -104,7 +104,7 @@ def test_compatibility_full_and_empty_coalition(ball):
 
 
 def test_compatibility_is_equivalence(ball):
-    joints = ball.base.joint_actions("s0")
+    joints = tuple(ball.base.moves["s0"])
     plans = [Plan("s0", steps)
              for steps in itertools.product(joints, repeat=2)]
     coalition = {"A1"}
